@@ -14,10 +14,11 @@ import os
 import sys
 import time
 
-from .builtin import ABELIAN_GROUP, BASE_THEORIES, MONOID, SEMIGROUP
+from .builtin import BASE_THEORIES
 from .correspondence import composite_correspondence_check, roundtrip_check
-from .distlaw import (BUILTIN_LAWS, BUILTIN_SERIES, check_law_axioms,
-                      check_yang_baxter, ps_monoid_theory, ring_theory)
+from .distlaw import (BUILTIN_LAWS, BUILTIN_SERIES, PS_LAW, RING_LAW,
+                      check_law_axioms, check_yang_baxter, ps_monoid_theory,
+                      ring_theory)
 from .factorization import check_fs_over_base, factorize
 from .fincat import FiniteCategory, Morphism
 from .fragments import (FRAGMENTS, FREE_MONOID_MONAD, FREE_RING_MONAD)
@@ -40,10 +41,9 @@ def _theories() -> dict:
     return out
 
 
-_COMPOSITE_PARTS = {
-    "ring": (MONOID, ABELIAN_GROUP),
-    "ps-monoid": (SEMIGROUP, None),
-}
+# the law behind each composite theory, which gives its inner and outer
+# layers
+_COMPOSITE_LAWS = {"ring": RING_LAW, "ps-monoid": PS_LAW}
 
 _CORRESPOND = {
     "ring": (lambda: (BUILTIN_LAWS["ring"], FREE_RING_MONAD, ring_theory())),
@@ -114,17 +114,16 @@ def cmd_compose(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    theories = _theories()
-    if args.theory not in _COMPOSITE_PARTS:
+    if args.theory not in _COMPOSITE_LAWS:
         print(f"theory {args.theory!r} is not a composite theory",
               file=sys.stderr)
         return EXIT_USAGE
-    spec = theories[args.theory]
-    inner, outer = _composite_split(args.theory)
+    spec = _theories()[args.theory]
+    law = _COMPOSITE_LAWS[args.theory]
     comps = [parse_term(s, spec, args.arity)
              for s in args.morphism.split(",")]
     f = morphism(spec, args.arity, comps)
-    pair = factorize(spec, inner, outer, f)
+    pair = factorize(spec, law.inner, law.outer, f)
     payload = {
         "schemaVersion": SCHEMA_VERSION,
         "theory": args.theory,
@@ -138,15 +137,6 @@ def cmd_factorize(args) -> int:
           "]; right [" +
           ",".join(format_term(c) for c in pair.right.components) + "]")
     return EXIT_PASS
-
-
-def _composite_split(name: str):
-    if name == "ring":
-        return MONOID, ABELIAN_GROUP
-    if name == "ps-monoid":
-        from .builtin import POINTED
-        return SEMIGROUP, POINTED
-    raise StructuralError(f"no composite split for {name!r}")
 
 
 def cmd_check_law(args) -> int:
@@ -176,15 +166,15 @@ def cmd_check_yb(args) -> int:
 
 
 def cmd_check_fs(args) -> int:
-    theories = _theories()
-    if args.theory not in _COMPOSITE_PARTS:
+    if args.theory not in _COMPOSITE_LAWS:
         print(f"theory {args.theory!r} is not a composite theory",
               file=sys.stderr)
         return EXIT_USAGE
-    spec = theories[args.theory]
-    inner, outer = _composite_split(args.theory)
+    spec = _theories()[args.theory]
+    law = _COMPOSITE_LAWS[args.theory]
     t0 = time.perf_counter()
-    rep = check_fs_over_base(spec, inner, outer, args.arity, args.size)
+    rep = check_fs_over_base(spec, law.inner, law.outer, args.arity,
+                             args.size)
     rep.wall_time_ms = (time.perf_counter() - t0) * 1000
     _emit(args, rep.to_json_dict(), rep.summary())
     return _report_exit(rep)
@@ -196,6 +186,12 @@ def cmd_check_coend(args) -> int:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read {args.file!r}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not isinstance(data, dict) or not all(
+            isinstance(data.get(key, {}), dict)
+            for key in ("categories", "profunctors")):
+        print("invalid tables: the top level, its \"categories\" and its "
+              "\"profunctors\" must be JSON objects", file=sys.stderr)
         return EXIT_USAGE
     try:
         cats = {name: _category_from_json(name, cdata)
@@ -227,7 +223,11 @@ def cmd_check_coend(args) -> int:
 def _category_from_json(name: str, data: dict) -> FiniteCategory:
     morphisms = [Morphism(m["name"], m["src"], m["tgt"])
                  for m in data["morphisms"]]
-    comp = {(g, f): h for g, f, h in data["composition"]}
+    rows = data["composition"]
+    if not all(isinstance(row, list) and len(row) == 3 for row in rows):
+        raise StructuralError(f"category {name!r}: every composition row "
+                              "must be a triple [g, f, g after f]")
+    comp = {(g, f): h for g, f, h in rows}
     return FiniteCategory(name, data["objects"], morphisms,
                           data["identities"], comp)
 
@@ -276,6 +276,14 @@ def cmd_correspond(args) -> int:
     return _report_exit(rep)
 
 
+def non_negative_int(text: str) -> int:
+    """Arities, sizes, bounds and sample counts are integers >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lawvere",
@@ -289,20 +297,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON report")
         sp.add_argument("--out", help="write the JSON report to this path")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=samples,
+        sp.add_argument("--samples", type=non_negative_int, default=samples,
                         help="sample count (default via LAWVERE_SAMPLES)")
 
     sp = sub.add_parser("enumerate", help="list bounded normal forms")
     sp.add_argument("--theory", required=True)
-    sp.add_argument("--arity", type=int, required=True)
-    sp.add_argument("--size", type=int, required=True)
+    sp.add_argument("--arity", type=non_negative_int, required=True)
+    sp.add_argument("--size", type=non_negative_int, required=True)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("compose", help="compose two tuple morphisms")
     sp.add_argument("--theory", required=True)
-    sp.add_argument("--source", type=int, required=True)
+    sp.add_argument("--source", type=non_negative_int, required=True)
     sp.add_argument("--first", required=True,
                     help="comma-separated components of the first morphism")
     sp.add_argument("--second", required=True,
@@ -315,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="split a composite-theory morphism")
     sp.add_argument("--theory", required=True)
     sp.add_argument("--morphism", required=True)
-    sp.add_argument("--arity", type=int, default=3)
+    sp.add_argument("--arity", type=non_negative_int, default=3)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_factorize)
@@ -333,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-fs",
                         help="factorization sweep over a composite theory")
     sp.add_argument("--theory", required=True)
-    sp.add_argument("--arity", type=int, default=2)
-    sp.add_argument("--size", type=int, default=5)
+    sp.add_argument("--arity", type=non_negative_int, default=2)
+    sp.add_argument("--size", type=non_negative_int, default=5)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_check_fs)
@@ -350,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("roundtrip",
                         help="rebuild a monad from its theory of arities")
     sp.add_argument("--monad", required=True)
-    sp.add_argument("--bound", type=int, default=3)
-    sp.add_argument("--size", type=int, default=3,
+    sp.add_argument("--bound", type=non_negative_int, default=3)
+    sp.add_argument("--size", type=non_negative_int, default=3,
                     help="enumeration bound for infinite carriers")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--out")
@@ -360,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("correspond",
                         help="composite theory against the composite monad")
     sp.add_argument("--law", required=True)
-    sp.add_argument("--size", type=int, default=5)
+    sp.add_argument("--size", type=non_negative_int, default=5)
     common(sp, samples=150)
     sp.set_defaults(func=cmd_correspond)
     return p

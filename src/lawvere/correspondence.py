@@ -3,26 +3,30 @@ monads presented by fragments.
 
 One direction tabulates a fragment: the morphisms n -> m are the
 functions from [m] into the carrier F[n], composed by Kleisli
-substitution, with variable picking embedded through the unit.  The
-other direction rebuilds a monad's value on a finite set as a truncated
-coend over arities, computed by union-find, with an explicit
-stabilization flag.
+substitution, with variable picking embedded through the unit; a term
+theory is tabulated as ``phi(TheoryFragment(spec))``.  The other
+direction rebuilds a monad's value on a finite set as a truncated coend
+over arities, with an explicit stabilization flag.
+
+Every quotient over arities here, in ``monad_from_theory``,
+``roundtrip_check`` and both halves of ``istar_composite``, is the one
+arity coend ``pcompletion.KeypropComputation`` that keyprop uses.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .distlaw import DistributiveLawSpec, check_law_axioms, composite_theory
-from .fragments import (FREE_MONOID_MONAD, FREE_RING_MONAD,
+from .fragments import (FREE_MONOID_MONAD, FREE_RING_MONAD, IDENTITY_MONAD,
                         POINTED_MONAD, FinitaryMonadFragment, PointedMonad,
                         poly_canonical)
-from .pcompletion import _elementary_maps
-from .profunctor import DisjointSet, _label_key
+from .pcompletion import KeypropComputation
+from .profunctor import _label_key
 from .report import Report
 from .sampling import Sampler
-from .terms import StructuralError, Term, TheorySpec, Var
+from .terms import StructuralError, Term, TheorySpec, Var, substitute
 from .theory import BaseFunction
 
 
@@ -49,36 +53,32 @@ class MonadTheoryTable:
         return tuple(self.fragment.unit(alpha.cod, alpha(i))
                      for i in range(alpha.dom))
 
-    def act_source(self, g_table: Sequence[int], n_to: int, f: tuple) -> tuple:
-        """Covariant transport along g: [n] -> [n_to]."""
-        return tuple(self.fragment.map(tuple(g_table), n_to, e) for e in f)
-
 
 def phi(fragment: FinitaryMonadFragment) -> MonadTheoryTable:
     """Tabulate a finitary monad fragment as a theory of arities."""
     return MonadTheoryTable(fragment)
 
 
-class TermTheoryTable:
-    """The same interface backed by a term theory's normal forms."""
+class TheoryFragment(FinitaryMonadFragment):
+    """A term theory's normal forms as a fragment: F[n] is the normal
+    forms over n variables (5 nodes unless bounded otherwise), acting by
+    renaming variables and substituting, each followed by normalization."""
 
     def __init__(self, spec: TheorySpec):
         self.spec = spec
-        self.name = f"table({spec.name})"
+        self.name = spec.name
 
-    def hom(self, n: int, m: int, bound: int) -> list:
-        pool = self.spec.enumerate_normal(n, bound)
-        return [tuple(c) for c in itertools.product(pool, repeat=m)]
+    def carrier(self, n, bound=None):
+        return self.spec.enumerate_normal(n, 5 if bound is None else bound)
 
-    def compose(self, g: tuple, f: tuple) -> tuple:
-        from .terms import substitute
-        return tuple(self.spec.normalize(substitute(t, f)) for t in g)
+    def map(self, table, n_to, e):
+        return self.subst(e, tuple(Var(i) for i in table))
 
-    def identity(self, n: int) -> tuple:
-        return tuple(Var(i) for i in range(n))
+    def _unit(self, i):
+        return Var(i)
 
-    def basic(self, alpha: BaseFunction) -> tuple:
-        return tuple(Var(alpha(i)) for i in range(alpha.dom))
+    def subst(self, e, sigma):
+        return self.spec.normalize(substitute(e, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -153,78 +153,23 @@ class CoendResult:
         return len(self.classes)
 
 
-def _theory_coend(hom1, act, evaluate, x: int, truncation: int) -> dict:
-    """Classes of (n, f in hom(n,1), v: [n] -> [x]) under the arity action,
-    keyed by representative, with their evaluation invariants."""
-    ds = DisjointSet()
-    for n in range(truncation + 1):
-        for f in hom1(n):
-            for v in itertools.product(range(x), repeat=n):
-                ds.add((n, f, v))
-    for (n_from, n_to, g) in _elementary_maps(truncation):
-        for f in hom1(n_from):
-            fg = act(f, n_from, g, n_to)
-            for v2 in itertools.product(range(x), repeat=n_to):
-                a = (n_to, fg, v2)
-                b = (n_from, f, tuple(v2[g[i]] for i in range(n_from)))
-                if evaluate(*a) != evaluate(*b):
-                    raise StructuralError(
-                        "arity action breaks the evaluation invariant")
-                ds.union(a, b)
-    return ds.classes()
-
-
-def monad_from_theory(table, x: int, truncation: int,
+def monad_from_theory(table: MonadTheoryTable, x: int, truncation: int,
                       size_bound: Optional[int] = None) -> CoendResult:
     """Value on a set of size x of the monad rebuilt from a theory table.
 
-    Elements are classes of an operation of some arity n <= truncation
-    together with an assignment of its inputs into [x]; the result carries
-    a flag recording whether one more arity level changes the quotient.
+    Elements are classes of an operation e of some arity n <= truncation
+    together with an assignment v: [n] -> [x] of its inputs, written
+    (n, v, (e,)) and valued in F[x]; the result carries a flag recording
+    whether one more arity level changes the quotient.
     """
-    def build(trunc: int) -> dict:
-        if isinstance(table, MonadTheoryTable):
-            frag = table.fragment
-
-            def hom1(n):
-                return [(e,) for e in frag.carrier(n, size_bound)]
-
-            def act(f, n_from, g, n_to):
-                return table.act_source(g, n_to, f)
-
-            def evaluate(n, f, v):
-                return frag.map(v, x, f[0])
-        else:
-            spec = table.spec
-
-            def hom1(n):
-                return [(t,) for t in spec.enumerate_normal(
-                    n, size_bound if size_bound is not None else 5)]
-
-            def act(f, n_from, g, n_to):
-                return (spec.normalize(
-                    _subst_vars(f[0], g)),)
-
-            def evaluate(n, f, v):
-                return spec.normalize(_subst_vars(f[0], v))
-        return _theory_coend(hom1, act, evaluate, x, trunc)
-
-    classes = build(truncation)
-    bigger = build(truncation + 1)
-    if isinstance(table, MonadTheoryTable):
-        inv = {rep: table.fragment.map(rep[2], x, rep[1][0])
-               for rep in classes}
-    else:
-        inv = {rep: table.spec.normalize(_subst_vars(rep[1][0], rep[2]))
-               for rep in classes}
-    return CoendResult(classes=classes, invariants=inv,
-                       stable=len(bigger) == len(classes),
+    frag = table.fragment
+    comp = KeypropComputation(frag, x, 1, truncation, size_bound)
+    bigger = KeypropComputation(frag, x, 1, truncation + 1, size_bound)
+    classes = comp.classes()
+    return CoendResult(classes=classes,
+                       invariants={r: comp.invariant(r)[0] for r in classes},
+                       stable=bigger.class_count() == len(classes),
                        truncation=truncation)
-
-
-def _subst_vars(t: Term, table: Sequence[int]) -> Term:
-    from .terms import substitute
-    return substitute(t, tuple(Var(i) for i in table))
 
 
 def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
@@ -263,10 +208,10 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
                 rep.sample_count += 1
                 bad = False
                 for r in results[x].classes:
-                    n, f, v = r
+                    n, v, (e,) = r
                     moved_inv = fragment.map(h, x2, results[x].invariants[r])
                     direct = fragment.map(
-                        tuple(h[v[i]] for i in range(n)), x2, f[0])
+                        tuple(h[v[i]] for i in range(n)), x2, e)
                     if moved_inv != direct:
                         bad = True
                         break
@@ -361,7 +306,6 @@ def composite_correspondence_check(law: DistributiveLawSpec,
     # compositions agree along the interpretation
     rng = sampler.rng()
     table = phi(fragment)
-    from .terms import substitute
     pool1 = theory.enumerate_normal(1, size_bound)
     pool2 = theory.enumerate_normal(2, min(size_bound, 5))
     for _ in range(min(sampler.samples, 80)):
@@ -393,70 +337,39 @@ def istar_composite(fragment: FinitaryMonadFragment, k_bound: int,
     inserting the detour after a second fragment leaves composites
     unchanged (checked as the same quotient statement with the carrier
     of the second fragment as the target).
+
+    Both quotients are arity coends: the universe one is the identity
+    monad's, with b indexing F[n] by position, and the pasting one is the
+    fragment's own.
     """
     rep = Report(subject=f"istar:{fragment.name}",
                  bounds={"kBound": k_bound, "nBound": n_bound})
+
+    def tally(check: str, comp: KeypropComputation, expected: int, **at):
+        rep.sample_count += 1
+        classes = comp.classes()
+        values = {comp.invariant(r) for r in classes}
+        if len(classes) == len(values) == expected:
+            rep.pass_count += 1
+        else:
+            rep.add_failure(check=check, classes=len(classes),
+                            expected=expected, **at)
+
     for n in range(n_bound + 1):
-        carrier = fragment.carrier(n, carrier_bound)
-        cap = universe_cap if universe_cap is not None else len(carrier) + 1
+        size = len(fragment.carrier(n, carrier_bound))
+        cap = universe_cap if universe_cap is not None else size + 1
         for k in range(k_bound + 1):
-            rep.sample_count += 1
-            ds = DisjointSet()
-            for x in range(cap + 1):
-                for a in itertools.product(range(x), repeat=k):
-                    for b in itertools.product(carrier, repeat=x):
-                        ds.add((x, a, b))
-            for (x_from, x_to, g) in _elementary_maps(cap):
-                for a in itertools.product(range(x_from), repeat=k):
-                    ga = tuple(g[i] for i in a)
-                    for b2 in itertools.product(carrier, repeat=x_to):
-                        lhs = (x_to, ga, b2)
-                        rhs = (x_from, a,
-                               tuple(b2[g[i]] for i in range(x_from)))
-                        ds.union(lhs, rhs)
-            classes = ds.classes()
-            invs = set()
-            for rep_elem in classes:
-                x, a, b = rep_elem
-                invs.add(tuple(b[a[i]] for i in range(k)))
-            expected = len(carrier) ** k
-            if len(classes) == expected and len(invs) == expected:
-                rep.pass_count += 1
-            else:
-                rep.add_failure(check="istar-bijection", k=k, n=n,
-                                classes=len(classes), expected=expected)
+            tally("istar-bijection",
+                  KeypropComputation(IDENTITY_MONAD, size, k, cap),
+                  size ** k, k=k, n=n)
 
     # inserting the detour after the fragment changes nothing: the coend
     # over arities of (k-tuples in F[n]) x (assignments [n] -> [x]) must
     # still be the functions [k] -> F[x]
     for x in range(min(n_bound, 2) + 1):
-        carrier_x = fragment.carrier(x, carrier_bound)
-        trunc = x + 2
+        size = len(fragment.carrier(x, carrier_bound))
         for k in range(k_bound + 1):
-            rep.sample_count += 1
-            ds = DisjointSet()
-            for n in range(trunc + 1):
-                for u in itertools.product(
-                        fragment.carrier(n, carrier_bound), repeat=k):
-                    for v in itertools.product(range(x), repeat=n):
-                        ds.add((n, u, v))
-            for (n_from, n_to, g) in _elementary_maps(trunc):
-                for u in itertools.product(
-                        fragment.carrier(n_from, carrier_bound), repeat=k):
-                    gu = tuple(fragment.map(g, n_to, e) for e in u)
-                    for v2 in itertools.product(range(x), repeat=n_to):
-                        ds.union((n_to, gu, v2),
-                                 (n_from, u,
-                                  tuple(v2[g[i]] for i in range(n_from))))
-            classes = ds.classes()
-            invs = set()
-            for rep_elem in classes:
-                n, u, v = rep_elem
-                invs.add(tuple(fragment.map(v, x, e) for e in u))
-            expected = len(carrier_x) ** k
-            if len(classes) == expected and len(invs) == expected:
-                rep.pass_count += 1
-            else:
-                rep.add_failure(check="pasting-identity", k=k, x=x,
-                                classes=len(classes), expected=expected)
+            tally("pasting-identity",
+                  KeypropComputation(fragment, x, k, x + 2, carrier_bound),
+                  size ** k, k=k, x=x)
     return rep

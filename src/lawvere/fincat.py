@@ -228,22 +228,3 @@ def constant_functor(src: FiniteCategory, tgt: FiniteCategory,
     ident = tgt.identity(obj)
     return FiniteFunctor(src, tgt, {o: obj for o in src.objects},
                          {m.name: ident.name for m in src.morphisms})
-
-
-@dataclass(frozen=True)
-class SpanRep:
-    """A set over two feet: elements with a source and a target leg."""
-    apex: tuple
-    left: dict
-    right: dict
-
-    def __post_init__(self):
-        for e in self.apex:
-            if e not in self.left or e not in self.right:
-                raise StructuralError("span legs must be total")
-
-
-def underlying_span(cat: FiniteCategory) -> SpanRep:
-    return SpanRep(tuple(m.name for m in cat.morphisms),
-                   {m.name: m.src for m in cat.morphisms},
-                   {m.name: m.tgt for m in cat.morphisms})

@@ -13,6 +13,12 @@ the table (j, n) -> Set(n, F[j]), including its actions, with the quotient
 stable both in the entry-size direction and when strings one longer are
 adjoined (whose classes all collapse onto single-entry strings through the
 canonical insertions).
+
+``KeypropComputation`` is the package's one coend over arities: an
+element (k, y, xs) pairs n operations xs of arity k with an assignment
+y: [k] -> [j] of their inputs.  Besides keyprop it serves the round trip
+and ``monad_from_theory`` (n = 1) in ``correspondence`` and both
+quotients of ``istar_composite``.
 """
 from __future__ import annotations
 
@@ -171,7 +177,8 @@ def _elementary_maps(k_cap: int):
 
 class KeypropComputation:
     """Union-find quotient of sum_k Set([k],[j]) x F[k]^n under the action
-    relations, with the canonical invariant into Set(n, F[j])."""
+    relations, with the canonical invariant into Set(n, F[j]), which must
+    take a single value on every class."""
 
     def __init__(self, fragment: FinitaryMonadFragment, j: int, n: int,
                  k_cap: int, carrier_bound: Optional[int] = None):
@@ -185,6 +192,7 @@ class KeypropComputation:
                           for k in range(k_cap + 1)}
         self._populate()
         self._relate()
+        self._check_invariant()
 
     def _ys(self, k: int):
         return itertools.product(range(self.j), repeat=k)
@@ -207,12 +215,18 @@ class KeypropComputation:
                 yg = tuple(y[g[i]] for i in range(k_from))
                 for zs in self._xs(k_from):
                     mapped = tuple(F.map(g, k_to, z) for z in zs)
-                    a = (k_to, y, mapped)
-                    b = (k_from, yg, zs)
-                    if self.invariant(a) != self.invariant(b):
-                        raise StructuralError(
-                            "coend relation breaks the invariant")
-                    self.ds.union(a, b)
+                    self.ds.union((k_to, y, mapped), (k_from, yg, zs))
+
+    def _check_invariant(self):
+        # a relation between elements of different values would merge
+        # them into one class, so one check per element is as strong as
+        # one per relation
+        value_of_class: dict = {}
+        for element in self.ds.parent:
+            value = self.invariant(element)
+            if value_of_class.setdefault(self.ds.find(element),
+                                         value) != value:
+                raise StructuralError("coend relation breaks the invariant")
 
     def invariant(self, element) -> tuple:
         k, y, xs = element

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from lawvere.cli import main
 
@@ -74,6 +75,35 @@ def test_check_fs_small(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["failures"] == []
+
+
+def test_ps_monoid_composite(capsys):
+    # the inner and outer layers come from the pointed-semigroup law
+    code, out, _ = run(capsys, "factorize", "--theory", "ps-monoid",
+                       "--morphism", "ab,b", "--arity", "2", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["middle"] == 2
+    assert data["left"]["components"] == ["ab", "b"]
+    assert data["right"]["components"] == ["a", "b"]
+    code, out, _ = run(capsys, "check-fs", "--theory", "ps-monoid",
+                       "--arity", "1", "--size", "3", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["failures"] == []
+    assert data["sampleCount"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--theory", "monoid", "--arity", "-1", "--size", "3"),
+    ("check-law", "--law", "ring", "--samples", "-3"),
+    ("roundtrip", "--monad", "free-monoid", "--size", "-1"),
+])
+def test_negative_bounds_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 0" in err
 
 
 def test_roundtrip(capsys):
@@ -183,3 +213,21 @@ def test_check_coend_bad_file(tmp_path, capsys):
     assert run(capsys, "check-coend", "--file", str(path))[0] == 2
     path.write_text(json.dumps({"categories": {"C": {"objects": []}}}))
     assert run(capsys, "check-coend", "--file", str(path))[0] == 2
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "must be JSON objects"),
+    ({"categories": []}, "must be JSON objects"),
+    ({"categories": {"C": {
+        "objects": ["x"],
+        "morphisms": [{"name": "id_x", "src": "x", "tgt": "x"}],
+        "identities": {"x": "id_x"},
+        "composition": [["id_x", "id_x"]]}}}, "must be a triple"),
+], ids=["top-level-list", "categories-list", "two-entry-row"])
+def test_check_coend_malformed_tables(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check-coend", "--file", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -1,7 +1,7 @@
 import itertools
 
 from lawvere.builtin import IDENTITY_THEORY, MONOID, POINTED
-from lawvere.correspondence import (MonadMap, TermTheoryTable,
+from lawvere.correspondence import (MonadMap, TheoryFragment,
                                     composite_correspondence_check,
                                     encode_term, istar_composite,
                                     monad_from_theory, monad_map_natural,
@@ -47,20 +47,21 @@ class TestPhi:
 
 class TestMonadFromTheory:
     def test_pointed_theory_on_two_elements(self):
-        res = monad_from_theory(TermTheoryTable(POINTED), 2, 2,
+        res = monad_from_theory(phi(TheoryFragment(POINTED)), 2, 2,
                                 size_bound=3)
         assert res.size == 3
         assert res.stable
 
     def test_identity_theory_gives_the_set_back(self):
         for x in range(4):
-            res = monad_from_theory(TermTheoryTable(IDENTITY_THEORY), x, 3,
-                                    size_bound=2)
+            res = monad_from_theory(phi(TheoryFragment(IDENTITY_THEORY)),
+                                    x, 3, size_bound=2)
             assert res.size == x
             assert res.stable
 
     def test_ring_theory_matches_polynomial_count(self, ring):
-        res = monad_from_theory(TermTheoryTable(ring), 1, 2, size_bound=5)
+        res = monad_from_theory(phi(TheoryFragment(ring)), 1, 2,
+                                size_bound=5)
         oracle = FREE_RING_MONAD.carrier(1, 5)
         assert res.size == len(oracle)
 

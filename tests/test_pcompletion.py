@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from lawvere.fincat import chain_category, discrete_category
 from lawvere.fragments import (FREE_MONOID_MONAD, IDENTITY_MONAD,
                                POINTED_MONAD, PointedMonad)
@@ -7,6 +9,7 @@ from lawvere.pcompletion import (KeypropComputation, eta_homset, mu_homset,
                                  oplus, p_category, p_on_profunctor,
                                  verify_keyprop)
 from lawvere.profunctor import constant_profunctor, hom_profunctor
+from lawvere.terms import StructuralError
 
 
 class TestPCategory:
@@ -95,6 +98,18 @@ class TestKeyprop:
         assert rep.stability["pairStrings"]
         rep = verify_keyprop(IDENTITY_MONAD, 2, 2)
         assert rep.passed
+
+    def test_unnatural_action_breaks_the_invariant(self):
+        class SwapZeroOne(PointedMonad):
+            """Relabelling onto two or more inputs also swaps 0 and 1."""
+            name = "pointed-unnatural"
+
+            def map(self, table, n_to, e):
+                out = super().map(table, n_to, e)
+                return 1 - out if n_to >= 2 and out in (0, 1) else out
+
+        with pytest.raises(StructuralError, match="breaks the invariant"):
+            KeypropComputation(SwapZeroOne(), 2, 1, k_cap=2)
 
 
 class TestOplus:

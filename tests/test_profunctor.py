@@ -8,8 +8,7 @@ from lawvere.fincat import (FiniteCategory, FiniteFunctor, Morphism,
                             chain_category, compose_functors,
                             constant_functor, discrete_category,
                             fop_truncation, identity_functor,
-                            iso_pair_category, monoid_category,
-                            underlying_span)
+                            iso_pair_category, monoid_category)
 from lawvere.profunctor import (BimoduleMonad, compose_prof,
                                 constant_profunctor, functor_to_monad,
                                 hom_profunctor, monad_to_functor, prof_iso,
@@ -63,10 +62,6 @@ class TestCategories:
         assert len(cat.hom(2, 2)) == 4
         assert len(cat.hom(2, 0)) == 1
         assert len(cat.hom(0, 1)) == 0
-
-    def test_underlying_span_total(self):
-        span = underlying_span(chain_category(3))
-        assert len(span.apex) == 6
 
 
 class TestComposeProf:
