@@ -52,13 +52,6 @@ _CORRESPOND = {
 }
 
 
-def default_samples(fallback: int) -> int:
-    try:
-        return int(os.environ.get("LAWVERE_SAMPLES", fallback))
-    except ValueError:
-        return fallback
-
-
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "json", False):
         rendered = json.dumps(payload, sort_keys=True, indent=2)
@@ -143,8 +136,7 @@ def cmd_check_law(args) -> int:
     if args.law not in BUILTIN_LAWS:
         print(f"unknown law {args.law!r}", file=sys.stderr)
         return EXIT_USAGE
-    sampler = Sampler(seed=args.seed,
-                      samples=default_samples(args.samples))
+    sampler = Sampler(seed=args.seed, samples=args.samples)
     t0 = time.perf_counter()
     rep = check_law_axioms(BUILTIN_LAWS[args.law], sampler)
     rep.wall_time_ms = (time.perf_counter() - t0) * 1000
@@ -156,8 +148,7 @@ def cmd_check_yb(args) -> int:
     if args.series not in BUILTIN_SERIES:
         print(f"unknown series {args.series!r}", file=sys.stderr)
         return EXIT_USAGE
-    sampler = Sampler(seed=args.seed,
-                      samples=default_samples(args.samples))
+    sampler = Sampler(seed=args.seed, samples=args.samples)
     t0 = time.perf_counter()
     rep = check_yang_baxter(BUILTIN_SERIES[args.series](), sampler)
     rep.wall_time_ms = (time.perf_counter() - t0) * 1000
@@ -204,7 +195,12 @@ def cmd_check_coend(args) -> int:
                    "profunctors": {n: p.total_size()
                                    for n, p in profs.items()}}
         if "compose" in data:
-            gname, fname = data["compose"]
+            pair = data["compose"]
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(n, str) for n in pair)):
+                raise StructuralError(
+                    "\"compose\" must be a list of two profunctor names")
+            gname, fname = pair
             composite = compose_prof(profs[gname], profs[fname])
             payload["composite"] = {
                 "of": [gname, fname],
@@ -221,8 +217,13 @@ def cmd_check_coend(args) -> int:
 
 
 def _category_from_json(name: str, data: dict) -> FiniteCategory:
-    morphisms = [Morphism(m["name"], m["src"], m["tgt"])
-                 for m in data["morphisms"]]
+    entries = data["morphisms"]
+    if not all(isinstance(m, dict) and {"name", "src", "tgt"} <= m.keys()
+               for m in entries):
+        raise StructuralError(f"category {name!r}: every morphism must be "
+                              "an object with \"name\", \"src\" and "
+                              "\"tgt\"")
+    morphisms = [Morphism(m["name"], m["src"], m["tgt"]) for m in entries]
     rows = data["composition"]
     if not all(isinstance(row, list) and len(row) == 3 for row in rows):
         raise StructuralError(f"category {name!r}: every composition row "
@@ -266,8 +267,7 @@ def cmd_correspond(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     law, fragment, spec = _CORRESPOND[args.law]()
-    sampler = Sampler(seed=args.seed,
-                      samples=default_samples(args.samples))
+    sampler = Sampler(seed=args.seed, samples=args.samples)
     t0 = time.perf_counter()
     rep = composite_correspondence_check(
         law, fragment, size_bound=args.size, sampler=sampler, spec=spec)
@@ -297,8 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON report")
         sp.add_argument("--out", help="write the JSON report to this path")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=non_negative_int, default=samples,
-                        help="sample count (default via LAWVERE_SAMPLES)")
+        # argparse runs a string default through the option's type only
+        # when the flag is absent, so LAWVERE_SAMPLES sets the default, is
+        # checked like the flag, and never overrides an explicit --samples
+        sp.add_argument("--samples", type=non_negative_int,
+                        default=os.environ.get("LAWVERE_SAMPLES", samples),
+                        help=f"sample count (default {samples}, or "
+                             "LAWVERE_SAMPLES when set)")
 
     sp = sub.add_parser("enumerate", help="list bounded normal forms")
     sp.add_argument("--theory", required=True)

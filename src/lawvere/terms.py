@@ -13,13 +13,16 @@ Conventions used throughout the package:
 * ``term_key`` is the total order behind every canonical sort; canonical
   forms must not depend on the order subterms were encountered.
 
-All values are immutable after construction and safe to share.
+All values are immutable after construction and safe to share; the one
+exception is the normal-form memo inside each ``TheorySpec``, which only
+grows, with entries computed by a pure normalizer.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence, Union
 
 # canonical forms are right-nested chains, so structural recursion depth
@@ -140,6 +143,12 @@ class TheorySpec:
     operations, leaving foreign-headed subterms untouched, which is what
     makes composite theories stackable.
 
+    ``normalizer`` must also be pure: ``normalize`` memoizes its results
+    per spec instance, keyed by input term.  Only successes are stored; a
+    term with a foreign operation, or one the normalizer rejects, raises
+    again on every call.  Normal forms are not stored as their own inputs,
+    so ``is_normal`` still runs the normalizer on a term it has not seen.
+
     ``atom_enumerator(atoms, bound)`` lists every normal layer form over
     the given distinct atom subterms whose node count stays within
     ``bound``; over ``atoms = (Var(0), ..., Var(k-1))`` this is exactly
@@ -150,8 +159,10 @@ class TheorySpec:
     normalizer: Callable[[Term], Term]
     atom_enumerator: Callable[[Sequence[Term], int], list]
     axioms: str = ""
+    _nf: dict = field(default_factory=dict, init=False, repr=False,
+                      compare=False, hash=False)
 
-    @property
+    @functools.cached_property
     def op_set(self) -> frozenset:
         return frozenset(self.signature)
 
@@ -171,8 +182,11 @@ class TheorySpec:
                 f"operations {sorted(map(repr, bad))} unknown to theory {self.name}")
 
     def normalize(self, t: Term) -> Term:
-        self.validate_ops(t)
-        return self.normalizer(t)
+        nf = self._nf.get(t)
+        if nf is None:
+            self.validate_ops(t)
+            nf = self._nf[t] = self.normalizer(t)
+        return nf
 
     def is_normal(self, t: Term) -> bool:
         return self.normalize(t) == t

@@ -153,6 +153,24 @@ def test_env_var_sample_default(capsys, monkeypatch):
     assert all(d["sampleCount"] == 7 for d in data["diagrams"])
 
 
+def test_explicit_samples_beat_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("LAWVERE_SAMPLES", "7")
+    code, out, _ = run(capsys, "check-law", "--law", "ring",
+                       "--samples", "25", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert all(d["sampleCount"] == 25 for d in data["diagrams"])
+
+
+@pytest.mark.parametrize("value", ["-5", "many"])
+def test_bad_env_var_sample_default_exits_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("LAWVERE_SAMPLES", value)
+    code, out, err = run(capsys, "check-law", "--law", "ring")
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
 def coend_file(tmp_path):
     cat = {
         "objects": ["x", "y"],
@@ -223,7 +241,15 @@ def test_check_coend_bad_file(tmp_path, capsys):
         "morphisms": [{"name": "id_x", "src": "x", "tgt": "x"}],
         "identities": {"x": "id_x"},
         "composition": [["id_x", "id_x"]]}}}, "must be a triple"),
-], ids=["top-level-list", "categories-list", "two-entry-row"])
+    ({"categories": {"C": {
+        "objects": ["x"],
+        "morphisms": ["id_x"],
+        "identities": {"x": "id_x"},
+        "composition": [["id_x", "id_x", "id_x"]]}}},
+     "every morphism must be an object"),
+    ({"compose": ["H", "H", "H"]}, "list of two profunctor names"),
+], ids=["top-level-list", "categories-list", "two-entry-row",
+        "string-morphism", "three-name-compose"])
 def test_check_coend_malformed_tables(tmp_path, capsys, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

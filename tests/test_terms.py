@@ -1,11 +1,17 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lawvere.builtin import (ABELIAN_GROUP, COMMUTATIVE_MONOID,
+from lawvere.builtin import (ABELIAN_GROUP, BASE_THEORIES, COMMUTATIVE_MONOID,
                              IDENTITY_THEORY, MONOID, POINTED, SEMIGROUP)
+from lawvere.distlaw import ps_monoid_theory, ring_theory
 from lawvere.parser import parse_term
-from lawvere.terms import (App, StructuralError, Var, brute_force_normal_forms,
-                           substitute, term_size)
+from lawvere.sampling import random_term
+from lawvere.terms import (App, StructuralError, TheorySpec, Var,
+                           brute_force_normal_forms, substitute, term_size)
+from lawvere.theory import TheoryMorphism, morphism
 from .conftest import words_over
 
 
@@ -95,6 +101,85 @@ class TestEnumerate:
         for t in got:
             assert spec.normalize(t) == t
             assert term_size(t) <= 5
+
+
+def counting_copy(spec, normalizer=None):
+    """The same theory as a fresh spec whose normalizer counts its inputs."""
+    seen = []
+    inner = normalizer or spec.normalizer
+
+    def counted(t):
+        seen.append(t)
+        return inner(t)
+
+    return TheorySpec(spec.name, spec.signature, counted,
+                      spec.atom_enumerator, spec.axioms), seen
+
+
+MEMO_THEORIES = [*BASE_THEORIES.values(), ring_theory(), ps_monoid_theory()]
+
+
+class TestNormalFormMemo:
+    @pytest.mark.parametrize("spec", MEMO_THEORIES, ids=lambda s: s.name)
+    def test_memo_agrees_with_normalizer(self, spec):
+        fresh, seen = counting_copy(spec)
+        rng = random.Random(5)
+        terms = spec.enumerate_normal(2, 4)
+        terms += [random_term(spec, 2, rng, 3) for _ in range(60)]
+        for t in terms:
+            want = spec.normalizer(t)
+            assert fresh.normalize(t) == want
+            assert fresh.normalize(t) == want
+        # the normalizer ran once per distinct input, not once per call
+        assert sorted(seen, key=repr) == sorted(set(terms), key=repr)
+
+    def test_foreign_operation_raises_on_every_call(self):
+        fresh, _ = counting_copy(ABELIAN_GROUP)
+        foreign = mono("ab", 2)
+        with pytest.raises(StructuralError):
+            fresh.normalize(foreign)
+        assert fresh.normalize(abel("a+b-a", 2)) == Var(1)
+        with pytest.raises(StructuralError):
+            fresh.normalize(foreign)
+
+    def test_normalizer_failure_is_not_cached(self):
+        def picky(t):
+            if t == Var(1):
+                raise StructuralError("rejected")
+            return MONOID.normalizer(t)
+
+        fresh, seen = counting_copy(MONOID, picky)
+        for _ in range(2):
+            with pytest.raises(StructuralError):
+                fresh.normalize(Var(1))
+        assert seen == [Var(1), Var(1)]
+
+    def test_non_idempotent_normalizer_still_rejected(self):
+        mul = MONOID.op("mul")
+
+        def doubling(t):
+            n = MONOID.normalizer(t)
+            return App(mul, (n, n))
+
+        mutant, _ = counting_copy(MONOID, doubling)
+        with pytest.raises(StructuralError, match="not in normal form"):
+            morphism(mutant, 1, [Var(0)])
+        # a component the memo has seen as an input is checked all the same
+        square = App(mul, (Var(0), Var(0)))
+        mutant.normalize(square)
+        with pytest.raises(StructuralError, match="not in normal form"):
+            TheoryMorphism(mutant, 1, 1, (square,))
+
+    def test_equality_hash_and_repr_ignore_the_memo(self):
+        a = TheorySpec(MONOID.name, MONOID.signature, MONOID.normalizer,
+                       MONOID.atom_enumerator, MONOID.axioms)
+        b = dataclasses.replace(a)
+        before = (hash(a), repr(a))
+        a.normalize(mono("ab", 2))
+        assert a.op_set == b.op_set == frozenset(MONOID.signature)
+        assert a == b and a == MONOID
+        assert hash(a) == hash(b) == hash(MONOID) == before[0]
+        assert repr(a) == before[1] == "TheorySpec(monoid)"
 
 
 # hypothesis strategies for raw terms over a fixed signature
