@@ -31,10 +31,9 @@ from .fragments import (FRAGMENTS, FREE_MONOID_MONAD, FREE_RING_MONAD,
 from .parser import ParseError, format_term, parse_term
 from .pcompletion import (eta_homset, mu_homset, oplus, p_category,
                           p_on_profunctor, verify_keyprop)
-from .profunctor import (BimoduleMonad, BimoduleRep, FiniteProfunctor,
-                         bimodule_to_profunctor, compose_prof,
+from .profunctor import (BimoduleMonad, FiniteProfunctor, compose_prof,
                          functor_to_monad, hom_profunctor, monad_to_functor,
-                         prof_iso, profunctor_to_bimodule, representable)
+                         prof_iso, representable)
 from .report import AxiomReport, Report
 from .sampling import Sampler
 from .terms import (App, OperationSymbol, StructuralError, Term, TheorySpec,

@@ -97,18 +97,6 @@ def build_combo(combo: dict, add: OperationSymbol,
     return out
 
 
-def combo_term_size(combo: dict) -> int:
-    """Node count of ``build_combo``'s output, computed arithmetically."""
-    copies = 0
-    total = 0
-    for atom, c in combo.items():
-        copies += abs(c)
-        total += abs(c) * term_size(atom) + (abs(c) if c < 0 else 0)
-    if copies == 0:
-        return 1
-    return total + copies - 1
-
-
 def _monoid_normalize(t: Term) -> Term:
     return build_word(word_atoms(t, MUL, ONE), MUL, ONE)
 

@@ -175,7 +175,9 @@ def cmd_check_coend(args) -> int:
     try:
         with open(args.file) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or bytes that are not UTF-8;
+        # RecursionError: arrays or objects nested too deep to decode
         print(f"cannot read {args.file!r}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not isinstance(data, dict) or not all(
@@ -216,34 +218,74 @@ def cmd_check_coend(args) -> int:
     return EXIT_PASS
 
 
-def _category_from_json(name: str, data: dict) -> FiniteCategory:
-    entries = data["morphisms"]
-    if not all(isinstance(m, dict) and {"name", "src", "tgt"} <= m.keys()
-               for m in entries):
-        raise StructuralError(f"category {name!r}: every morphism must be "
-                              "an object with \"name\", \"src\" and "
-                              "\"tgt\"")
+# JSON values that can name an object, a morphism or an element
+_NAME = (str, int, float, bool, type(None))
+
+
+def _has_names(entry, *keys) -> bool:
+    """``entry`` is a JSON object whose ``keys`` all hold names."""
+    return isinstance(entry, dict) and all(
+        k in entry and isinstance(entry[k], _NAME) for k in keys)
+
+
+def _rows(where: str, data: dict, key: str, ok, every: str) -> list:
+    """``data[key]``, which must be a JSON list whose rows all pass ``ok``."""
+    rows = data[key]
+    if not isinstance(rows, list):
+        raise StructuralError(f"{where}: \"{key}\" must be a JSON list")
+    if not all(ok(row) for row in rows):
+        raise StructuralError(f"{where}: every {every}")
+    return rows
+
+
+def _category_from_json(name: str, data) -> FiniteCategory:
+    where = f"category {name!r}"
+    if not isinstance(data, dict):
+        raise StructuralError(f"{where} must be a JSON object")
+    objects = _rows(where, data, "objects", lambda o: isinstance(o, _NAME),
+                    "object must be a string or a number")
+    entries = _rows(where, data, "morphisms",
+                    lambda m: _has_names(m, "name", "src", "tgt"),
+                    "morphism must be an object with \"name\", \"src\" "
+                    "and \"tgt\"")
     morphisms = [Morphism(m["name"], m["src"], m["tgt"]) for m in entries]
-    rows = data["composition"]
-    if not all(isinstance(row, list) and len(row) == 3 for row in rows):
-        raise StructuralError(f"category {name!r}: every composition row "
-                              "must be a triple [g, f, g after f]")
+    rows = _rows(where, data, "composition",
+                 lambda r: isinstance(r, list) and len(r) == 3
+                 and all(isinstance(x, _NAME) for x in r),
+                 "composition row must be a triple [g, f, g after f]")
     comp = {(g, f): h for g, f, h in rows}
-    return FiniteCategory(name, data["objects"], morphisms,
-                          data["identities"], comp)
+    identities = data["identities"]
+    if not (isinstance(identities, dict) and
+            all(isinstance(v, _NAME) for v in identities.values())):
+        raise StructuralError(f"{where}: \"identities\" must be a JSON "
+                              "object of morphism names")
+    return FiniteCategory(name, objects, morphisms, identities, comp)
 
 
-def _profunctor_from_json(name: str, data: dict,
-                          cats: dict) -> FiniteProfunctor:
+def _profunctor_from_json(name: str, data, cats: dict) -> FiniteProfunctor:
+    where = f"profunctor {name!r}"
+    if not _has_names(data, "src", "tgt"):
+        raise StructuralError(f"{where} must be a JSON object with category "
+                              "names \"src\" and \"tgt\"")
     src, tgt = cats[data["src"]], cats[data["tgt"]]
     table = {}
-    for entry in data["table"]:
-        table[(entry["d"], entry["c"])] = entry["elements"]
-    c_action = {(a["morphism"], a["d"], a["element"]): a["to"]
-                for a in data["cAction"]}
-    d_action = {(a["morphism"], a["c"], a["element"]): a["to"]
-                for a in data["dAction"]}
-    return FiniteProfunctor(name, src, tgt, table, c_action, d_action)
+    for entry in _rows(where, data, "table",
+                       lambda e: _has_names(e, "d", "c") and "elements" in e,
+                       "\"table\" entry must be an object with \"d\", "
+                       "\"c\" and \"elements\""):
+        table[(entry["d"], entry["c"])] = _rows(
+            where, entry, "elements", lambda x: isinstance(x, _NAME),
+            "element must be a string or a number")
+
+    def actions(key: str, side: str) -> dict:
+        rows = _rows(where, data, key, lambda a: _has_names(
+            a, "morphism", side, "element", "to"),
+            f"\"{key}\" entry must be an object with \"morphism\", "
+            f"\"{side}\", \"element\" and \"to\"")
+        return {(a["morphism"], a[side], a["element"]): a["to"] for a in rows}
+
+    return FiniteProfunctor(name, src, tgt, table, actions("cAction", "d"),
+                            actions("dAction", "c"))
 
 
 def cmd_roundtrip(args) -> int:
@@ -276,8 +318,19 @@ def cmd_correspond(args) -> int:
     return _report_exit(rep)
 
 
+class _EnvSamples(str):
+    """LAWVERE_SAMPLES as the string default of --samples."""
+
+
 def non_negative_int(text: str) -> int:
     """Arities, sizes, bounds and sample counts are integers >= 0."""
+    if isinstance(text, _EnvSamples):
+        try:
+            return non_negative_int(str(text))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(
+                f"LAWVERE_SAMPLES must be an integer >= 0, got {text!r}"
+            ) from None
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -300,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
         # argparse runs a string default through the option's type only
         # when the flag is absent, so LAWVERE_SAMPLES sets the default, is
         # checked like the flag, and never overrides an explicit --samples
+        env = os.environ.get("LAWVERE_SAMPLES")
         sp.add_argument("--samples", type=non_negative_int,
-                        default=os.environ.get("LAWVERE_SAMPLES", samples),
+                        default=samples if env is None else _EnvSamples(env),
                         help=f"sample count (default {samples}, or "
                              "LAWVERE_SAMPLES when set)")
 

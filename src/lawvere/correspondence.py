@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .distlaw import DistributiveLawSpec, check_law_axioms, composite_theory
-from .fragments import (FREE_MONOID_MONAD, FREE_RING_MONAD, IDENTITY_MONAD,
-                        POINTED_MONAD, FinitaryMonadFragment, PointedMonad,
-                        poly_canonical)
+from .fragments import IDENTITY_MONAD, FinitaryMonadFragment
 from .pcompletion import KeypropComputation
 from .profunctor import _label_key
 from .report import Report
@@ -228,40 +226,15 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
 
 
 def encode_term(fragment: FinitaryMonadFragment, t: Term):
-    """Interpret a term as a fragment element; variables through the unit."""
+    """Interpret a term as a fragment element: variables through the unit,
+    operations through the fragment's interpretation table."""
     if isinstance(t, Var):
-        return _encode_var(fragment, t.index)
-    name = t.op.name
-    args = [encode_term(fragment, a) for a in t.args]
-    if fragment is FREE_RING_MONAD:
-        from .fragments import poly_add, poly_mul, poly_scale
-        if name == "mul":
-            return poly_canonical(poly_mul(dict(args[0]), dict(args[1])))
-        if name == "one":
-            return (((), 1),)
-        if name == "add":
-            return poly_canonical(poly_add(dict(args[0]), dict(args[1])))
-        if name == "neg":
-            return poly_canonical(poly_scale(dict(args[0]), -1))
-        if name == "zero":
-            return ()
-    if fragment is FREE_MONOID_MONAD:
-        if name == "mul":
-            return args[0] + args[1]
-        if name in ("one", "point"):
-            return ()
-    if fragment is POINTED_MONAD and name == "point":
-        return PointedMonad.POINT
-    raise StructuralError(
-        f"no interpretation of {t.op!r} in fragment {fragment.name}")
-
-
-def _encode_var(fragment: FinitaryMonadFragment, i: int):
-    if fragment is FREE_RING_MONAD:
-        return (((i,), 1),)
-    if fragment is FREE_MONOID_MONAD:
-        return (i,)
-    return i
+        return fragment._unit(t.index)
+    op = fragment.interpretation.get(t.op.name)
+    if op is None:
+        raise StructuralError(
+            f"no interpretation of {t.op!r} in fragment {fragment.name}")
+    return op(*(encode_term(fragment, a) for a in t.args))
 
 
 def composite_correspondence_check(law: DistributiveLawSpec,

@@ -26,7 +26,7 @@ class Morphism:
 
 class FiniteCategory:
     def __init__(self, name: str, objects: Sequence, morphisms: Sequence[Morphism],
-                 identities: dict, composition: dict, validate: bool = True):
+                 identities: dict, composition: dict):
         """``composition[(g.name, f.name)]`` is the name of g after f."""
         self.name = name
         self.objects = tuple(objects)
@@ -36,8 +36,7 @@ class FiniteCategory:
             raise StructuralError("duplicate morphism names")
         self._identities = dict(identities)
         self._composition = dict(composition)
-        if validate:
-            self._validate()
+        self._validate()
 
     def __repr__(self):
         return (f"FiniteCategory({self.name}: {len(self.objects)} objects, "
@@ -182,13 +181,12 @@ def _parse_table(name: str) -> tuple:
 
 class FiniteFunctor:
     def __init__(self, src: FiniteCategory, tgt: FiniteCategory,
-                 obj_map: dict, mor_map: dict, validate: bool = True):
+                 obj_map: dict, mor_map: dict):
         self.src = src
         self.tgt = tgt
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
-        if validate:
-            self._validate()
+        self._validate()
 
     def on_obj(self, x):
         return self.obj_map[x]

@@ -24,6 +24,9 @@ from .terms import StructuralError
 class FinitaryMonadFragment:
     name: str = "abstract"
     finite: bool = False  # finite carriers (no enumeration bound needed)
+    # operation name -> function of the interpreted arguments giving an
+    # element; read by ``correspondence.encode_term``
+    interpretation: dict = {}
 
     def carrier(self, n: int, bound: Optional[int] = None) -> list:
         raise NotImplementedError
@@ -75,6 +78,7 @@ class PointedMonad(FinitaryMonadFragment):
     name = "pointed"
     finite = True
     POINT = "pt"
+    interpretation = {"point": lambda: PointedMonad.POINT}
 
     def carrier(self, n, bound=None):
         return list(range(n)) + [self.POINT]
@@ -97,6 +101,8 @@ class FreeMonoidMonad(FinitaryMonadFragment):
     """Words over the input set; bounded enumeration by word length."""
     name = "free-monoid"
     finite = False
+    interpretation = {"mul": lambda u, v: u + v, "one": lambda: (),
+                      "point": lambda: ()}
 
     def carrier(self, n, bound=None):
         if bound is None:
@@ -124,8 +130,9 @@ class FreeMonoidMonad(FinitaryMonadFragment):
 
 
 class FreeSemigroupMonad(FreeMonoidMonad):
-    """Nonempty words only."""
+    """Nonempty words only, so nothing interprets a constant."""
     name = "free-semigroup"
+    interpretation = {"mul": lambda u, v: u + v}
 
     def carrier(self, n, bound=None):
         return [w for w in super().carrier(n, bound) if w]
@@ -161,28 +168,18 @@ def poly_canonical(p: dict) -> tuple:
     return tuple(sorted(p.items(), key=lambda wc: (len(wc[0]), wc[0])))
 
 
-def poly_display_size(p: dict) -> int:
-    """Node count of the canonical sum-of-words display of p.
-
-    A word of length L costs 2L - 1 nodes (1 for the empty word), each
-    negative copy costs one extra node, and joining N copies costs N - 1.
-    """
-    copies = 0
-    total = 0
-    for w, c in p.items():
-        wsize = max(1, 2 * len(w) - 1)
-        copies += abs(c)
-        total += abs(c) * wsize + (abs(c) if c < 0 else 0)
-    if copies == 0:
-        return 1
-    return total + copies - 1
-
-
 class FreeRingMonad(FinitaryMonadFragment):
     """Integer combinations of words, as sorted (word, coefficient) tuples;
     bounded enumeration by display size."""
     name = "free-ring"
     finite = False
+    interpretation = {
+        "mul": lambda p, q: poly_canonical(poly_mul(dict(p), dict(q))),
+        "one": lambda: (((), 1),),
+        "add": lambda p, q: poly_canonical(poly_add(dict(p), dict(q))),
+        "neg": lambda p: poly_canonical(poly_scale(dict(p), -1)),
+        "zero": lambda: (),
+    }
 
     def carrier(self, n, bound=None):
         if bound is None:

@@ -9,16 +9,19 @@ the D argument:
 * ``act_c(f, d, x)``: for f: c -> c' sends x in F(d, c) to F(d, c');
 * ``act_d(g, c, x)``: for g: d' -> d sends x in F(d, c) to F(d', c).
 
-Bimodules store the same data in arrow form (elements with a source in
-one category and a target in the other), which is the shape used for
-monads whose multiplication composes arrows.
+A monad in Prof is an endo-profunctor read in arrow form: an element of
+F(x, y) is an arrow x -> y, ``act_d`` by f: x' -> x precomposes and
+``act_c`` by g: y -> y' postcomposes.  With a unit and a multiplication
+that composes arrows, that is exactly an identity-on-objects functor out
+of the base (``monad_to_functor`` and ``functor_to_monad``).
 """
 from __future__ import annotations
 
 import itertools
 from typing import Callable, Optional, Sequence
 
-from .fincat import FiniteCategory, FiniteFunctor, Morphism
+from .fincat import (FiniteCategory, FiniteFunctor, Morphism,
+                     identity_functor)
 from .terms import StructuralError
 
 
@@ -59,8 +62,7 @@ def _label_key(x):
 
 class FiniteProfunctor:
     def __init__(self, name: str, src: FiniteCategory, tgt: FiniteCategory,
-                 table: dict, c_action: dict, d_action: dict,
-                 validate: bool = True):
+                 table: dict, c_action: dict, d_action: dict):
         """``table[(d, c)]`` lists the elements; ``c_action[(f.name, d, x)]``
         and ``d_action[(g.name, c, x)]`` give the two actions."""
         self.name = name
@@ -69,8 +71,7 @@ class FiniteProfunctor:
         self.table = {k: tuple(v) for k, v in table.items()}
         self.c_action = dict(c_action)
         self.d_action = dict(d_action)
-        if validate:
-            self._validate()
+        self._validate()
 
     def elements(self, d, c) -> tuple:
         return self.table.get((d, c), ())
@@ -141,24 +142,7 @@ class FiniteProfunctor:
 
 def hom_profunctor(cat: FiniteCategory) -> FiniteProfunctor:
     """The identity 1-cell: table (d, c) -> hom(d, c)."""
-    table = {(d, c): tuple(m.name for m in cat.hom(d, c))
-             for d in cat.objects for c in cat.objects}
-    c_action = {}
-    d_action = {}
-    for d in cat.objects:
-        for c in cat.objects:
-            for mname in table[(d, c)]:
-                m = cat.morphism(mname)
-                for f in cat.morphisms:
-                    if f.src == c:
-                        c_action[(f.name, d, mname)] = \
-                            cat.compose(f, m).name
-                for g in cat.morphisms:
-                    if g.tgt == d:
-                        d_action[(g.name, c, mname)] = \
-                            cat.compose(m, g).name
-    return FiniteProfunctor(f"hom({cat.name})", cat, cat, table,
-                            c_action, d_action)
+    return representable(identity_functor(cat), f"hom({cat.name})")
 
 
 def representable(functor: FiniteFunctor, name: str = "") -> FiniteProfunctor:
@@ -337,146 +321,30 @@ def prof_iso(p: FiniteProfunctor, q: FiniteProfunctor) -> Optional[dict]:
 
 
 # ---------------------------------------------------------------------------
-# bimodules in spans, and their monads
-
-
-class BimoduleRep:
-    """Arrows from one category's objects to another's, with compatible
-    composition actions on both sides."""
-
-    def __init__(self, name: str, src_cat: FiniteCategory,
-                 tgt_cat: FiniteCategory, elements: dict,
-                 pre_action: dict, post_action: dict, validate: bool = True):
-        """``elements[(x, y)]`` are the arrows x -> y (x in src_cat);
-        ``pre_action[(e, f.name)]`` precomposes with f: x' -> x;
-        ``post_action[(g.name, e)]`` postcomposes with g: y -> y'."""
-        self.name = name
-        self.src_cat = src_cat
-        self.tgt_cat = tgt_cat
-        self.elements = {k: tuple(v) for k, v in elements.items()}
-        self.pre_action = dict(pre_action)
-        self.post_action = dict(post_action)
-        if validate:
-            self._validate()
-
-    def at(self, x, y) -> tuple:
-        return self.elements.get((x, y), ())
-
-    def all_elements(self):
-        for (x, y), es in sorted(self.elements.items(), key=_label_key):
-            for e in es:
-                yield x, y, e
-
-    def pre(self, e, f: Morphism):
-        return self.pre_action[(e, f.name)]
-
-    def post(self, g: Morphism, e):
-        return self.post_action[(g.name, e)]
-
-    def _validate(self):
-        for x, y, e in self.all_elements():
-            for f in self.src_cat.morphisms:
-                if f.tgt != x:
-                    continue
-                if self.pre(e, f) not in self.at(f.src, y):
-                    raise StructuralError(f"{self.name}: pre-action escapes")
-            for g in self.tgt_cat.morphisms:
-                if g.src != y:
-                    continue
-                if self.post(g, e) not in self.at(x, g.tgt):
-                    raise StructuralError(f"{self.name}: post-action escapes")
-            if self.pre(e, self.src_cat.identity(x)) != e:
-                raise StructuralError(f"{self.name}: pre-identity acts")
-            if self.post(self.tgt_cat.identity(y), e) != e:
-                raise StructuralError(f"{self.name}: post-identity acts")
-        for g2, g1 in self.src_cat.composable_pairs():
-            for x, y, e in self.all_elements():
-                if x != g2.tgt:
-                    continue
-                if self.pre(self.pre(e, g2), g1) != \
-                        self.pre(e, self.src_cat.compose(g2, g1)):
-                    raise StructuralError(
-                        f"{self.name}: pre-action not associative")
-        for g2, g1 in self.tgt_cat.composable_pairs():
-            for x, y, e in self.all_elements():
-                if y != g1.src:
-                    continue
-                if self.post(g2, self.post(g1, e)) != \
-                        self.post(self.tgt_cat.compose(g2, g1), e):
-                    raise StructuralError(
-                        f"{self.name}: post-action not associative")
-        for x, y, e in self.all_elements():
-            for f in self.src_cat.morphisms:
-                if f.tgt != x:
-                    continue
-                for g in self.tgt_cat.morphisms:
-                    if g.src != y:
-                        continue
-                    if self.post(g, self.pre(e, f)) != \
-                            self.pre(self.post(g, e), f):
-                        raise StructuralError(
-                            f"{self.name}: actions do not commute")
-
-
-def profunctor_to_bimodule(p: FiniteProfunctor,
-                           name: str = "") -> BimoduleRep:
-    """Arrow form: an element of p(d, c) becomes an arrow d -> c with
-    precomposition given by the contravariant action."""
-    elements: dict = {}
-    for (d, c), es in p.table.items():
-        elements[(d, c)] = tuple((d, c, x) for x in es)
-    pre = {}
-    post = {}
-    for (d, c), es in p.table.items():
-        for x in es:
-            e = (d, c, x)
-            for g in p.tgt.morphisms:
-                if g.tgt == d:
-                    pre[(e, g.name)] = (g.src, c, p.act_d(g, c, x))
-            for f in p.src.morphisms:
-                if f.src == c:
-                    post[(f.name, e)] = (d, f.tgt, p.act_c(f, d, x))
-    return BimoduleRep(name or f"bimod({p.name})", p.tgt, p.src,
-                       elements, pre, post)
-
-
-def bimodule_to_profunctor(b: BimoduleRep, name: str = "") -> FiniteProfunctor:
-    table = {}
-    for (x, y), es in b.elements.items():
-        table[(x, y)] = tuple(es)
-    c_action = {}
-    d_action = {}
-    for x, y, e in b.all_elements():
-        for f in b.tgt_cat.morphisms:
-            if f.src == y:
-                c_action[(f.name, x, e)] = b.post(f, e)
-        for g in b.src_cat.morphisms:
-            if g.tgt == x:
-                d_action[(g.name, y, e)] = b.pre(e, g)
-    return FiniteProfunctor(name or f"prof({b.name})", b.tgt_cat, b.src_cat,
-                            table, c_action, d_action)
+# monads in Prof, read in arrow form
 
 
 class BimoduleMonad:
-    """A bimodule from a category to itself with a unit and an arrow-wise
-    multiplication; exactly the data of an identity-on-objects functor out
-    of the base."""
+    """An endo-profunctor on the base read in arrow form, with a unit and an
+    arrow-wise multiplication; exactly the data of an identity-on-objects
+    functor out of the base."""
 
-    def __init__(self, name: str, base: FiniteCategory, module: BimoduleRep,
-                 unit: dict, mult: Callable, validate: bool = True):
-        """``unit[f.name]`` embeds a base arrow; ``mult(e1, e2)`` composes
+    def __init__(self, name: str, base: FiniteCategory,
+                 module: FiniteProfunctor, unit: dict, mult: Callable):
+        """``module.table[(x, y)]`` are the arrows x -> y; ``act_d`` by
+        f: x' -> x precomposes and ``act_c`` by g: y -> y' postcomposes.
+        ``unit[f.name]`` embeds a base arrow; ``mult(e1, e2)`` composes
         arrows e1: x -> y then e2: y -> z of the module."""
         self.name = name
         self.base = base
         self.module = module
         self.unit = dict(unit)
         self.mult = mult
-        if validate:
-            self._validate()
+        self._validate()
 
     def _composable(self):
-        for (x, y), es in self.module.elements.items():
-            for (y2, z), es2 in self.module.elements.items():
+        for (x, y), es in self.module.table.items():
+            for (y2, z), es2 in self.module.table.items():
                 if y != y2:
                     continue
                 for e1 in es:
@@ -484,23 +352,24 @@ class BimoduleMonad:
                         yield x, y, z, e1, e2
 
     def _validate(self):
+        mod = self.module
         for f in self.base.morphisms:
             e = self.unit[f.name]
-            if e not in self.module.at(f.src, f.tgt):
+            if e not in mod.elements(f.src, f.tgt):
                 raise StructuralError(f"{self.name}: unit escapes the module")
         # unit is a bimodule map: compatible with both actions
         for g, f in self.base.composable_pairs():
             gf = self.base.compose(g, f)
-            if self.module.pre(self.unit[g.name], f) != self.unit[gf.name]:
+            if mod.act_d(f, g.tgt, self.unit[g.name]) != self.unit[gf.name]:
                 raise StructuralError(f"{self.name}: unit breaks pre-action")
-            if self.module.post(g, self.unit[f.name]) != self.unit[gf.name]:
+            if mod.act_c(g, f.src, self.unit[f.name]) != self.unit[gf.name]:
                 raise StructuralError(f"{self.name}: unit breaks post-action")
         for x, y, z, e1, e2 in self._composable():
             m = self.mult(e1, e2)
-            if m not in self.module.at(x, z):
+            if m not in mod.elements(x, z):
                 raise StructuralError(f"{self.name}: mult escapes the module")
         # unit laws
-        for (x, y), es in self.module.elements.items():
+        for (x, y), es in mod.table.items():
             for e in es:
                 if self.mult(self.unit[self.base.identity(x).name], e) != e:
                     raise StructuralError(f"{self.name}: left unit fails")
@@ -508,7 +377,7 @@ class BimoduleMonad:
                     raise StructuralError(f"{self.name}: right unit fails")
         # associativity
         for x, y, z, e1, e2 in self._composable():
-            for (z2, w), es3 in self.module.elements.items():
+            for (z2, w), es3 in mod.table.items():
                 if z2 != z:
                     continue
                 for e3 in es3:
@@ -517,18 +386,18 @@ class BimoduleMonad:
                         raise StructuralError(
                             f"{self.name}: mult not associative")
         # mult balances over the middle action
-        for (x, y1), es in self.module.elements.items():
+        for (x, y1), es in mod.table.items():
             for f in self.base.morphisms:
                 if f.src != y1:
                     continue
                 y2 = f.tgt
-                for (y3, z), es2 in self.module.elements.items():
+                for (y3, z), es2 in mod.table.items():
                     if y3 != y2:
                         continue
                     for e1 in es:
                         for e2 in es2:
-                            if self.mult(self.module.post(f, e1), e2) != \
-                                    self.mult(e1, self.module.pre(e2, f)):
+                            if self.mult(mod.act_c(f, x, e1), e2) != \
+                                    self.mult(e1, mod.act_d(f, z, e2)):
                                 raise StructuralError(
                                     f"{self.name}: mult not balanced")
 
@@ -541,7 +410,8 @@ def monad_to_functor(m: BimoduleMonad):
     monad of an identity-on-objects functor round-trips on the nose.
     """
     base = m.base
-    elements = list(m.module.all_elements())
+    elements = [(x, y, e) for (x, y), es in
+                sorted(m.module.table.items(), key=_label_key) for e in es]
     labels = [e for _, _, e in elements]
     keep = all(isinstance(e, str) for e in labels) and \
         len(set(labels)) == len(labels)
@@ -552,13 +422,8 @@ def monad_to_functor(m: BimoduleMonad):
         names[e] = nm
         morphisms.append(Morphism(nm, x, y))
     comp = {}
-    for (x, y), es in m.module.elements.items():
-        for (y2, z), es2 in m.module.elements.items():
-            if y != y2:
-                continue
-            for e1 in es:
-                for e2 in es2:
-                    comp[(names[e2], names[e1])] = names[m.mult(e1, e2)]
+    for x, y, z, e1, e2 in m._composable():
+        comp[(names[e2], names[e1])] = names[m.mult(e1, e2)]
     idents = {x: names[m.unit[base.identity(x).name]] for x in base.objects}
     cat = FiniteCategory(f"cat({m.name})", base.objects, morphisms, idents,
                          comp)
@@ -573,23 +438,21 @@ def functor_to_monad(functor: FiniteFunctor, name: str = "") -> BimoduleMonad:
     base, cat = functor.src, functor.tgt
     if any(functor.on_obj(o) != o for o in base.objects):
         raise StructuralError("functor must be the identity on objects")
-    elements: dict = {}
-    for x in base.objects:
-        for y in base.objects:
-            elements[(x, y)] = tuple(m.name for m in cat.hom(x, y))
-    pre = {}
-    post = {}
-    for (x, y), es in elements.items():
+    table = {(x, y): tuple(m.name for m in cat.hom(x, y))
+             for x in base.objects for y in base.objects}
+    c_action = {}
+    d_action = {}
+    for (x, y), es in table.items():
         for e in es:
             for f in base.morphisms:
                 if f.tgt == x:
-                    pre[(e, f.name)] = cat.compose(
+                    d_action[(f.name, y, e)] = cat.compose(
                         cat.morphism(e), functor.on_mor(f)).name
-            for g in base.morphisms:
-                if g.src == y:
-                    post[(g.name, e)] = cat.compose(
-                        functor.on_mor(g), cat.morphism(e)).name
-    module = BimoduleRep(f"homs({cat.name})", base, base, elements, pre, post)
+                if f.src == y:
+                    c_action[(f.name, x, e)] = cat.compose(
+                        functor.on_mor(f), cat.morphism(e)).name
+    module = FiniteProfunctor(f"homs({cat.name})", base, base, table,
+                              c_action, d_action)
     unit = {f.name: functor.on_mor(f).name for f in base.morphisms}
     mult = lambda e1, e2: cat.compose(cat.morphism(e2), cat.morphism(e1)).name
     return BimoduleMonad(name or f"monad({cat.name})", base, module, unit,

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lawvere.cli import main
 
@@ -169,49 +170,55 @@ def test_bad_env_var_sample_default_exits_two(capsys, monkeypatch, value):
     assert code == 2
     assert out == ""
     assert "--samples" in err
+    assert f"LAWVERE_SAMPLES must be an integer >= 0, got '{value}'" in err
 
 
-def coend_file(tmp_path):
-    cat = {
-        "objects": ["x", "y"],
-        "morphisms": [
-            {"name": "id_x", "src": "x", "tgt": "x"},
-            {"name": "id_y", "src": "y", "tgt": "y"},
-            {"name": "f", "src": "x", "tgt": "y"},
-        ],
-        "identities": {"x": "id_x", "y": "id_y"},
-        "composition": [["id_x", "id_x", "id_x"],
-                        ["id_y", "id_y", "id_y"],
-                        ["f", "id_x", "f"], ["id_y", "f", "f"]],
-    }
-    hom_table = [
+CHAIN2 = {
+    "objects": ["x", "y"],
+    "morphisms": [
+        {"name": "id_x", "src": "x", "tgt": "x"},
+        {"name": "id_y", "src": "y", "tgt": "y"},
+        {"name": "f", "src": "x", "tgt": "y"},
+    ],
+    "identities": {"x": "id_x", "y": "id_y"},
+    "composition": [["id_x", "id_x", "id_x"],
+                    ["id_y", "id_y", "id_y"],
+                    ["f", "id_x", "f"], ["id_y", "f", "f"]],
+}
+
+HOM = {
+    "src": "C", "tgt": "C",
+    "table": [
         {"d": "x", "c": "x", "elements": ["id_x"]},
         {"d": "x", "c": "y", "elements": ["f"]},
         {"d": "y", "c": "x", "elements": []},
         {"d": "y", "c": "y", "elements": ["id_y"]},
-    ]
-    c_action = [
+    ],
+    "cAction": [
         {"morphism": "id_x", "d": "x", "element": "id_x", "to": "id_x"},
         {"morphism": "f", "d": "x", "element": "id_x", "to": "f"},
         {"morphism": "id_y", "d": "x", "element": "f", "to": "f"},
         {"morphism": "id_y", "d": "y", "element": "id_y", "to": "id_y"},
-    ]
-    d_action = [
+    ],
+    "dAction": [
         {"morphism": "id_x", "c": "x", "element": "id_x", "to": "id_x"},
         {"morphism": "id_x", "c": "y", "element": "f", "to": "f"},
         {"morphism": "id_y", "c": "y", "element": "id_y", "to": "id_y"},
         {"morphism": "f", "c": "y", "element": "id_y", "to": "f"},
-    ]
-    data = {
-        "schemaVersion": 1,
-        "categories": {"C": cat},
-        "profunctors": {
-            "H": {"src": "C", "tgt": "C", "table": hom_table,
-                  "cAction": c_action, "dAction": d_action}},
-        "compose": ["H", "H"],
-    }
+    ],
+}
+
+TABLES = {
+    "schemaVersion": 1,
+    "categories": {"C": CHAIN2},
+    "profunctors": {"H": HOM},
+    "compose": ["H", "H"],
+}
+
+
+def coend_file(tmp_path):
     path = tmp_path / "tables.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(TABLES))
     return path
 
 
@@ -231,6 +238,10 @@ def test_check_coend_bad_file(tmp_path, capsys):
     assert run(capsys, "check-coend", "--file", str(path))[0] == 2
     path.write_text(json.dumps({"categories": {"C": {"objects": []}}}))
     assert run(capsys, "check-coend", "--file", str(path))[0] == 2
+    path.write_bytes(b"\xff\xfe{}")
+    assert run(capsys, "check-coend", "--file", str(path))[0] == 2
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert run(capsys, "check-coend", "--file", str(path))[0] == 2
 
 
 @pytest.mark.parametrize("data, message", [
@@ -248,8 +259,18 @@ def test_check_coend_bad_file(tmp_path, capsys):
         "composition": [["id_x", "id_x", "id_x"]]}}},
      "every morphism must be an object"),
     ({"compose": ["H", "H", "H"]}, "list of two profunctor names"),
+    ({"categories": {"C": dict(CHAIN2, morphisms=5)}},
+     "category 'C': \"morphisms\" must be a JSON list"),
+    ({"categories": {"C": dict(CHAIN2, objects=3)}},
+     "category 'C': \"objects\" must be a JSON list"),
+    ({"categories": {"C": CHAIN2}, "profunctors": {"H": dict(HOM, table=[5])}},
+     "profunctor 'H': every \"table\" entry must be an object"),
+    ({"categories": {"C": CHAIN2}, "profunctors": {"H": dict(HOM, table=[
+        {"d": "x", "c": "x", "elements": "id_x"}])}},
+     "profunctor 'H': \"elements\" must be a JSON list"),
 ], ids=["top-level-list", "categories-list", "two-entry-row",
-        "string-morphism", "three-name-compose"])
+        "string-morphism", "three-name-compose", "int-morphisms",
+        "int-objects", "int-table-row", "string-elements"])
 def test_check_coend_malformed_tables(tmp_path, capsys, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -257,3 +278,45 @@ def test_check_coend_malformed_tables(tmp_path, capsys, data, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+def json_paths(node, path=()):
+    """Every position in a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_tables(draw):
+    """The valid tables with one position replaced or deleted."""
+    doc = json.loads(json.dumps(TABLES))
+    path = draw(st.sampled_from(list(json_paths(TABLES))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(JSON)
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=JSON | mutated_tables())
+def test_check_coend_fuzz_exits_zero_or_two(tmp_path, capsys, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-coend", "--file", str(path))
+    assert code in (0, 2)
+    assert (code == 0) == (err == "")

@@ -1,6 +1,8 @@
 import itertools
 
-from lawvere.builtin import IDENTITY_THEORY, MONOID, POINTED
+import pytest
+
+from lawvere.builtin import IDENTITY_THEORY, MONOID, POINTED, SEMIGROUP
 from lawvere.correspondence import (MonadMap, TheoryFragment,
                                     composite_correspondence_check,
                                     encode_term, istar_composite,
@@ -9,8 +11,10 @@ from lawvere.correspondence import (MonadMap, TheoryFragment,
                                     tabulate_map)
 from lawvere.distlaw import PS_LAW, RING_LAW, trivial_law
 from lawvere.fragments import (FREE_MONOID_MONAD, FREE_RING_MONAD,
-                               IDENTITY_MONAD, POINTED_MONAD)
+                               FREE_SEMIGROUP_MONAD, IDENTITY_MONAD,
+                               POINTED_MONAD)
 from lawvere.parser import parse_term
+from lawvere.terms import StructuralError
 from lawvere.theory import BaseFunction
 from .conftest import words_over
 
@@ -158,10 +162,25 @@ class TestComposite:
             law, FREE_MONOID_MONAD, size_bound=5, arity_bound=2, spec=spec)
         assert rep.passed
 
-    def test_encode_term_bridges_representations(self, ring):
+    def test_encode_term_bridges_representations(self, ring, ps_monoid):
         t = parse_term("ab-b+1", ring, 2)
         assert encode_term(FREE_RING_MONAD, t) == \
             (((), 1), ((1,), -1), ((0, 1), 1))
+        # a ps-monoid word and its point, as free-monoid words
+        assert encode_term(FREE_MONOID_MONAD,
+                           parse_term("ab(1)a", ps_monoid, 2)) == (0, 1, 0)
+        assert encode_term(FREE_MONOID_MONAD,
+                           parse_term("1", ps_monoid, 0)) == ()
+        assert encode_term(POINTED_MONAD, parse_term("1", POINTED, 1)) == \
+            POINTED_MONAD.POINT
+        assert encode_term(POINTED_MONAD, parse_term("a", POINTED, 1)) == 0
+        # a semigroup word is a nonempty word; a constant has no element
+        assert encode_term(FREE_SEMIGROUP_MONAD,
+                           parse_term("ba", SEMIGROUP, 2)) == (1, 0)
+        with pytest.raises(StructuralError, match="no interpretation"):
+            encode_term(FREE_SEMIGROUP_MONAD, parse_term("1", MONOID, 0))
+        with pytest.raises(StructuralError, match="no interpretation"):
+            encode_term(IDENTITY_MONAD, parse_term("ab", MONOID, 2))
 
 
 class TestIstar:
