@@ -15,7 +15,8 @@ import sys
 import time
 
 from .builtin import BASE_THEORIES
-from .correspondence import composite_correspondence_check, roundtrip_check
+from .correspondence import (composite_correspondence_check,
+                             composition_pools, roundtrip_check)
 from .distlaw import (BUILTIN_LAWS, BUILTIN_SERIES, PS_LAW, RING_LAW,
                       check_law_axioms, check_yang_baxter, ps_monoid_theory,
                       ring_theory)
@@ -296,6 +297,12 @@ def cmd_roundtrip(args) -> int:
     kwargs = {}
     if not frag.finite:
         kwargs["size_bound"] = args.size
+        if not any(frag.carrier(x, args.size)
+                   for x in range(args.bound + 1)):
+            print(f"--size {args.size} leaves F[x] empty for every "
+                  f"x <= --bound {args.bound} in {frag.name}: nothing "
+                  "would be checked", file=sys.stderr)
+            return EXIT_USAGE
     t0 = time.perf_counter()
     rep = roundtrip_check(frag, args.bound, **kwargs)
     rep.wall_time_ms = (time.perf_counter() - t0) * 1000
@@ -309,6 +316,11 @@ def cmd_correspond(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     law, fragment, spec = _CORRESPOND[args.law]()
+    if args.samples and not all(composition_pools(spec, args.size)):
+        print(f"--size {args.size} leaves no normal forms of arity 1 or 2 "
+              "to compose; use a larger --size or --samples 0",
+              file=sys.stderr)
+        return EXIT_USAGE
     sampler = Sampler(seed=args.seed, samples=args.samples)
     t0 = time.perf_counter()
     rep = composite_correspondence_check(

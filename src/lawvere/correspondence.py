@@ -237,6 +237,13 @@ def encode_term(fragment: FinitaryMonadFragment, t: Term):
     return op(*(encode_term(fragment, a) for a in t.args))
 
 
+def composition_pools(theory: TheorySpec, size_bound: int) -> tuple:
+    """The arity-1 and arity-2 normal forms that
+    ``composite_correspondence_check`` draws compositions from."""
+    return (theory.enumerate_normal(1, size_bound),
+            theory.enumerate_normal(2, min(size_bound, 5)))
+
+
 def composite_correspondence_check(law: DistributiveLawSpec,
                                    fragment: FinitaryMonadFragment,
                                    *, size_bound: int = 5,
@@ -250,6 +257,12 @@ def composite_correspondence_check(law: DistributiveLawSpec,
     deterministic samples, and the composite's product structure must pass.
     """
     sampler = sampler or Sampler(samples=150)
+    theory = spec if spec is not None else composite_theory(law, check=False)
+    pool1, pool2 = composition_pools(theory, size_bound)
+    if sampler.samples and not (pool1 and pool2):
+        raise StructuralError(
+            f"size bound {size_bound} leaves no normal forms of arity 1 "
+            "or 2 to compose")
     rep = Report(subject=f"correspondence:{law.name}",
                  bounds={"sizeBound": size_bound, "arityBound": arity_bound},
                  seed=sampler.seed)
@@ -260,7 +273,6 @@ def composite_correspondence_check(law: DistributiveLawSpec,
     else:
         rep.add_failure(check="law-axioms", witness=axioms.first_failure)
         return rep
-    theory = spec if spec is not None else composite_theory(law, check=False)
 
     frag_bound = fragment.bound_for_display_size(size_bound)
     for k in range(arity_bound + 1):
@@ -279,8 +291,6 @@ def composite_correspondence_check(law: DistributiveLawSpec,
     # compositions agree along the interpretation
     rng = sampler.rng()
     table = phi(fragment)
-    pool1 = theory.enumerate_normal(1, size_bound)
-    pool2 = theory.enumerate_normal(2, min(size_bound, 5))
     for _ in range(min(sampler.samples, 80)):
         g = rng.choice(pool2)
         f1, f2 = rng.choice(pool1), rng.choice(pool1)

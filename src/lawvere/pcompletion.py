@@ -18,7 +18,10 @@ canonical insertions).
 element (k, y, xs) pairs n operations xs of arity k with an assignment
 y: [k] -> [j] of their inputs.  Besides keyprop it serves the round trip
 and ``monad_from_theory`` (n = 1) in ``correspondence`` and both
-quotients of ``istar_composite``.
+quotients of ``istar_composite``.  It numbers its elements in enumeration
+order (level by level, then y, then xs, each read as a mixed-radix
+number) and runs its union-find on a flat list of those numbers; each
+class is named by its least member under ``_label_key``.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from typing import Optional, Sequence
 
 from .fincat import FiniteCategory, Morphism
 from .fragments import FinitaryMonadFragment
-from .profunctor import DisjointSet, FiniteProfunctor, _label_key
+from .profunctor import FiniteProfunctor, _label_key
 from .report import Report
 from .terms import StructuralError
 
@@ -178,7 +181,22 @@ def _elementary_maps(k_cap: int):
 class KeypropComputation:
     """Union-find quotient of sum_k Set([k],[j]) x F[k]^n under the action
     relations, with the canonical invariant into Set(n, F[j]), which must
-    take a single value on every class."""
+    take a single value on every class.
+
+    Elements (k, y, xs) are numbered in the order they are enumerated:
+    level k starts where level k - 1 ends, and inside it (y, xs) sits at
+    rank(y) * |F[k]|^n + rank(xs), where rank(y) reads y in base j and
+    rank(xs) reads the carrier positions of xs in base |F[k]|.  The
+    union-find is a flat list over these numbers.  An elementary map g
+    acts through a table of carrier positions built from one ``F.map``
+    call per carrier element.  A carrier that lists an element twice, or
+    a map that leaves the bounded carrier, raises ``StructuralError``.
+
+    A class's representative is its least member under ``_label_key``,
+    chosen when ``classes()`` is built; classes come in the order of
+    their first members.  ``add`` and ``union`` adjoin elements outside
+    the levels, as ``_pair_strings_ok`` does.
+    """
 
     def __init__(self, fragment: FinitaryMonadFragment, j: int, n: int,
                  k_cap: int, carrier_bound: Optional[int] = None):
@@ -187,10 +205,21 @@ class KeypropComputation:
         self.n = n
         self.k_cap = k_cap
         self.carrier_bound = carrier_bound
-        self.ds = DisjointSet()
         self._carriers = {k: list(fragment.carrier(k, carrier_bound))
                           for k in range(k_cap + 1)}
+        self._positions = {}
+        for k, carrier in self._carriers.items():
+            self._positions[k] = {x: i for i, x in enumerate(carrier)}
+            if len(self._positions[k]) != len(carrier):
+                raise StructuralError(
+                    f"fragment {fragment.name}: carrier F[{k}] lists an "
+                    "element twice")
+        self._elements: list = []
+        self._offsets: list = []
+        self._added: dict = {}  # elements adjoined by ``add``
         self._populate()
+        self._parent = list(range(len(self._elements)))
+        self._classes: Optional[dict] = None
         self._relate()
         self._check_invariant()
 
@@ -202,41 +231,146 @@ class KeypropComputation:
 
     def _populate(self):
         for k in range(self.k_cap + 1):
-            for y in self._ys(k):
-                for xs in self._xs(k):
-                    self.ds.add((k, y, xs))
+            self._offsets.append(len(self._elements))
+            xss = list(self._xs(k))
+            self._elements.extend((k, y, xs) for y in self._ys(k)
+                                  for xs in xss)
+
+    def _map_positions(self, g, k_from: int, k_to: int) -> list:
+        """Carrier position of F(g) z for each z in F[k_from]."""
+        F = self.fragment
+        positions = self._positions[k_to]
+        out = []
+        for z in self._carriers[k_from]:
+            p = positions.get(F.map(g, k_to, z))
+            if p is None:
+                raise StructuralError(
+                    f"fragment {F.name}: F.map sends {z!r} along {g} "
+                    f"outside the bounded carrier F[{k_to}]")
+            out.append(p)
+        return out
 
     def _relate(self):
-        F = self.fragment
+        j, n, parent = self.j, self.n, self._parent
         for (k_from, k_to, g) in _elementary_maps(self.k_cap):
             # g: [k_from] -> [k_to]; relate (k_to, y, F(g) zs) with
-            # (k_from, y o g, zs)
-            for y in self._ys(k_to):
-                yg = tuple(y[g[i]] for i in range(k_from))
-                for zs in self._xs(k_from):
-                    mapped = tuple(F.map(g, k_to, z) for z in zs)
-                    self.ds.union((k_to, y, mapped), (k_from, yg, zs))
+            # (k_from, y o g, zs).  Position p of y lands at every i with
+            # g[i] = p in y o g, whose rank is read in base j.
+            weights = [sum(j ** (k_from - 1 - i) for i in range(k_from)
+                           if g[i] == p) for p in range(k_to)]
+            yg_ranks = _ranks([d * w for d in range(j)] for w in weights)
+            if not yg_ranks:
+                continue
+            m_to = len(self._carriers[k_to])
+            # rank of F(g) zs for every zs, in rank order of zs
+            mapped = [0]
+            if n:
+                positions = self._map_positions(g, k_from, k_to)
+                mapped = _ranks([p * m_to ** (n - 1 - t) for p in positions]
+                                for t in range(n))
+            to_base, to_size = self._offsets[k_to], m_to ** n
+            from_base, from_size = self._offsets[k_from], len(mapped)
+            for rank_y, rank_yg in enumerate(yg_ranks):
+                a0 = to_base + rank_y * to_size
+                b = from_base + rank_yg * from_size
+                for r in mapped:
+                    a = a0 + r
+                    while parent[a] != a:
+                        parent[a] = parent[parent[a]]
+                        a = parent[a]
+                    rb = b
+                    while parent[rb] != rb:
+                        parent[rb] = parent[parent[rb]]
+                        rb = parent[rb]
+                    if a < rb:
+                        parent[rb] = a
+                    elif rb < a:
+                        parent[a] = rb
+                    b += 1
+
+    def _find(self, i: int) -> int:
+        parent = self._parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
     def _check_invariant(self):
         # a relation between elements of different values would merge
         # them into one class, so one check per element is as strong as
         # one per relation
         value_of_class: dict = {}
-        for element in self.ds.parent:
+        for i, element in enumerate(self._elements):
             value = self.invariant(element)
-            if value_of_class.setdefault(self.ds.find(element),
-                                         value) != value:
+            if value_of_class.setdefault(self._find(i), value) != value:
                 raise StructuralError("coend relation breaks the invariant")
 
     def invariant(self, element) -> tuple:
         k, y, xs = element
         return tuple(self.fragment.map(y, self.j, x) for x in xs)
 
+    def index(self, element) -> Optional[int]:
+        """The element's number, or None when it is not an element."""
+        if element in self._added:
+            return self._added[element]
+        k, y, xs = element
+        positions = self._positions.get(k)
+        if positions is None or len(y) != k or len(xs) != self.n:
+            return None
+        # rank(y) * |F[k]|^n + rank(xs) is one mixed-radix number
+        rank = 0
+        for v in y:
+            if not 0 <= v < self.j:
+                return None
+            rank = rank * self.j + v
+        for x in xs:
+            p = positions.get(x)
+            if p is None:
+                return None
+            rank = rank * len(positions) + p
+        return self._offsets[k] + rank
+
+    def __contains__(self, element) -> bool:
+        return self.index(element) is not None
+
+    def add(self, element) -> None:
+        """Adjoin an element outside the levels as a class of its own."""
+        if element not in self:
+            self._added[element] = len(self._elements)
+            self._elements.append(element)
+            self._parent.append(len(self._parent))
+            self._classes = None
+
+    def union(self, a, b) -> None:
+        """Merge the classes of two elements."""
+        ra, rb = (self._find(self.index(e)) for e in (a, b))
+        if ra != rb:
+            self._parent[max(ra, rb)] = min(ra, rb)
+            self._classes = None
+
     def classes(self) -> dict:
-        return self.ds.classes()
+        """Least ``_label_key`` member -> all members, in enumeration
+        order, classes in the order of their first members."""
+        if self._classes is None:
+            groups: dict = {}
+            for i, element in enumerate(self._elements):
+                groups.setdefault(self._find(i), []).append(element)
+            self._classes = {
+                (min(members, key=_label_key) if len(members) > 1
+                 else members[0]): members
+                for members in groups.values()}
+        return self._classes
 
     def class_count(self) -> int:
-        return len(self.classes())
+        return sum(i == p for i, p in enumerate(self._parent))
+
+
+def _ranks(columns) -> list:
+    """Every sum of one value per column, in itertools.product order."""
+    out = [0]
+    for column in columns:
+        out = [r + v for r in out for v in column]
+    return out
 
 
 def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
@@ -316,7 +450,7 @@ def _actions_ok(comp: KeypropComputation) -> bool:
                                for t in range(n))
             if comp.invariant(moved) != inv_direct:
                 return False
-            if moved not in comp.ds.parent:
+            if moved not in comp:
                 return False
     return True
 
@@ -350,11 +484,11 @@ def _pair_strings_ok(fragment: FinitaryMonadFragment, j: int, n: int,
                             F.map((ins1, ins2)[alpha[t]], total, xs[t])
                             for t in range(n))
                         target = (total, y, reduced)
-                        if target not in comp.ds.parent:
+                        if target not in comp:
                             return False
                         elem = (("pair", k1, k2), y, (alpha, xs))
-                        comp.ds.add(elem)
-                        comp.ds.union(elem, target)
+                        comp.add(elem)
+                        comp.union(elem, target)
     return added > 0 and comp.class_count() == base_count
 
 

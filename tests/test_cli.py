@@ -121,6 +121,29 @@ def test_correspond(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("law", ["ring", "pointed-semigroup"])
+def test_correspond_without_normal_forms_to_compose_exits_two(capsys, law):
+    code, out, err = run(capsys, "correspond", "--law", law, "--size", "0",
+                         "--samples", "5")
+    assert (code, out) == (2, "")
+    assert "--size 0" in err and "Traceback" not in err
+    # with no compositions to draw the request is valid
+    assert run(capsys, "correspond", "--law", law, "--size", "0",
+               "--samples", "0")[0] != 2
+
+
+@pytest.mark.parametrize("monad, bound", [("free-semigroup", "2"),
+                                          ("free-ring", "1")])
+def test_roundtrip_over_empty_carriers_exits_two(capsys, monad, bound):
+    code, out, err = run(capsys, "roundtrip", "--monad", monad, "--bound",
+                         bound, "--size", "0", "--json")
+    assert (code, out) == (2, "")
+    assert "--size 0" in err and "nothing would be checked" in err
+    # one nonempty carrier is enough to check something
+    assert run(capsys, "roundtrip", "--monad", monad, "--bound", bound,
+               "--size", "1")[0] == 0
+
+
 def test_unknown_names_exit_two(capsys):
     assert run(capsys, "check-law", "--law", "nope")[0] == 2
     assert run(capsys, "enumerate", "--theory", "nope", "--arity", "1",

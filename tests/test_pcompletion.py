@@ -3,12 +3,13 @@ import itertools
 import pytest
 
 from lawvere.fincat import chain_category, discrete_category
-from lawvere.fragments import (FREE_MONOID_MONAD, IDENTITY_MONAD,
-                               POINTED_MONAD, PointedMonad)
-from lawvere.pcompletion import (KeypropComputation, eta_homset, mu_homset,
-                                 oplus, p_category, p_on_profunctor,
-                                 verify_keyprop)
-from lawvere.profunctor import constant_profunctor, hom_profunctor
+from lawvere.fragments import (FRAGMENTS, FREE_MONOID_MONAD,
+                               IDENTITY_MONAD, POINTED_MONAD, PointedMonad)
+from lawvere.pcompletion import (KeypropComputation, _elementary_maps,
+                                 eta_homset, mu_homset, oplus, p_category,
+                                 p_on_profunctor, verify_keyprop)
+from lawvere.profunctor import (_label_key, constant_profunctor,
+                                hom_profunctor)
 from lawvere.terms import StructuralError
 
 
@@ -110,6 +111,84 @@ class TestKeyprop:
 
         with pytest.raises(StructuralError, match="breaks the invariant"):
             KeypropComputation(SwapZeroOne(), 2, 1, k_cap=2)
+
+    def test_map_outside_the_carrier_is_named(self):
+        class Escape(PointedMonad):
+            """Relabelling onto two or more inputs can leave F[n]."""
+            name = "pointed-escape"
+
+            def map(self, table, n_to, e):
+                return "far" if n_to >= 2 and e == self.POINT else \
+                    super().map(table, n_to, e)
+
+        with pytest.raises(StructuralError,
+                           match="pointed-escape.*outside the bounded"):
+            KeypropComputation(Escape(), 1, 1, k_cap=2)
+
+    def test_carrier_listing_an_element_twice_is_named(self):
+        class Twice(PointedMonad):
+            name = "pointed-twice"
+
+            def carrier(self, n, bound=None):
+                return super().carrier(n, bound) + [self.POINT]
+
+        with pytest.raises(StructuralError,
+                           match="pointed-twice.*F\\[0\\] lists an element "
+                                 "twice"):
+            KeypropComputation(Twice(), 1, 1, k_cap=2)
+
+
+def _reference_classes(fragment, j, n, k_cap, bound):
+    """The quotient by a plain dict union-find over (k, y, xs) tuples, the
+    least ``_label_key`` member of each class at its root."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    carriers = [fragment.carrier(k, bound) for k in range(k_cap + 1)]
+    for k, carrier in enumerate(carriers):
+        for y in itertools.product(range(j), repeat=k):
+            for xs in itertools.product(carrier, repeat=n):
+                parent[(k, y, xs)] = (k, y, xs)
+    for (k_from, k_to, g) in _elementary_maps(k_cap):
+        for y in itertools.product(range(j), repeat=k_to):
+            yg = tuple(y[v] for v in g)
+            for zs in itertools.product(carriers[k_from], repeat=n):
+                mapped = tuple(fragment.map(g, k_to, z) for z in zs)
+                ra, rb = find((k_to, y, mapped)), find((k_from, yg, zs))
+                if ra != rb:
+                    if _label_key(rb) < _label_key(ra):
+                        ra, rb = rb, ra
+                    parent[rb] = ra
+    out = {}
+    for x in parent:
+        out.setdefault(find(x), []).append(x)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FRAGMENTS))
+def test_kernel_matches_dict_union_find(name):
+    frag = FRAGMENTS[name]
+    for bound in ([None] if frag.finite else [1, 2, 3]):
+        for j, n, k_cap in itertools.product(range(3), range(3), range(4)):
+            got = KeypropComputation(frag, j, n, k_cap, bound).classes()
+            want = _reference_classes(frag, j, n, k_cap, bound)
+            assert list(got.items()) == list(want.items()), \
+                (name, bound, j, n, k_cap)
+
+
+def test_representative_is_least_label_not_first_member():
+    # with j = 11 the class of the word (2, 10) has its first member at
+    # y = (2, 10) but its least _label_key member at y = (10, 2)
+    got = KeypropComputation(FREE_MONOID_MONAD, 11, 1, 2, 2).classes()
+    assert list(got.items()) == list(
+        _reference_classes(FREE_MONOID_MONAD, 11, 1, 2, 2).items())
+    members = next(ms for ms in got.values() if (2, (2, 10), ((0, 1),)) in ms)
+    assert members[0] == (2, (2, 10), ((0, 1),))
+    assert (2, (10, 2), ((1, 0),)) in got
 
 
 class TestOplus:
