@@ -4,11 +4,14 @@ Subcommands: enumerate, compose, factorize, check-law, check-yb,
 check-fs, check-coend, roundtrip, correspond.  Exit status 0 means every
 check passed, 1 means a checker reported failures, 2 means the request
 itself was invalid.  JSON output is deterministic for a fixed request and
-seed; the default sample count can be set with LAWVERE_SAMPLES.
+seed; the default sample count can be set with LAWVERE_SAMPLES, read on
+every call.  check-coend accepts tables whose "schemaVersion" is
+SCHEMA_VERSION or absent.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -187,6 +190,12 @@ def cmd_check_coend(args) -> int:
         print("invalid tables: the top level, its \"categories\" and its "
               "\"profunctors\" must be JSON objects", file=sys.stderr)
         return EXIT_USAGE
+    # a missing version reads as the current one, the only one there is
+    version = data.get("schemaVersion", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        print(f"invalid tables: \"schemaVersion\" must be {SCHEMA_VERSION}, "
+              f"got {json.dumps(version)}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         cats = {name: _category_from_json(name, cdata)
                 for name, cdata in data.get("categories", {}).items()}
@@ -330,18 +339,27 @@ def cmd_correspond(args) -> int:
     return _report_exit(rep)
 
 
-class _EnvSamples(str):
-    """LAWVERE_SAMPLES as the string default of --samples."""
+class _SamplesDefault(str):
+    """The string default of --samples: the command's own default count.
+
+    argparse runs a string default through the option's type only when
+    the flag is absent, and does so on every parse, so ``non_negative_int``
+    reads LAWVERE_SAMPLES then: the variable sets the default, is checked
+    like the flag, never overrides an explicit --samples, and may change
+    between two parses by one cached parser."""
 
 
 def non_negative_int(text: str) -> int:
     """Arities, sizes, bounds and sample counts are integers >= 0."""
-    if isinstance(text, _EnvSamples):
+    if isinstance(text, _SamplesDefault):
+        env = os.environ.get("LAWVERE_SAMPLES")
+        if env is None:
+            return int(text)
         try:
-            return non_negative_int(str(text))
+            return non_negative_int(env)
         except (ValueError, argparse.ArgumentTypeError):
             raise argparse.ArgumentTypeError(
-                f"LAWVERE_SAMPLES must be an integer >= 0, got {text!r}"
+                f"LAWVERE_SAMPLES must be an integer >= 0, got {env!r}"
             ) from None
     value = int(text)
     if value < 0:
@@ -362,12 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON report")
         sp.add_argument("--out", help="write the JSON report to this path")
         sp.add_argument("--seed", type=int, default=0)
-        # argparse runs a string default through the option's type only
-        # when the flag is absent, so LAWVERE_SAMPLES sets the default, is
-        # checked like the flag, and never overrides an explicit --samples
-        env = os.environ.get("LAWVERE_SAMPLES")
         sp.add_argument("--samples", type=non_negative_int,
-                        default=samples if env is None else _EnvSamples(env),
+                        default=_SamplesDefault(samples),
                         help=f"sample count (default {samples}, or "
                              "LAWVERE_SAMPLES when set)")
 
@@ -445,10 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs far more than a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:

@@ -21,8 +21,8 @@ from .fincat import FiniteCategory, Morphism
 from .report import Report
 from .terms import (App, StructuralError, Term, TheorySpec, Var, ops_used,
                     substitute, term_size)
-from .theory import (BaseFunction, TheoryMorphism, basic_morphism, compose,
-                     morphism)
+from .theory import (BaseFunction, TheoryMorphism, _trusted, basic_morphism,
+                     compose)
 
 
 def is_pure(t: Term, spec: TheorySpec) -> bool:
@@ -85,10 +85,13 @@ def factorize(theory: TheorySpec, inner: TheorySpec, outer: TheorySpec,
     The middle collects the distinct inner-layer atoms of all components
     in first-occurrence order; the right part replaces each atom by its
     middle variable.  No middle coordinate is duplicated or unused.
+    A morphism of ``theory`` was checked when it was built; one of an
+    equal but distinct spec has its components checked here.
     """
-    for c in f.components:
-        if not theory.is_normal(c):
-            raise StructuralError("factorize expects normal components")
+    if f.theory is not theory:
+        for c in f.components:
+            if not theory.is_normal(c):
+                raise StructuralError("factorize expects normal components")
     atom_index: dict = {}
     right_comps = []
     for c in f.components:
@@ -99,13 +102,13 @@ def factorize(theory: TheorySpec, inner: TheorySpec, outer: TheorySpec,
                 atom_index[a] = len(atom_index)
             remap.append(Var(atom_index[a]))
         right_comps.append(substitute(skel, tuple(remap)))
-    middle_atoms = list(atom_index)
-    j = len(middle_atoms)
-    left = morphism(theory, f.source, middle_atoms)
-    right = TheoryMorphism(theory, j, f.target,
-                           tuple(theory.normalize(c) for c in right_comps))
-    pair = FactorizationPair(theory, inner, outer, left, right)
-    return pair
+    # atoms are subterms of f's components and the skeletons use the
+    # middle variables only, so both parts are in range once normalized
+    left = _trusted(theory, f.source,
+                    tuple(theory.normalize(a) for a in atom_index))
+    right = _trusted(theory, len(atom_index),
+                     tuple(theory.normalize(c) for c in right_comps))
+    return FactorizationPair(theory, inner, outer, left, right)
 
 
 def canonicalize(pair: FactorizationPair) -> FactorizationPair:
@@ -216,22 +219,24 @@ def _neighbours(f: FactorizationPair, cap: int,
     j = f.middle
     for j2 in range(0, cap + 1):
         # arrows f -> g: base u: [j2] -> [j]; g.left is picked from f.left,
-        # g.right is any normal lift of f.right along the renaming
+        # g.right is any normal lift of f.right along the renaming; both
+        # are normal and in range already
         for table in itertools.product(range(j), repeat=j2):
             u = BaseFunction(j2, j, table)
-            g_left = tuple(f.left.components[u(i)] for i in range(j2))
+            g_left = _trusted(theory, f.source,
+                              tuple(f.left.components[u(i)]
+                                    for i in range(j2)))
             lifts = _lift_tuple(f.right.components, u, theory)
             for g_right in lifts:
                 try:
-                    g = FactorizationPair(
-                        theory, inner, outer,
-                        TheoryMorphism(theory, f.source, j2, g_left),
-                        TheoryMorphism(theory, j2, f.target, g_right))
+                    g = FactorizationPair(theory, inner, outer, g_left,
+                                          _trusted(theory, j2, g_right))
                 except StructuralError:
                     continue
                 yield g, ZigzagStep(u, forward=True)
         # arrows g -> f: base u: [j] -> [j2]; g.right is determined,
-        # g.left agrees with f.left on the image and is free elsewhere
+        # g.left agrees with f.left on the image and is free elsewhere, so
+        # only g.left, filled from the pool, needs checking
         for table in itertools.product(range(j2), repeat=j):
             u = BaseFunction(j, j2, table)
             slots: list = [None] * j2
@@ -248,10 +253,10 @@ def _neighbours(f: FactorizationPair, cap: int,
             free = [i for i in range(j2) if slots[i] is None]
             if len(free) > 3:
                 continue
-            g_right = tuple(
+            g_right = _trusted(theory, j2, tuple(
                 theory.normalize(substitute(c, tuple(Var(u(i))
                                                      for i in range(j))))
-                for c in f.right.components)
+                for c in f.right.components))
             for fill in itertools.product(pool, repeat=len(free)):
                 comps = list(slots)
                 for idx, t in zip(free, fill):
@@ -260,7 +265,7 @@ def _neighbours(f: FactorizationPair, cap: int,
                     g = FactorizationPair(
                         theory, inner, outer,
                         TheoryMorphism(theory, f.source, j2, tuple(comps)),
-                        TheoryMorphism(theory, j2, f.target, g_right))
+                        g_right)
                 except StructuralError:
                     continue
                 if _step_holds(g, f, ZigzagStep(u, forward=True)):
@@ -375,8 +380,8 @@ def _bounded_alternatives(pair: FactorizationPair) -> Iterator[FactorizationPair
     if spare is not None:
         left = TheoryMorphism(theory, pair.source, j + 1,
                               pair.left.components + (spare,))
-        right = TheoryMorphism(
-            theory, j + 1, pair.target,
+        right = _trusted(
+            theory, j + 1,
             tuple(theory.normalize(substitute(
                 c, tuple(Var(i) for i in range(j)) + (Var(j),)))
                 for c in pair.right.components))
@@ -385,8 +390,8 @@ def _bounded_alternatives(pair: FactorizationPair) -> Iterator[FactorizationPair
         dup = pair.left.components + (pair.left.components[0],)
         left = TheoryMorphism(theory, pair.source, j + 1, dup)
         yield FactorizationPair(theory, inner, outer, left,
-                                TheoryMorphism(
-                                    theory, j + 1, pair.target,
+                                _trusted(
+                                    theory, j + 1,
                                     tuple(theory.normalize(substitute(
                                         c, tuple(Var(i) for i in range(j))
                                         + (Var(0),)))
@@ -398,8 +403,8 @@ def _bounded_alternatives(pair: FactorizationPair) -> Iterator[FactorizationPair
         inv = [0] * j
         for pos, p in enumerate(perm):
             inv[p] = pos
-        right = TheoryMorphism(
-            theory, j, pair.target,
+        right = _trusted(
+            theory, j,
             tuple(theory.normalize(substitute(c, tuple(Var(i) for i in inv)))
                   for c in pair.right.components))
         yield FactorizationPair(theory, inner, outer, left, right)

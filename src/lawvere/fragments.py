@@ -125,7 +125,10 @@ class FreeMonoidMonad(FinitaryMonadFragment):
         return out
 
     def bound_for_display_size(self, size_bound):
-        # a word of length L displays as 2L - 1 nodes (1 when empty)
+        # a word of length L displays as 2L - 1 nodes (1 when empty), so
+        # size 0 admits no word: length bound -1 leaves the carrier empty
+        if size_bound < 1:
+            return -1
         return (size_bound + 1) // 2
 
 

@@ -43,19 +43,3 @@ def random_term(spec: TheorySpec, k: int, rng: random.Random,
     op = rng.choice(inner)
     return App(op, tuple(random_term(spec, k, rng, depth - 1)
                          for _ in range(op.arity)))
-
-
-def random_term_over(spec: TheorySpec, atoms: list, rng: random.Random,
-                     depth: int) -> Term:
-    """A raw term whose leaves are drawn from the given atom terms."""
-    leaves = list(atoms)
-    leaves.extend(App(op, ()) for op in spec.signature if op.arity == 0)
-    if not leaves:
-        raise StructuralError(
-            f"theory {spec.name} has no terms over an empty atom pool")
-    inner = [op for op in spec.signature if op.arity > 0]
-    if depth <= 0 or not inner or rng.random() < 0.3:
-        return rng.choice(leaves)
-    op = rng.choice(inner)
-    return App(op, tuple(random_term_over(spec, atoms, rng, depth - 1)
-                         for _ in range(op.arity)))

@@ -96,15 +96,6 @@ def max_var(t: Term) -> int:
     return max((max_var(a) for a in t.args), default=-1)
 
 
-def vars_used(t: Term) -> set:
-    if isinstance(t, Var):
-        return {t.index}
-    out: set = set()
-    for a in t.args:
-        out |= vars_used(a)
-    return out
-
-
 def substitute(t: Term, sigma: Sequence[Term]) -> Term:
     """Simultaneously replace ``Var(i)`` by ``sigma[i]``.
 
@@ -117,11 +108,6 @@ def substitute(t: Term, sigma: Sequence[Term]) -> Term:
                 f"variable {t.index} outside substitution of length {len(sigma)}")
         return sigma[t.index]
     return App(t.op, tuple(substitute(a, sigma) for a in t.args))
-
-
-def rename(t: Term, table: Sequence[int]) -> Term:
-    """Substitute variables by variables: index i goes to table[i]."""
-    return substitute(t, tuple(Var(j) for j in table))
 
 
 def ops_used(t: Term) -> set:

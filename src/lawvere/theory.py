@@ -5,6 +5,17 @@ g after f substitutes f's tuple into each component of g and renormalizes.
 Objects are natural numbers, k + m is the product of k and m, and the
 basic morphisms (variable picking) embed the category of finite sets,
 contravariantly.
+
+Every public way to build a morphism validates it: ``TheoryMorphism(...)``
+checks the component count, that no component uses a variable outside the
+source arity and that each component is normal, and ``morphism()``
+normalizes its components and then runs the same checks.  ``compose`` and
+the factorisation code build morphisms whose components are normal and
+within the source by construction, so they go through the internal
+``_trusted``, which skips the checks.  That relies on the ``TheorySpec``
+contract that the normalizer is idempotent: a normalizer output is normal.
+A mutant normalizer that breaks the contract is still caught wherever a
+morphism is built from outside.
 """
 from __future__ import annotations
 
@@ -74,6 +85,18 @@ class TheoryMorphism:
                 f"{self.target}, {list(self.components)})")
 
 
+def _trusted(theory: TheorySpec, source: int,
+             components: tuple) -> TheoryMorphism:
+    """A morphism from components known to be normal and to use only
+    variables below ``source``; the checks of ``__post_init__`` are
+    skipped.  Internal: only for normalizer outputs over terms within
+    ``source``, or components picked from an already-checked morphism."""
+    f = object.__new__(TheoryMorphism)
+    f.__dict__.update(theory=theory, source=source,
+                      target=len(components), components=components)
+    return f
+
+
 def morphism(theory: TheorySpec, source: int,
              components: Sequence[Term]) -> TheoryMorphism:
     """Build a morphism, normalizing the given components."""
@@ -92,9 +115,10 @@ def compose(g: TheoryMorphism, f: TheoryMorphism) -> TheoryMorphism:
     if f.target != g.source:
         raise StructuralError(
             f"objects do not match: {f.target} vs {g.source}")
+    # f's components use variables below f.source, so these do too
     comps = tuple(g.theory.normalize(substitute(c, f.components))
                   for c in g.components)
-    return TheoryMorphism(g.theory, f.source, g.target, comps)
+    return _trusted(g.theory, f.source, comps)
 
 
 def basic_morphism(theory: TheorySpec, alpha: BaseFunction) -> TheoryMorphism:

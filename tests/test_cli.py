@@ -186,6 +186,31 @@ def test_explicit_samples_beat_env_var(capsys, monkeypatch):
     assert all(d["sampleCount"] == 25 for d in data["diagrams"])
 
 
+def test_env_var_read_on_every_call(capsys, monkeypatch):
+    # one parser serves every call in a process; the variable is read when
+    # the arguments are parsed, not when the parser was built
+    for value in (3, 6):
+        monkeypatch.setenv("LAWVERE_SAMPLES", str(value))
+        code, out, _ = run(capsys, "check-law", "--law", "ring", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert all(d["sampleCount"] == value for d in data["diagrams"])
+
+
+@pytest.mark.parametrize("law", ["ring", "pointed-semigroup"])
+@pytest.mark.parametrize("size", ["0", "1"])
+def test_correspond_at_the_smallest_sizes(capsys, law, size):
+    # size 0 admits no term and no carrier element (the empty word of the
+    # free monoid displays as one node); size 1 admits the letters and the
+    # constants on both sides
+    code, out, _ = run(capsys, "correspond", "--law", law, "--size", size,
+                       "--samples", "0", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["failures"] == []
+    assert data["passCount"] == data["sampleCount"] == 4
+
+
 @pytest.mark.parametrize("value", ["-5", "many"])
 def test_bad_env_var_sample_default_exits_two(capsys, monkeypatch, value):
     monkeypatch.setenv("LAWVERE_SAMPLES", value)
@@ -291,9 +316,18 @@ def test_check_coend_bad_file(tmp_path, capsys):
     ({"categories": {"C": CHAIN2}, "profunctors": {"H": dict(HOM, table=[
         {"d": "x", "c": "x", "elements": "id_x"}])}},
      "profunctor 'H': \"elements\" must be a JSON list"),
+    (dict(TABLES, schemaVersion=2), "\"schemaVersion\" must be 1, got 2"),
+    (dict(TABLES, schemaVersion="1"),
+     "\"schemaVersion\" must be 1, got \"1\""),
+    (dict(TABLES, schemaVersion=1.0), "\"schemaVersion\" must be 1, got 1.0"),
+    (dict(TABLES, schemaVersion=True),
+     "\"schemaVersion\" must be 1, got true"),
+    (dict(TABLES, schemaVersion=None),
+     "\"schemaVersion\" must be 1, got null"),
 ], ids=["top-level-list", "categories-list", "two-entry-row",
         "string-morphism", "three-name-compose", "int-morphisms",
-        "int-objects", "int-table-row", "string-elements"])
+        "int-objects", "int-table-row", "string-elements", "version-2",
+        "version-string", "version-float", "version-true", "version-null"])
 def test_check_coend_malformed_tables(tmp_path, capsys, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -332,6 +366,16 @@ def mutated_tables(draw):
     else:
         parent[path[-1]] = draw(JSON)
     return doc
+
+
+def test_check_coend_missing_schema_version_reads_as_current(tmp_path,
+                                                             capsys):
+    tables = {k: v for k, v in TABLES.items() if k != "schemaVersion"}
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(tables))
+    code, out, _ = run(capsys, "check-coend", "--file", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["composite"]["size"] == 3
 
 
 @settings(max_examples=300, deadline=None,

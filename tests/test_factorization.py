@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from lawvere import factorization
 from lawvere.builtin import ABELIAN_GROUP, MONOID, POINTED, SEMIGROUP
 from lawvere.factorization import (FactorizationPair, canonicalize,
                                    check_fs_over_base, check_strict_fs,
@@ -146,6 +147,59 @@ class TestSweep:
         rep = check_fs_over_base(ps_monoid, SEMIGROUP, POINTED, 2, 7,
                                  witness_sample=6)
         assert rep.passed
+
+    def test_unchecked_parts_pass_the_public_checks(self, ring, monkeypatch):
+        # factorize, _neighbours and _bounded_alternatives build their
+        # parts without re-running the morphism checks; every part they
+        # yield on the ring (2, 3) sweep must pass them
+        real_factorize = factorization.factorize
+        real_neighbours = factorization._neighbours
+        real_alternatives = factorization._bounded_alternatives
+        seen = {"factorize": [], "neighbours": [], "alternatives": []}
+
+        def record_factorize(*args):
+            pair = real_factorize(*args)
+            seen["factorize"].append(pair)
+            return pair
+
+        def record_neighbours(*args):
+            for g, step in real_neighbours(*args):
+                seen["neighbours"].append(g)
+                yield g, step
+
+        def record_alternatives(pair):
+            for alt in real_alternatives(pair):
+                seen["alternatives"].append(alt)
+                yield alt
+
+        monkeypatch.setattr(factorization, "factorize", record_factorize)
+        monkeypatch.setattr(factorization, "_neighbours", record_neighbours)
+        monkeypatch.setattr(factorization, "_bounded_alternatives",
+                            record_alternatives)
+        rep = check_fs_over_base(ring, MONOID, ABELIAN_GROUP, 2, 3)
+        assert rep.passed
+        assert all(seen.values())
+        for pairs in seen.values():
+            for pair in pairs:
+                for part in (pair.left, pair.right):
+                    assert part == TheoryMorphism(ring, part.source,
+                                                  part.target,
+                                                  part.components)
+
+    @pytest.mark.parametrize("text, source", [("ab+c", 3), ("a-b+c", 3)])
+    def test_every_neighbour_passes_the_public_checks(self, ring, text,
+                                                      source):
+        # the sweep reaches few neighbours; these factorizations also have
+        # lifts that are not normal, which _lift_tuple must filter out
+        f = morphism(ring, source, [parse_term(text, ring, source)])
+        pair = factorize(ring, MONOID, ABELIAN_GROUP, f)
+        neighbours = [g for g, _ in factorization._neighbours(
+            pair, pair.middle + 1, pair.left.components)]
+        assert len(neighbours) > 20
+        for g in neighbours:
+            for part in (g.left, g.right):
+                assert part == TheoryMorphism(ring, part.source, part.target,
+                                              part.components)
 
     def test_raw_factorization_not_unique(self, ring):
         # at least two distinct raw factorizations of ab + c exist

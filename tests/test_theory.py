@@ -4,6 +4,7 @@ import random
 import pytest
 
 from lawvere.builtin import ABELIAN_GROUP, IDENTITY_THEORY, MONOID
+from lawvere.distlaw import ps_monoid_theory, ring_theory
 from lawvere.parser import parse_term
 from lawvere.terms import StructuralError, Var
 from lawvere.theory import (BaseFunction, LawvereTheory, NoDiagonalsTheory,
@@ -57,6 +58,23 @@ class TestCompose:
             g = morphism(MONOID, 2, [rng.choice(pool2) for _ in range(2)])
             h = morphism(MONOID, 2, [rng.choice(pool2)])
             assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+
+    @pytest.mark.parametrize(
+        "spec", [MONOID, ABELIAN_GROUP, ring_theory(), ps_monoid_theory()],
+        ids=lambda s: s.name)
+    def test_unchecked_composite_passes_the_public_checks(self, spec):
+        # compose builds its result without re-running the checks; the
+        # same components must pass them
+        pool = spec.enumerate_normal(2, 3)
+        fs = [morphism(spec, 2, pair)
+              for pair in itertools.product(pool, repeat=2)]
+        for c in pool:
+            g = morphism(spec, 2, [c])
+            for f in fs:
+                got = compose(g, f)
+                assert got == TheoryMorphism(spec, got.source, got.target,
+                                             got.components)
+                assert (got.source, got.target) == (2, 1)
 
 
 class TestBasicMorphism:
