@@ -21,8 +21,8 @@ from .fincat import FiniteCategory, Morphism
 from .report import Report
 from .terms import (App, StructuralError, Term, TheorySpec, Var, ops_used,
                     substitute, term_size)
-from .theory import (BaseFunction, TheoryMorphism, _trusted, basic_morphism,
-                     compose)
+from .theory import (BaseFunction, TheoryMorphism, _trusted, _var_occurrences,
+                     basic_morphism, compose)
 
 
 def is_pure(t: Term, spec: TheorySpec) -> bool:
@@ -214,14 +214,23 @@ def _search_witness(p: FactorizationPair, q: FactorizationPair, bound: int,
 
 def _neighbours(f: FactorizationPair, cap: int,
                 pool: Sequence[Term]) -> Iterator[tuple]:
-    """All pairs one triangle-commuting basic step away from f."""
+    """All pairs one triangle-commuting basic step away from f.
+
+    Forward steps skip every base function whose image misses a middle
+    variable that f.right uses.  The skip is exact: a variable outside
+    the image has no preimage, so a component using it has no lift and
+    ``_lift_tuple`` would yield nothing for that base function.
+    """
     theory, inner, outer = f.theory, f.inner, f.outer
     j = f.middle
+    used = {v for c in f.right.components for v in _var_occurrences(c)}
     for j2 in range(0, cap + 1):
         # arrows f -> g: base u: [j2] -> [j]; g.left is picked from f.left,
         # g.right is any normal lift of f.right along the renaming; both
         # are normal and in range already
         for table in itertools.product(range(j), repeat=j2):
+            if not used.issubset(table):
+                continue
             u = BaseFunction(j2, j, table)
             g_left = _trusted(theory, f.source,
                               tuple(f.left.components[u(i)]

@@ -19,6 +19,10 @@ from typing import Optional
 from .terms import App, StructuralError, Term, TheorySpec, Var
 
 LETTERS = string.ascii_lowercase
+# parentheses and prefix minus signs open at once; each level costs the
+# recursive-descent parser a few frames, so deeper input is refused
+# before it can exhaust the interpreter's recursion limit
+MAX_NESTING = 1000
 
 
 class ParseError(ValueError):
@@ -64,6 +68,14 @@ class _Parser:
         self.sc = _Scanner(text)
         self.theory = theory
         self.arity = arity
+        self.depth = 0
+
+    def nest(self, pos: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"term nests too deeply (more than {MAX_NESTING} levels)",
+                pos)
 
     def need(self, name: str, names=None):
         for cand in names or (name,):
@@ -106,9 +118,12 @@ class _Parser:
     def factor(self) -> Term:
         ch = self.sc.peek()
         if ch == "-":
+            self.nest(self.sc.pos)
             self.sc.take()
             neg = self.need("neg")
-            return App(neg, (self.factor(),))
+            t = App(neg, (self.factor(),))
+            self.depth -= 1
+            return t
         t = self.primary()
         while self.sc.peek() == "^":
             self.sc.take()
@@ -127,7 +142,9 @@ class _Parser:
         pos = self.sc.pos
         ch = self.sc.take()
         if ch == "(":
+            self.nest(self.sc.pos - 1)
             t = self.expr()
+            self.depth -= 1
             if self.sc.peek() != ")":
                 raise ParseError("expected ')'", self.sc.pos)
             self.sc.take()

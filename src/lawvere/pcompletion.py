@@ -194,8 +194,7 @@ class KeypropComputation:
 
     A class's representative is its least member under ``_label_key``,
     chosen when ``classes()`` is built; classes come in the order of
-    their first members.  ``add`` and ``union`` adjoin elements outside
-    the levels, as ``_pair_strings_ok`` does.
+    their first members.
     """
 
     def __init__(self, fragment: FinitaryMonadFragment, j: int, n: int,
@@ -216,7 +215,6 @@ class KeypropComputation:
                     "element twice")
         self._elements: list = []
         self._offsets: list = []
-        self._added: dict = {}  # elements adjoined by ``add``
         self._populate()
         self._parent = list(range(len(self._elements)))
         self._classes: Optional[dict] = None
@@ -311,8 +309,6 @@ class KeypropComputation:
 
     def index(self, element) -> Optional[int]:
         """The element's number, or None when it is not an element."""
-        if element in self._added:
-            return self._added[element]
         k, y, xs = element
         positions = self._positions.get(k)
         if positions is None or len(y) != k or len(xs) != self.n:
@@ -332,21 +328,6 @@ class KeypropComputation:
 
     def __contains__(self, element) -> bool:
         return self.index(element) is not None
-
-    def add(self, element) -> None:
-        """Adjoin an element outside the levels as a class of its own."""
-        if element not in self:
-            self._added[element] = len(self._elements)
-            self._elements.append(element)
-            self._parent.append(len(self._parent))
-            self._classes = None
-
-    def union(self, a, b) -> None:
-        """Merge the classes of two elements."""
-        ra, rb = (self._find(self.index(e)) for e in (a, b))
-        if ra != rb:
-            self._parent[max(ra, rb)] = min(ra, rb)
-            self._classes = None
 
     def classes(self) -> dict:
         """Least ``_label_key`` member -> all members, in enumeration
@@ -383,9 +364,9 @@ def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
     entry cap j + 1 and again at j + 2 (stability), compared against
     Set(n, F[j]) through the canonical invariant, and the two hom actions
     are verified on class representatives.  Separately, strings of length
-    two are adjoined at a small scale and shown to collapse onto the
-    singleton classes through the canonical insertions without changing
-    the count.
+    two are adjoined at a small scale: each must reduce through the
+    canonical insertions to a singleton element with the same value in
+    Set(n, F[j]), so that gluing them on changes no class.
     """
     rep = Report(subject=f"keyprop:{fragment.name}",
                  bounds={"jBound": j_bound, "nBound": n_bound,
@@ -460,36 +441,38 @@ def _pair_strings_ok(fragment: FinitaryMonadFragment, j: int, n: int,
                      carrier_bound: Optional[int]) -> bool:
     """Adjoining length-two strings must not change the quotient.
 
-    Pair fiber elements are added to the union-find and glued to their
-    canonical-insertion reductions in the singleton fibers; the class
-    count must come out unchanged.
+    A pair element (("pair", k1, k2), y, (alpha, xs)) is glued to its
+    reduction along the canonical insertions ins1, ins2 of [k1] and [k2]
+    into [k1 + k2]: the singleton element (k1 + k2, y, F(ins) xs).  The
+    reduction must be an element of the singleton quotient, and the pair
+    element's own value, F(y o ins) x per component, must be the
+    reduction's invariant; otherwise the gluing would merge two classes.
     """
-    cap = 2 * entry_cap
-    comp = KeypropComputation(fragment, j, n, cap, carrier_bound)
-    base_count = comp.class_count()
+    comp = KeypropComputation(fragment, j, n, 2 * entry_cap, carrier_bound)
     F = fragment
-    added = 0
+    checked = 0
     for k1 in range(entry_cap + 1):
         for k2 in range(entry_cap + 1):
             total = k1 + k2
-            ins1 = tuple(range(k1))
-            ins2 = tuple(range(k1, total))
+            inserts = (tuple(range(k1)), tuple(range(k1, total)))
+            pools = [F.carrier(k, carrier_bound) for k in (k1, k2)]
+            reduced = [{x: F.map(ins, total, x) for x in pool}
+                       for ins, pool in zip(inserts, pools)]
             for y in itertools.product(range(j), repeat=total):
+                y_ins = [tuple(y[i] for i in ins) for ins in inserts]
                 for alpha in itertools.product(range(2), repeat=n):
-                    pools = [F.carrier((k1, k2)[alpha[t]], carrier_bound)
-                             for t in range(n)]
-                    for xs in itertools.product(*pools):
-                        added += 1
-                        reduced = tuple(
-                            F.map((ins1, ins2)[alpha[t]], total, xs[t])
-                            for t in range(n))
-                        target = (total, y, reduced)
+                    for xs in itertools.product(
+                            *(pools[alpha[t]] for t in range(n))):
+                        checked += 1
+                        target = (total, y, tuple(reduced[alpha[t]][xs[t]]
+                                                  for t in range(n)))
                         if target not in comp:
                             return False
-                        elem = (("pair", k1, k2), y, (alpha, xs))
-                        comp.add(elem)
-                        comp.union(elem, target)
-    return added > 0 and comp.class_count() == base_count
+                        value = tuple(F.map(y_ins[alpha[t]], j, xs[t])
+                                      for t in range(n))
+                        if value != comp.invariant(target):
+                            return False
+    return checked > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -6,10 +10,23 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from lawvere.cli import main
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(*argv, hash_seed="0"):
+    """The CLI in a fresh interpreter, as a shell user would run it."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(SRC))
+    env.pop("LAWVERE_SAMPLES", None)
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from lawvere.cli import main; sys.exit(main())",
+         *argv], capture_output=True, text=True, env=env, timeout=300)
 
 
 def test_factorize_fixture(capsys):
@@ -268,6 +285,28 @@ def coend_file(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(TABLES))
     return path
+
+
+def test_factorize_deep_parentheses_is_a_usage_error():
+    depth = 5000
+    proc = run_process("factorize", "--theory", "ring",
+                       "--morphism=" + "(" * depth + "a" + ")" * depth)
+    assert proc.returncode == 2
+    assert "nests too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_check_fs_json_ignores_the_hash_seed():
+    # the zigzag witness search walks sets and dicts of terms; its report
+    # must not depend on the order string hashing gives them
+    argv = ("check-fs", "--theory", "ring", "--arity", "2", "--size", "3",
+            "--json")
+    runs = [run_process(*argv, hash_seed=seed) for seed in ("0", "1")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert json.loads(runs[0].stdout)["sampleCount"] > 0
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_check_coend_roundtrip(tmp_path, capsys):

@@ -10,7 +10,8 @@ from lawvere.factorization import (FactorizationPair, canonicalize,
 from lawvere.fincat import chain_category, iso_pair_category, monoid_category
 from lawvere.parser import parse_term
 from lawvere.terms import StructuralError, Var
-from lawvere.theory import TheoryMorphism, morphism
+from lawvere.theory import (BaseFunction, TheoryMorphism, _trusted,
+                            _var_occurrences, morphism)
 
 
 def ring_pair(ring, left_texts, right_texts, source):
@@ -20,6 +21,25 @@ def ring_pair(ring, left_texts, right_texts, source):
     right = morphism(ring, middle, [parse_term(s, ring, middle)
                                     for s in right_texts])
     return FactorizationPair(ring, MONOID, ABELIAN_GROUP, left, right)
+
+
+def unpruned_forward_steps(f, cap):
+    """The forward loop of ``_neighbours`` without its image pruning:
+    every base function [j2] -> [middle] is tried."""
+    theory, j = f.theory, f.middle
+    for j2 in range(cap + 1):
+        for table in itertools.product(range(j), repeat=j2):
+            u = BaseFunction(j2, j, table)
+            g_left = _trusted(theory, f.source, tuple(
+                f.left.components[v] for v in table))
+            for g_right in factorization._lift_tuple(f.right.components, u,
+                                                     theory):
+                try:
+                    g = FactorizationPair(theory, f.inner, f.outer, g_left,
+                                          _trusted(theory, j2, g_right))
+                except StructuralError:
+                    continue
+                yield g.key(), u, True
 
 
 class TestFactorize:
@@ -200,6 +220,39 @@ class TestSweep:
             for part in (g.left, g.right):
                 assert part == TheoryMorphism(ring, part.source, part.target,
                                               part.components)
+
+    @pytest.mark.parametrize("theory_name, inner, outer, arity, size", [
+        ("ring", MONOID, ABELIAN_GROUP, 2, 2),
+        ("ps_monoid", SEMIGROUP, POINTED, 2, 3)], ids=["ring", "ps-monoid"])
+    def test_forward_pruning_is_exact(self, request, theory_name, inner,
+                                      outer, arity, size):
+        # skipping base functions whose image misses a used middle must
+        # leave the forward neighbours and their order unchanged; the
+        # sweep's pad alternatives have an unused middle and its zero
+        # components use no middle at all
+        theory = request.getfixturevalue(theory_name)
+        nfs = {k: theory.enumerate_normal(k, size) for k in range(arity + 1)}
+        pairs = skipped = 0
+        for k, m in itertools.product(range(arity + 1), repeat=2):
+            for comps in itertools.product(nfs[k], repeat=m):
+                pair = factorize(theory, inner, outer,
+                                 TheoryMorphism(theory, k, m, comps))
+                for x in [pair, *factorization._bounded_alternatives(pair)]:
+                    cap = x.middle + 1
+                    got = [(g.key(), step.base, step.forward)
+                           for g, step in factorization._neighbours(x, cap,
+                                                                    ())
+                           if step.forward]
+                    assert got == list(unpruned_forward_steps(x, cap))
+                    pairs += 1
+                    used = {v for c in x.right.components
+                            for v in _var_occurrences(c)}
+                    skipped += sum(
+                        not used <= set(table)
+                        for j2 in range(cap + 1)
+                        for table in itertools.product(range(x.middle),
+                                                       repeat=j2))
+        assert pairs > 100 and skipped > 0
 
     def test_raw_factorization_not_unique(self, ring):
         # at least two distinct raw factorizations of ab + c exist

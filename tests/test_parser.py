@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lawvere.builtin import ABELIAN_GROUP, MONOID, POINTED
-from lawvere.parser import ParseError, format_term, parse_term
+from lawvere.parser import MAX_NESTING, ParseError, format_term, parse_term
 from lawvere.terms import Var
 
 
@@ -64,6 +64,20 @@ def test_empty_and_trailing():
         parse_term("a)", MONOID, 1)
     with pytest.raises(ParseError):
         parse_term("a*", MONOID, 1)
+
+
+def test_nesting_limit(ring):
+    n = MAX_NESTING
+    assert parse_term("(" * n + "a" + ")" * n, ring, 1) == Var(0)
+    assert parse_term("-(" * (n // 2) + "a" + ")" * (n // 2), ring, 1) == \
+        Var(0)
+    spaced = "a+" + "( " * 5000 + "a" + ")" * 5000
+    for text, position in [("(" * (n + 1) + "a" + ")" * (n + 1), n),
+                           ("-" * (n + 1) + "a", n),
+                           (spaced, 2 + 2 * n)]:
+        with pytest.raises(ParseError, match="nests too deeply") as err:
+            parse_term(text, ring, 1)
+        assert err.value.position == position
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,8 +6,9 @@ from lawvere.fincat import chain_category, discrete_category
 from lawvere.fragments import (FRAGMENTS, FREE_MONOID_MONAD,
                                IDENTITY_MONAD, POINTED_MONAD, PointedMonad)
 from lawvere.pcompletion import (KeypropComputation, _elementary_maps,
-                                 eta_homset, mu_homset, oplus, p_category,
-                                 p_on_profunctor, verify_keyprop)
+                                 _pair_strings_ok, eta_homset, mu_homset,
+                                 oplus, p_category, p_on_profunctor,
+                                 verify_keyprop)
 from lawvere.profunctor import (_label_key, constant_profunctor,
                                 hom_profunctor)
 from lawvere.terms import StructuralError
@@ -111,6 +112,31 @@ class TestKeyprop:
 
         with pytest.raises(StructuralError, match="breaks the invariant"):
             KeypropComputation(SwapZeroOne(), 2, 1, k_cap=2)
+
+    def test_pair_strings_catch_a_wrong_insertion(self):
+        class ForgetTwo(PointedMonad):
+            """A map that misses two or more of its outputs sends every
+            element to the point: the canonical insertions of length-two
+            strings then land on the wrong singleton element, while every
+            map that keyprop at j, n <= 1 applies stays correct."""
+            name = "pointed-forget-two"
+
+            def map(self, table, n_to, e):
+                if n_to - len(set(table)) >= 2:
+                    return self.POINT
+                return super().map(table, n_to, e)
+
+        rep = verify_keyprop(ForgetTwo(), 1, 1)
+        assert rep.failures == [{"check": "pair-strings"}]
+        assert rep.pass_count == rep.sample_count - 1
+        assert not rep.stability.pop("pairStrings")
+        assert all(rep.stability.values())
+
+    @pytest.mark.parametrize("name", sorted(FRAGMENTS))
+    def test_pair_strings_hold_for_every_builtin_fragment(self, name):
+        fragment = FRAGMENTS[name]
+        bound = None if fragment.finite else 2
+        assert _pair_strings_ok(fragment, 2, 2, 2, bound)
 
     def test_map_outside_the_carrier_is_named(self):
         class Escape(PointedMonad):
