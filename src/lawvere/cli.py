@@ -56,16 +56,26 @@ _CORRESPOND = {
 }
 
 
+class OutputError(Exception):
+    """The report cannot be written where ``--out`` asks."""
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        rendered = json.dumps(payload, sort_keys=True, indent=2)
-        if getattr(args, "out", None):
-            with open(args.out, "w") as fh:
-                fh.write(rendered + "\n")
-        else:
-            print(rendered)
-    else:
+    """Print the text, or the JSON report with --json; --out writes the
+    JSON report to its path instead, with or without --json."""
+    out = getattr(args, "out", None)
+    if out is None and not getattr(args, "json", False):
         print(text)
+        return
+    rendered = json.dumps(payload, sort_keys=True, indent=2)
+    if out is None:
+        print(rendered)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(rendered + "\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
 def _report_exit(rep) -> int:
@@ -378,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, samples: int = 500):
         sp.add_argument("--json", action="store_true",
                         help="emit a JSON report")
-        sp.add_argument("--out", help="write the JSON report to this path")
+        sp.add_argument("--out", help="write the JSON report to this path "
+                                      "instead of stdout")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--samples", type=non_negative_int,
                         default=_SamplesDefault(samples),
@@ -472,7 +483,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
         return args.func(args)
-    except (ParseError, StructuralError) as exc:
+    except (ParseError, StructuralError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

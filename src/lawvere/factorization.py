@@ -113,7 +113,7 @@ def factorize(theory: TheorySpec, inner: TheorySpec, outer: TheorySpec,
 
 def canonicalize(pair: FactorizationPair) -> FactorizationPair:
     """Delete unused middles, merge duplicate left entries, sort by first
-    use; iterated until stable (merging can cancel and free coordinates)."""
+    use: one ``factorize`` of the recomposition, whose output is canonical."""
     return factorize(pair.theory, pair.inner, pair.outer, pair.recompose())
 
 
@@ -123,7 +123,7 @@ class ZigzagStep:
 
     ``forward`` means the base function maps the later middle into the
     earlier one (the arrow points from the earlier pair to the later one);
-    the two triangle equations are in ``holds``.
+    ``_step_holds`` checks its two triangle equations.
     """
     base: BaseFunction
     forward: bool
@@ -167,9 +167,10 @@ def zigzag_equivalent(p: FactorizationPair, q: FactorizationPair,
     """Decide equivalence; optionally search for an explicit witness.
 
     The decision compares canonical forms and never depends on the
-    search.  With ``bound > 0`` a breadth-first search over single-step
+    search.  With ``bound >= 0`` a breadth-first search over single-step
     neighbours (middles capped at max(middles) + bound) tries to exhibit
-    a chain of length <= bound; ``None`` means no witness within bounds,
+    a chain of length <= bound, so ``bound == 0`` finds only the empty
+    chain between equal pairs; ``None`` means no witness within bounds,
     not inequivalence.
     """
     if (p.source, p.target) != (q.source, q.target):
@@ -214,7 +215,8 @@ def _search_witness(p: FactorizationPair, q: FactorizationPair, bound: int,
 
 def _neighbours(f: FactorizationPair, cap: int,
                 pool: Sequence[Term]) -> Iterator[tuple]:
-    """All pairs one triangle-commuting basic step away from f.
+    """All pairs one basic step away from f; every step is a commuting
+    triangle by construction, so none is checked here.
 
     Forward steps skip every base function whose image misses a middle
     variable that f.right uses.  The skip is exact: a variable outside
@@ -227,7 +229,7 @@ def _neighbours(f: FactorizationPair, cap: int,
     for j2 in range(0, cap + 1):
         # arrows f -> g: base u: [j2] -> [j]; g.left is picked from f.left,
         # g.right is any normal lift of f.right along the renaming; both
-        # are normal and in range already
+        # are normal, in range and pure already
         for table in itertools.product(range(j), repeat=j2):
             if not used.issubset(table):
                 continue
@@ -235,17 +237,13 @@ def _neighbours(f: FactorizationPair, cap: int,
             g_left = _trusted(theory, f.source,
                               tuple(f.left.components[u(i)]
                                     for i in range(j2)))
-            lifts = _lift_tuple(f.right.components, u, theory)
-            for g_right in lifts:
-                try:
-                    g = FactorizationPair(theory, inner, outer, g_left,
-                                          _trusted(theory, j2, g_right))
-                except StructuralError:
-                    continue
+            for g_right in _lift_tuple(f.right.components, u, theory):
+                g = FactorizationPair(theory, inner, outer, g_left,
+                                      _trusted(theory, j2, g_right))
                 yield g, ZigzagStep(u, forward=True)
-        # arrows g -> f: base u: [j] -> [j2]; g.right is determined,
-        # g.left agrees with f.left on the image and is free elsewhere, so
-        # only g.left, filled from the pool, needs checking
+        # arrows g -> f: base u: [j] -> [j2]; g.right is f.right renamed
+        # along u, g.left agrees with f.left on the image and is free
+        # elsewhere, so only g.left, filled from the pool, needs checking
         for table in itertools.product(range(j2), repeat=j):
             u = BaseFunction(j, j2, table)
             slots: list = [None] * j2
@@ -262,10 +260,7 @@ def _neighbours(f: FactorizationPair, cap: int,
             free = [i for i in range(j2) if slots[i] is None]
             if len(free) > 3:
                 continue
-            g_right = _trusted(theory, j2, tuple(
-                theory.normalize(substitute(c, tuple(Var(u(i))
-                                                     for i in range(j))))
-                for c in f.right.components))
+            g_right = compose(f.right, basic_morphism(theory, u))
             for fill in itertools.product(pool, repeat=len(free)):
                 comps = list(slots)
                 for idx, t in zip(free, fill):
@@ -277,8 +272,7 @@ def _neighbours(f: FactorizationPair, cap: int,
                         g_right)
                 except StructuralError:
                     continue
-                if _step_holds(g, f, ZigzagStep(u, forward=True)):
-                    yield g, ZigzagStep(u, forward=False)
+                yield g, ZigzagStep(u, forward=False)
 
 
 def _lift_tuple(comps: Sequence[Term], u: BaseFunction,
@@ -286,10 +280,8 @@ def _lift_tuple(comps: Sequence[Term], u: BaseFunction,
     """Tuples of normal terms over [u.dom] that rename along u to comps."""
     per = []
     for c in comps:
-        lifts = [t for t in _lifts_of(c, u, limit)
-                 if theory.is_normal(t)
-                 and theory.normalize(substitute(
-                     t, tuple(Var(u(i)) for i in range(u.dom)))) == c]
+        # a raw lift renames back to c symbol for symbol
+        lifts = [t for t in _lifts_of(c, u, limit) if theory.is_normal(t)]
         if not lifts:
             return
         per.append(lifts)
@@ -382,41 +374,24 @@ def check_fs_over_base(theory: TheorySpec, inner: TheorySpec,
 
 def _bounded_alternatives(pair: FactorizationPair) -> Iterator[FactorizationPair]:
     """A spread of raw factorizations of the same morphism: padded with a
-    spare atom, entry duplicated, and middle permuted."""
+    spare atom, entry duplicated, and middle reversed; the right part is
+    renamed along the base function that relates the two middles."""
     theory, inner, outer = pair.theory, pair.inner, pair.outer
     j = pair.middle
+    comps = pair.left.components
     spare = _spare_atom(pair)
+    variants = []
     if spare is not None:
-        left = TheoryMorphism(theory, pair.source, j + 1,
-                              pair.left.components + (spare,))
-        right = _trusted(
-            theory, j + 1,
-            tuple(theory.normalize(substitute(
-                c, tuple(Var(i) for i in range(j)) + (Var(j),)))
-                for c in pair.right.components))
-        yield FactorizationPair(theory, inner, outer, left, right)
+        variants.append((comps + (spare,), tuple(range(j))))
     if j >= 1:
-        dup = pair.left.components + (pair.left.components[0],)
-        left = TheoryMorphism(theory, pair.source, j + 1, dup)
-        yield FactorizationPair(theory, inner, outer, left,
-                                _trusted(
-                                    theory, j + 1,
-                                    tuple(theory.normalize(substitute(
-                                        c, tuple(Var(i) for i in range(j))
-                                        + (Var(0),)))
-                                        for c in pair.right.components)))
+        variants.append((comps + (comps[0],), tuple(range(j))))
     if j >= 2:
-        perm = tuple(reversed(range(j)))
-        left = TheoryMorphism(theory, pair.source, j,
-                              tuple(pair.left.components[p] for p in perm))
-        inv = [0] * j
-        for pos, p in enumerate(perm):
-            inv[p] = pos
-        right = _trusted(
-            theory, j,
-            tuple(theory.normalize(substitute(c, tuple(Var(i) for i in inv)))
-                  for c in pair.right.components))
-        yield FactorizationPair(theory, inner, outer, left, right)
+        variants.append((comps[::-1], tuple(reversed(range(j)))))
+    for new_left, table in variants:
+        u = BaseFunction(j, len(new_left), table)
+        left = TheoryMorphism(theory, pair.source, len(new_left), new_left)
+        yield FactorizationPair(theory, inner, outer, left,
+                                compose(pair.right, basic_morphism(theory, u)))
 
 
 def _spare_atom(pair: FactorizationPair) -> Optional[Term]:

@@ -124,7 +124,9 @@ class TheorySpec:
     """An algebraic theory presented by a signature and a normalizer.
 
     ``normalizer`` maps any term to the canonical representative of its
-    equivalence class; it must be idempotent and a congruence.  It is
+    equivalence class; it must be idempotent and a congruence, and it
+    must map every ``Var(i)`` to itself, so a bare variable is normal
+    (``theory.basic_morphism`` builds on that unchecked).  It is
     written to normalize only the layer built from this theory's own
     operations, leaving foreign-headed subterms untouched, which is what
     makes composite theories stackable.

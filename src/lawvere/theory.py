@@ -9,11 +9,11 @@ contravariantly.
 Every public way to build a morphism validates it: ``TheoryMorphism(...)``
 checks the component count, that no component uses a variable outside the
 source arity and that each component is normal, and ``morphism()``
-normalizes its components and then runs the same checks.  ``compose`` and
-the factorisation code build morphisms whose components are normal and
-within the source by construction, so they go through the internal
-``_trusted``, which skips the checks.  That relies on the ``TheorySpec``
-contract that the normalizer is idempotent: a normalizer output is normal.
+normalizes its components and then runs the same checks.  ``compose``,
+``basic_morphism`` and the factorisation code build morphisms whose
+components are normal and within the source by construction, so they go
+through the internal ``_trusted``, which skips the checks.  That relies on
+the ``TheorySpec`` contract: normalizers are idempotent and fix variables.
 A mutant normalizer that breaks the contract is still caught wherever a
 morphism is built from outside.
 """
@@ -90,7 +90,8 @@ def _trusted(theory: TheorySpec, source: int,
     """A morphism from components known to be normal and to use only
     variables below ``source``; the checks of ``__post_init__`` are
     skipped.  Internal: only for normalizer outputs over terms within
-    ``source``, or components picked from an already-checked morphism."""
+    ``source``, variables below it, or components picked from an
+    already-checked morphism."""
     f = object.__new__(TheoryMorphism)
     f.__dict__.update(theory=theory, source=source,
                       target=len(components), components=components)
@@ -122,9 +123,9 @@ def compose(g: TheoryMorphism, f: TheoryMorphism) -> TheoryMorphism:
 
 
 def basic_morphism(theory: TheorySpec, alpha: BaseFunction) -> TheoryMorphism:
-    """The embedding of a base function: component i is Var(alpha(i))."""
-    comps = tuple(Var(alpha(i)) for i in range(alpha.dom))
-    return TheoryMorphism(theory, alpha.cod, alpha.dom, comps)
+    """The embedding of a base function: component i is Var(alpha(i)).
+    Trusted: alpha bounds the variables, and every variable is normal."""
+    return _trusted(theory, alpha.cod, tuple(map(Var, alpha.table)))
 
 
 def pairing(f: TheoryMorphism, g: TheoryMorphism) -> TheoryMorphism:

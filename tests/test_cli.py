@@ -186,6 +186,28 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_out_writes_json_without_the_json_flag(tmp_path, capsys):
+    argv = ["enumerate", "--theory", "monoid", "--arity", "1", "--size",
+            "1"]
+    code, printed, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    for flags in (["--json"], []):
+        path = tmp_path / f"report{len(flags)}.json"
+        code, out, _ = run(capsys, *argv, *flags, "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text() == printed
+
+
+def test_unwritable_out_path_exits_two(tmp_path, capsys):
+    # a missing parent directory, and a path that is a directory
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run(capsys, "enumerate", "--theory", "monoid",
+                             "--arity", "1", "--size", "1", "--json",
+                             "--out", str(path))
+        assert code == 2 and out == ""
+        assert f"cannot write {str(path)!r}" in err
+
+
 def test_env_var_sample_default(capsys, monkeypatch):
     monkeypatch.setenv("LAWVERE_SAMPLES", "7")
     code, out, _ = run(capsys, "check-law", "--law", "ring", "--json")

@@ -9,7 +9,7 @@ from lawvere.factorization import (FactorizationPair, canonicalize,
                                    factorize, zigzag_equivalent)
 from lawvere.fincat import chain_category, iso_pair_category, monoid_category
 from lawvere.parser import parse_term
-from lawvere.terms import StructuralError, Var
+from lawvere.terms import StructuralError, Var, substitute
 from lawvere.theory import (BaseFunction, TheoryMorphism, _trusted,
                             _var_occurrences, morphism)
 
@@ -40,6 +40,118 @@ def unpruned_forward_steps(f, cap):
                 except StructuralError:
                     continue
                 yield g.key(), u, True
+
+
+def reference_lift_tuple(comps, u, theory, limit=400):
+    """``_lift_tuple`` with its renaming check: every lift is renamed back
+    along u and renormalized."""
+    rename = tuple(Var(u(i)) for i in range(u.dom))
+    per = []
+    for c in comps:
+        lifts = [t for t in factorization._lifts_of(c, u, limit)
+                 if theory.is_normal(t)
+                 and theory.normalize(substitute(t, rename)) == c]
+        if not lifts:
+            return
+        per.append(lifts)
+    count = 1
+    for p in per:
+        count *= len(p)
+        if count > limit:
+            return
+    yield from itertools.product(*per)
+
+
+def reference_neighbours(f, cap, pool):
+    """``_neighbours`` with the right parts renamed by hand and every check
+    run: the renaming check on lifts, the purity check on forward
+    neighbours and both triangles on backward ones; yields (key, base,
+    forward)."""
+    theory, inner, outer = f.theory, f.inner, f.outer
+    j = f.middle
+    used = {v for c in f.right.components for v in _var_occurrences(c)}
+    for j2 in range(cap + 1):
+        for table in itertools.product(range(j), repeat=j2):
+            if not used.issubset(table):
+                continue
+            u = BaseFunction(j2, j, table)
+            g_left = _trusted(theory, f.source, tuple(
+                f.left.components[v] for v in table))
+            for g_right in reference_lift_tuple(f.right.components, u,
+                                                theory):
+                try:
+                    g = FactorizationPair(theory, inner, outer, g_left,
+                                          _trusted(theory, j2, g_right))
+                except StructuralError:
+                    continue
+                yield g.key(), u, True
+        for table in itertools.product(range(j2), repeat=j):
+            u = BaseFunction(j, j2, table)
+            slots = [None] * j2
+            ok = True
+            for v, want in zip(table, f.left.components):
+                if slots[v] is None:
+                    slots[v] = want
+                elif slots[v] != want:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            free = [i for i in range(j2) if slots[i] is None]
+            if len(free) > 3:
+                continue
+            g_right = _trusted(theory, j2, tuple(
+                theory.normalize(substitute(c, tuple(map(Var, table))))
+                for c in f.right.components))
+            for fill in itertools.product(pool, repeat=len(free)):
+                comps = list(slots)
+                for idx, t in zip(free, fill):
+                    comps[idx] = t
+                try:
+                    g = FactorizationPair(
+                        theory, inner, outer,
+                        TheoryMorphism(theory, f.source, j2, tuple(comps)),
+                        g_right)
+                except StructuralError:
+                    continue
+                if factorization._step_holds(
+                        g, f, factorization.ZigzagStep(u, forward=True)):
+                    yield g.key(), u, False
+
+
+def reference_alternatives(pair):
+    """``_bounded_alternatives`` with the pad, duplicate and reverse
+    variants each renamed by hand; yields keys."""
+    theory, j = pair.theory, pair.middle
+    comps = pair.left.components
+
+    def renamed(sigma):
+        return tuple(theory.normalize(substitute(c, sigma))
+                     for c in pair.right.components)
+
+    spare = factorization._spare_atom(pair)
+    if spare is not None:
+        left = TheoryMorphism(theory, pair.source, j + 1, comps + (spare,))
+        yield left.components, renamed(tuple(Var(i) for i in range(j + 1)))
+    if j >= 1:
+        left = TheoryMorphism(theory, pair.source, j + 1,
+                              comps + (comps[0],))
+        yield left.components, renamed(
+            tuple(Var(i) for i in range(j)) + (Var(0),))
+    if j >= 2:
+        left = TheoryMorphism(theory, pair.source, j, comps[::-1])
+        yield left.components, renamed(
+            tuple(Var(j - 1 - i) for i in range(j)))
+
+
+def assert_neighbours_match_reference(x):
+    """Compare ``_neighbours`` with the reference at cap middle + 1, with
+    x's left components as the pool; returns the number of steps."""
+    cap, pool = x.middle + 1, x.left.components
+    got = [(g.key(), step.base, step.forward)
+           for g, step in factorization._neighbours(x, cap, pool)]
+    assert got == list(reference_neighbours(x, cap, pool))
+    return len(got)
 
 
 class TestFactorize:
@@ -213,13 +325,14 @@ class TestSweep:
         # lifts that are not normal, which _lift_tuple must filter out
         f = morphism(ring, source, [parse_term(text, ring, source)])
         pair = factorize(ring, MONOID, ABELIAN_GROUP, f)
-        neighbours = [g for g, _ in factorization._neighbours(
-            pair, pair.middle + 1, pair.left.components)]
+        neighbours = list(factorization._neighbours(
+            pair, pair.middle + 1, pair.left.components))
         assert len(neighbours) > 20
-        for g in neighbours:
+        for g, step in neighbours:
             for part in (g.left, g.right):
                 assert part == TheoryMorphism(ring, part.source, part.target,
                                               part.components)
+            assert factorization._step_holds(pair, g, step)
 
     @pytest.mark.parametrize("theory_name, inner, outer, arity, size", [
         ("ring", MONOID, ABELIAN_GROUP, 2, 2),
@@ -253,6 +366,41 @@ class TestSweep:
                         for table in itertools.product(range(x.middle),
                                                        repeat=j2))
         assert pairs > 100 and skipped > 0
+
+    @pytest.mark.parametrize("theory_name, inner, outer, arity, size", [
+        ("ring", MONOID, ABELIAN_GROUP, 2, 2),
+        ("ps_monoid", SEMIGROUP, POINTED, 2, 3)], ids=["ring", "ps-monoid"])
+    def test_search_matches_the_reference_on_sweeps(self, request,
+                                                    theory_name, inner,
+                                                    outer, arity, size):
+        # neighbours and alternatives built through compose and basic
+        # morphisms, without the checks that hold by construction, must
+        # equal the hand-renamed, fully checked reference in content and
+        # order
+        theory = request.getfixturevalue(theory_name)
+        nfs = {k: theory.enumerate_normal(k, size) for k in range(arity + 1)}
+        pairs = steps = 0
+        for k, m in itertools.product(range(arity + 1), repeat=2):
+            for comps in itertools.product(nfs[k], repeat=m):
+                pair = factorize(theory, inner, outer,
+                                 TheoryMorphism(theory, k, m, comps))
+                alternatives = list(
+                    factorization._bounded_alternatives(pair))
+                assert [alt.key() for alt in alternatives] == list(
+                    reference_alternatives(pair))
+                for x in [pair, *alternatives]:
+                    steps += assert_neighbours_match_reference(x)
+                    pairs += 1
+        assert pairs > 100 and steps > 1000
+
+    @pytest.mark.parametrize("text", ["ab+c", "a-b+c"])
+    def test_search_matches_the_reference_with_unnormal_lifts(self, ring,
+                                                             text):
+        f = morphism(ring, 3, [parse_term(text, ring, 3)])
+        pair = factorize(ring, MONOID, ABELIAN_GROUP, f)
+        assert [alt.key() for alt in factorization._bounded_alternatives(
+            pair)] == list(reference_alternatives(pair))
+        assert assert_neighbours_match_reference(pair) > 20
 
     def test_raw_factorization_not_unique(self, ring):
         # at least two distinct raw factorizations of ab + c exist

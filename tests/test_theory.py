@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from lawvere.builtin import ABELIAN_GROUP, IDENTITY_THEORY, MONOID
-from lawvere.distlaw import ps_monoid_theory, ring_theory
+from lawvere.builtin import (ABELIAN_GROUP, BASE_THEORIES, IDENTITY_THEORY,
+                             MONOID)
+from lawvere.distlaw import (ps_monoid_theory, ring3_series, ring_theory,
+                             series_composite_left, series_composite_right)
 from lawvere.parser import parse_term
 from lawvere.terms import StructuralError, Var
 from lawvere.theory import (BaseFunction, LawvereTheory, NoDiagonalsTheory,
@@ -16,6 +18,17 @@ from lawvere.theory import (BaseFunction, LawvereTheory, NoDiagonalsTheory,
 
 def mono(text, arity):
     return parse_term(text, MONOID, arity)
+
+
+def every_builtin_theory():
+    """The base theories, both composites, and both bracketings of the
+    ring3 series."""
+    series = ring3_series()
+    specs = {**BASE_THEORIES, "ring": ring_theory(),
+             "ps-monoid": ps_monoid_theory(),
+             "ring3-left": series_composite_left(series),
+             "ring3-right": series_composite_right(series)}
+    return [pytest.param(spec, id=name) for name, spec in specs.items()]
 
 
 class TestIdentity:
@@ -91,6 +104,20 @@ class TestBasicMorphism:
     def test_identity_base(self):
         assert basic_morphism(MONOID, identity_base(3)) == \
             identity_morphism(MONOID, 3)
+
+    @pytest.mark.parametrize("spec", every_builtin_theory())
+    def test_every_normalizer_fixes_variables(self, spec):
+        # basic_morphism builds on this without checking it
+        for i in range(26):
+            assert spec.normalize(Var(i)) == Var(i)
+
+    @pytest.mark.parametrize("spec", every_builtin_theory())
+    def test_unchecked_basic_morphism_passes_the_public_checks(self, spec):
+        for dom, cod in itertools.product(range(4), repeat=2):
+            for alpha in all_base_functions(dom, cod):
+                comps = tuple(Var(alpha(i)) for i in range(dom))
+                assert basic_morphism(spec, alpha) == TheoryMorphism(
+                    spec, cod, dom, comps)
 
     def test_functorial_exhaustively(self):
         # contravariance: basic(alpha o beta) = basic(beta) ; basic(alpha)
