@@ -24,8 +24,7 @@ from .builtin import build_combo, build_word, combo_of, word_atoms
 from .parser import format_term
 from .report import AxiomReport, Report
 from .sampling import Sampler, random_term
-from .terms import (App, StructuralError, Term, TheorySpec, Var, sort_key,
-                    substitute)
+from .terms import App, StructuralError, Term, TheorySpec, Var, substitute
 
 
 def split_layer(t: Term, ops: frozenset) -> tuple:
@@ -131,8 +130,7 @@ def multiplicative_over_additive_law(mult: TheorySpec,
     def rw(t: Term) -> Term:
         skel, leaves = split_layer(t, mult.op_set)
         slots = [v.index for v in word_atoms(skel, mul, unit)]
-        combos = [sorted(combo_of(leaves[i], add, neg, zero).items(),
-                         key=lambda kv: sort_key(kv[0])) for i in slots]
+        combos = [combo_of(leaves[i], add, neg, zero).items() for i in slots]
         acc: dict = {}
         for choice in itertools.product(*combos):
             coeff = prod((c for _, c in choice), start=1)

@@ -12,6 +12,16 @@ Conventions used throughout the package:
   plain and layered theories.
 * ``term_key`` is the total order behind every canonical sort; canonical
   forms must not depend on the order subterms were encountered.
+* Terms are immutable tuples with structural equality and hashing, both
+  run by ``tuple`` in C: ``OperationSymbol`` is ``(name, arity, theory)``,
+  ``Var`` is ``(index,)`` and ``App`` is ``(op, args)``.  A term hashes
+  as that plain tuple does; set and dict iteration orders, and with them
+  the reports, depend on these values.  A term also equals the plain
+  tuple of its fields (``Var(0) == (0,)``), so terms and plain tuples of
+  the same shape must not key one dict or set.  None do: fragment
+  elements such as the free monoid's words (tuples of ints) never share
+  a container with terms, and the correspondence checks compare the two
+  only through ``profunctor._label_key``, which includes the type.
 
 All values are immutable after construction and safe to share; the one
 exception is the normal-form memo inside each ``TheorySpec``, which only
@@ -23,6 +33,7 @@ import functools
 import itertools
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
 # canonical forms are right-nested chains, so structural recursion depth
@@ -34,38 +45,64 @@ class StructuralError(ValueError):
     """Ill-formed input: arity mismatch, unknown symbol, bad layering."""
 
 
-@dataclass(frozen=True)
-class OperationSymbol:
-    name: str
-    arity: int
-    theory: str
+class OperationSymbol(tuple):
+    """``name/arity@theory``; the tuple ``(name, arity, theory)``."""
+    __slots__ = ()
+    name = property(itemgetter(0))
+    arity = property(itemgetter(1))
+    theory = property(itemgetter(2))
 
-    def __post_init__(self):
-        if self.arity < 0:
-            raise StructuralError(f"negative arity for {self.name}")
+    def __new__(cls, name: str, arity: int, theory: str):
+        if arity < 0:
+            raise StructuralError(f"negative arity for {name}")
+        return tuple.__new__(cls, (name, arity, theory))
+
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
         return f"{self.name}/{self.arity}@{self.theory}"
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class Var(tuple):
+    """The positional variable ``Var(index)``; the tuple ``(index,)``."""
+    __slots__ = ()
+    index = property(itemgetter(0))
 
-    def __post_init__(self):
-        if self.index < 0:
+    def __new__(cls, index: int):
+        if index < 0:
             raise StructuralError("variable index must be >= 0")
+        return tuple.__new__(cls, (index,))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Var(index={self.index!r})"
 
 
-@dataclass(frozen=True)
-class App:
-    op: OperationSymbol
-    args: tuple
+class App(tuple):
+    """An operation applied to a tuple of terms; the tuple ``(op, args)``."""
+    __slots__ = ()
+    op = property(itemgetter(0))
+    args = property(itemgetter(1))
 
-    def __post_init__(self):
-        if len(self.args) != self.op.arity:
-            raise StructuralError(
-                f"{self.op!r} applied to {len(self.args)} arguments")
+    def __new__(cls, op: OperationSymbol, args: tuple):
+        if len(args) != op.arity:
+            raise StructuralError(f"{op!r} applied to {len(args)} arguments")
+        return tuple.__new__(cls, (op, args))
+
+    # tuple.__hash__ alone recurses in C, where a term deeper than the
+    # stack crashes the interpreter; a Python frame per level makes the
+    # recursion limit apply and raise RecursionError instead
+    def __hash__(self):
+        return tuple.__hash__(self)
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"App(op={self.op!r}, args={self.args!r})"
 
 
 Term = Union[Var, App]

@@ -1,19 +1,22 @@
+import itertools
 import random
+from math import prod
 
 import pytest
 
 from lawvere.builtin import (ABELIAN_GROUP, IDENTITY_THEORY, MONOID, POINTED,
-                             SEMIGROUP)
+                             SEMIGROUP, build_combo, build_word, combo_of,
+                             word_atoms)
 from lawvere.distlaw import (BUILTIN_LAWS, DistributiveSeries, PS_LAW,
                              POINTED_SUM_LAW, RING_LAW, SEMIGROUP_SUM_LAW,
                              apply_law, check_law_axioms, check_layer_order,
                              check_yang_baxter, composite_theory,
                              layered_normalize, ring3_series,
                              series_composite_left, series_composite_right,
-                             trivial_law)
+                             split_layer, trivial_law)
 from lawvere.parser import parse_term
 from lawvere.sampling import Sampler, random_term
-from lawvere.terms import App, StructuralError, Var, substitute
+from lawvere.terms import App, StructuralError, Var, sort_key, substitute
 from .conftest import (eval_ring_term, make_dropping_mutant,
                        make_ring_mutant, words_over)
 
@@ -71,6 +74,53 @@ class TestApplyLaw:
             assert ring.normalize(nf) == nf
             assert check_layer_order(
                 nf, [ABELIAN_GROUP.op_set, MONOID.op_set])
+
+
+def reference_expansion(law, t):
+    """The expansion rewrite as it was when each slot's summands were
+    sorted before taking the product."""
+    mult, additive = law.inner, law.outer
+    mul = mult.op("mul")
+    unit = mult.op("one") if mult.has_op("one") else None
+    add, zero = additive.op("add"), additive.op("zero")
+    neg = additive.op("neg") if additive.has_op("neg") else None
+    skel, leaves = split_layer(t, mult.op_set)
+    slots = [v.index for v in word_atoms(skel, mul, unit)]
+    combos = [sorted(combo_of(leaves[i], add, neg, zero).items(),
+                     key=lambda kv: sort_key(kv[0])) for i in slots]
+    acc = {}
+    for choice in itertools.product(*combos):
+        coeff = prod((c for _, c in choice), start=1)
+        chain = []
+        for a, _ in choice:
+            chain.extend(word_atoms(a, mul, unit))
+        key = build_word(chain, mul, unit)
+        acc[key] = acc.get(key, 0) + coeff
+    acc = {k: v for k, v in acc.items() if v != 0}
+    return build_combo(acc, add, neg, zero)
+
+
+@pytest.mark.parametrize("law", [RING_LAW, SEMIGROUP_SUM_LAW],
+                         ids=lambda law: law.name)
+def test_expansion_matches_the_sorted_reference(law):
+    # the order of the product only decides insertion into the
+    # accumulator, and build_combo sorts that by a total order
+    S, T = law.inner, law.outer
+    add, neg, zero = T.op("add"), T.op("neg"), T.op("zero")
+    rng = random.Random(13)
+    multi = 0
+    for _ in range(300):
+        k, j, m = (rng.randint(1, 3) for _ in range(3))
+        sigma = random_term(S, j, rng, 3)
+        below = tuple(random_term(S, k, rng, 2) for _ in range(m))
+        xis = tuple(substitute(random_term(T, m, rng, 2), below)
+                    for _ in range(j))
+        t = substitute(sigma, xis)
+        _, leaves = split_layer(t, S.op_set)
+        sums = [x for x in leaves if len(combo_of(x, add, neg, zero)) > 1]
+        multi += len(sums) > 1
+        assert law.rewrite(t) == reference_expansion(law, t)
+    assert multi >= 5
 
 
 class TestAxioms:

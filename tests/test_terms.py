@@ -1,5 +1,11 @@
+import copy
 import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +15,14 @@ from lawvere.builtin import (ABELIAN_GROUP, BASE_THEORIES, COMMUTATIVE_MONOID,
 from lawvere.distlaw import ps_monoid_theory, ring_theory
 from lawvere.parser import parse_term
 from lawvere.sampling import random_term
-from lawvere.terms import (App, StructuralError, TheorySpec, Var,
-                           brute_force_normal_forms, substitute, term_size)
+from lawvere.terms import (App, OperationSymbol, StructuralError, TheorySpec,
+                           Var, brute_force_normal_forms, substitute,
+                           term_size)
 from lawvere.theory import TheoryMorphism, morphism
 from .conftest import words_over
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def mono(text, arity):
@@ -180,6 +190,99 @@ class TestNormalFormMemo:
         assert a == b and a == MONOID
         assert hash(a) == hash(b) == hash(MONOID) == before[0]
         assert repr(a) == before[1] == "TheorySpec(monoid)"
+
+
+def subterms(t):
+    yield t
+    if isinstance(t, App):
+        for a in t.args:
+            yield from subterms(a)
+
+
+MUL = MONOID.op("mul")
+ONE = MONOID.op("one")
+SAMPLE = App(MUL, (Var(0), App(ONE, ())))
+
+
+class TestTermContract:
+    """Terms are tuples whose hash and repr are pinned: dict, set and sort
+    orders, and with them every report, depend on both."""
+
+    def test_repr_is_pinned(self):
+        assert repr(MUL) == "mul/2@monoid"
+        assert repr(Var(3)) == "Var(index=3)"
+        assert repr(SAMPLE) == ("App(op=mul/2@monoid, args=(Var(index=0), "
+                                "App(op=one/0@monoid, args=())))")
+        assert str(SAMPLE) == repr(SAMPLE)
+
+    @pytest.mark.parametrize("spec", MEMO_THEORIES, ids=lambda s: s.name)
+    def test_hash_is_the_hash_of_the_field_tuple(self, spec):
+        rng = random.Random(11)
+        terms = spec.enumerate_normal(2, 5)
+        terms += [random_term(spec, 3, rng, 4) for _ in range(60)]
+        for t in terms:
+            for u in subterms(t):
+                if isinstance(u, Var):
+                    assert hash(u) == hash((u.index,))
+                    continue
+                assert hash(u) == hash((u.op, u.args))
+                op = u.op
+                assert hash(op) == hash((op.name, op.arity, op.theory))
+
+    @pytest.mark.parametrize("value,field", [
+        (MUL, "name"), (Var(0), "index"), (SAMPLE, "op"), (SAMPLE, "args")])
+    def test_fields_are_read_only(self, value, field):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_keyword_construction(self):
+        assert OperationSymbol(name="mul", arity=2, theory="monoid") == MUL
+        assert Var(index=0) == Var(0)
+        assert App(op=MUL, args=(Var(index=0), App(ONE, ()))) == SAMPLE
+
+    def test_structural_checks(self):
+        with pytest.raises(StructuralError, match="negative arity"):
+            OperationSymbol("f", -1, "t")
+        with pytest.raises(StructuralError, match="variable index"):
+            Var(-1)
+        with pytest.raises(StructuralError, match="applied to 1 arguments"):
+            App(MUL, (Var(0),))
+
+    def test_a_term_equals_the_plain_tuple_of_its_fields(self):
+        # documented: plain tuples of this shape must not share a dict or
+        # set with terms
+        assert Var(0) == (0,)
+        assert SAMPLE == (MUL, SAMPLE.args)
+        assert Var(0) != App(ONE, ())
+
+    @pytest.mark.parametrize("roundtrip", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("value", [MUL, Var(2), SAMPLE],
+                             ids=["op", "var", "app"])
+    def test_copy_and_pickle_round_trip(self, roundtrip, value):
+        got = roundtrip(value)
+        assert got == value and hash(got) == hash(value)
+        assert [type(u) for u in subterms(got)] == \
+            [type(u) for u in subterms(value)]
+        assert repr(got) == repr(value)
+
+    def test_hashing_a_deep_term_raises_instead_of_crashing(self):
+        # built iteratively, the way build_word does; hashing recurses, and
+        # must hit the recursion limit rather than overflow the C stack
+        script = ("from lawvere.builtin import MUL\n"
+                  "from lawvere.terms import App, Var\n"
+                  "out = Var(0)\n"
+                  "for _ in range(100000):\n"
+                  "    out = App(MUL, (Var(0), out))\n"
+                  "hash(out)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode > 0, proc.returncode
+        assert "RecursionError" in proc.stderr
 
 
 # hypothesis strategies for raw terms over a fixed signature
