@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .terms import (App, OperationSymbol, StructuralError, Term, TheorySpec,
-                    Var, sort_key, term_size)
+                    Var, _new, sort_key, term_size)
 
 MUL = OperationSymbol("mul", 2, "monoid")
 ONE = OperationSymbol("one", 0, "monoid")
@@ -36,11 +36,24 @@ CM_ZERO = OperationSymbol("zero", 0, "cmonoid")
 def word_atoms(t: Term, mul: OperationSymbol,
                unit: Optional[OperationSymbol] = None) -> list:
     """Flatten a product layer into its left-to-right list of atoms."""
-    if isinstance(t, App) and t.op == mul:
-        return word_atoms(t.args[0], mul, unit) + word_atoms(t.args[1], mul, unit)
-    if unit is not None and isinstance(t, App) and t.op == unit:
-        return []
-    return [t]
+    out = []
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        # down the left spine; right factors wait on the stack
+        while isinstance(u, App) and u.op == mul:
+            stack.append(u.args[1])
+            u = u.args[0]
+        if unit is None or not (isinstance(u, App) and u.op == unit):
+            out.append(u)
+    return out
+
+
+def _check_arity(op: OperationSymbol, n: int) -> None:
+    """The check ``App(op, args)`` makes, for builders that then make
+    every node of ``op`` with ``n`` args through the trusted ``_new``."""
+    if op.arity != n:
+        raise StructuralError(f"{op!r} applied to {n} arguments")
 
 
 def build_word(atoms: Sequence[Term], mul: OperationSymbol,
@@ -50,31 +63,47 @@ def build_word(atoms: Sequence[Term], mul: OperationSymbol,
         if unit is None:
             raise StructuralError("empty word in a theory without a unit")
         return App(unit, ())
+    if len(atoms) > 1:
+        _check_arity(mul, 2)
     out = atoms[-1]
     for a in reversed(atoms[:-1]):
-        out = App(mul, (a, out))
+        out = _new(App, (mul, (a, out)))
     return out
 
 
 def combo_of(t: Term, add: OperationSymbol, neg: Optional[OperationSymbol],
              zero: OperationSymbol) -> dict:
-    """Signed multiset of atoms of an additive layer, zeros dropped."""
+    """Signed multiset of atoms of an additive layer, zeros dropped.
+
+    Keys keep the order of their first occurrence, left to right.  A run
+    of one atom object (as ``build_combo`` writes c copies) is counted
+    before the dict sees it, so the run costs one lookup.
+    """
     acc: dict = {}
-
-    def go(u: Term, sign: int):
+    last = None
+    run = 0
+    stack = [(t, 1)]
+    while stack:
+        u, sign = stack.pop()
         if isinstance(u, App):
-            if u.op == add:
-                go(u.args[0], sign)
-                go(u.args[1], sign)
-                return
-            if neg is not None and u.op == neg:
-                go(u.args[0], -sign)
-                return
-            if u.op == zero:
-                return
-        acc[u] = acc.get(u, 0) + sign
-
-    go(t, 1)
+            op = u.op
+            if op == add:
+                stack.append((u.args[1], sign))
+                stack.append((u.args[0], sign))
+                continue
+            if neg is not None and op == neg:
+                stack.append((u.args[0], -sign))
+                continue
+            if op == zero:
+                continue
+        if u is last:
+            run += sign
+            continue
+        if last is not None:
+            acc[last] = acc.get(last, 0) + run
+        last, run = u, sign
+    if last is not None:
+        acc[last] = acc.get(last, 0) + run
     return {a: c for a, c in acc.items() if c != 0}
 
 
@@ -88,12 +117,15 @@ def build_combo(combo: dict, add: OperationSymbol,
         else:
             if neg is None:
                 raise StructuralError("negative coefficient without negation")
-            parts.extend([App(neg, (atom,))] * (-c))
+            _check_arity(neg, 1)
+            parts.extend([_new(App, (neg, (atom,)))] * (-c))
     if not parts:
         return App(zero, ())
+    if len(parts) > 1:
+        _check_arity(add, 2)
     out = parts[-1]
     for p in reversed(parts[:-1]):
-        out = App(add, (p, out))
+        out = _new(App, (add, (p, out)))
     return out
 
 

@@ -3,9 +3,9 @@
 Subcommands: enumerate, compose, factorize, check-law, check-yb,
 check-fs, check-coend, roundtrip, correspond.  Exit status 0 means every
 check passed, 1 means a checker reported failures, 2 means the request
-itself was invalid.  JSON output is deterministic for a fixed request and
-seed; the default sample count can be set with LAWVERE_SAMPLES, read on
-every call.  check-coend accepts tables whose "schemaVersion" is
+itself was invalid, 141 means the reader closed standard output early.
+JSON output is deterministic for a fixed request and seed; the default
+sample count can be set with LAWVERE_SAMPLES, read on every call.  check-coend accepts tables whose "schemaVersion" is
 SCHEMA_VERSION or absent.
 """
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .theory import compose, morphism, morphism_to_json
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 128 + 13  # 128 + SIGPIPE, as a shell reports it
 
 
 def _theories() -> dict:
@@ -482,10 +483,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except (ParseError, StructuralError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); send what is still
+        # buffered to devnull so the interpreter's final flush cannot fail,
+        # and exit as a process killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -24,7 +24,8 @@ from .builtin import build_combo, build_word, combo_of, word_atoms
 from .parser import format_term
 from .report import AxiomReport, Report
 from .sampling import Sampler, random_term
-from .terms import App, StructuralError, Term, TheorySpec, Var, substitute
+from .terms import (App, StructuralError, Term, TheorySpec, Var, _new,
+                    substitute)
 
 
 def split_layer(t: Term, ops: frozenset) -> tuple:
@@ -38,9 +39,9 @@ def split_layer(t: Term, ops: frozenset) -> tuple:
 
     def go(u: Term) -> Term:
         if isinstance(u, App) and u.op in ops:
-            return App(u.op, tuple(go(a) for a in u.args))
+            return _new(App, (u.op, tuple(go(a) for a in u.args)))
         atoms.append(u)
-        return Var(len(atoms) - 1)
+        return _new(Var, (len(atoms) - 1,))
 
     return go(t), atoms
 
@@ -130,13 +131,17 @@ def multiplicative_over_additive_law(mult: TheorySpec,
     def rw(t: Term) -> Term:
         skel, leaves = split_layer(t, mult.op_set)
         slots = [v.index for v in word_atoms(skel, mul, unit)]
-        combos = [combo_of(leaves[i], add, neg, zero).items() for i in slots]
+        # each summand as (its word's atoms, its coefficient), flattened
+        # once here rather than once per choice below
+        combos = [[(word_atoms(a, mul, unit), c)
+                   for a, c in combo_of(leaves[i], add, neg, zero).items()]
+                  for i in slots]
         acc: dict = {}
         for choice in itertools.product(*combos):
             coeff = prod((c for _, c in choice), start=1)
             chain: list = []
-            for a, _ in choice:
-                chain.extend(word_atoms(a, mul, unit))
+            for w, _ in choice:
+                chain.extend(w)
             key = build_word(chain, mul, unit)
             acc[key] = acc.get(key, 0) + coeff
         acc = {k: v for k, v in acc.items() if v != 0}

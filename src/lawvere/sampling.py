@@ -35,11 +35,14 @@ def random_term(spec: TheorySpec, k: int, rng: random.Random,
         raise StructuralError(
             f"theory {spec.name} has no closed terms over 0 variables")
     inner = [op for op in spec.signature if op.arity > 0]
-    if depth <= 0 or not inner or rng.random() < 0.3:
-        pick = rng.choice(leaves)
-        if pick == "var":
-            return Var(rng.randrange(k))
-        return App(pick, ())
-    op = rng.choice(inner)
-    return App(op, tuple(random_term(spec, k, rng, depth - 1)
-                         for _ in range(op.arity)))
+
+    def draw(depth: int) -> Term:
+        if depth <= 0 or not inner or rng.random() < 0.3:
+            pick = rng.choice(leaves)
+            if pick == "var":
+                return Var(rng.randrange(k))
+            return App(pick, ())
+        op = rng.choice(inner)
+        return App(op, tuple(draw(depth - 1) for _ in range(op.arity)))
+
+    return draw(depth)

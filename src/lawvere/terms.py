@@ -23,6 +23,20 @@ Conventions used throughout the package:
   a container with terms, and the correspondence checks compare the two
   only through ``profunctor._label_key``, which includes the type.
 
+* Depth.  ``builtin.word_atoms`` and ``builtin.combo_of``, which flatten
+  a product or sum layer, are loops over an explicit stack and take
+  chains of any length.  Every other traversal still recurses, one to
+  two frames per level: ``substitute``, ``term_size``, ``term_key``,
+  ``sort_key``, ``distlaw.split_layer``, ``distlaw.check_layer_order``,
+  ``distlaw.expansion_estimate``, the layered and composite normalizers,
+  ``parser.format_term``, the parser, and hashing and comparing (in C,
+  with ``App.__hash__`` adding a Python frame per level).  So term depth
+  is bounded by the recursion limit set below.  The README's ``check-yb
+  --series ring3 --samples 300 --seed 7`` still ends in RecursionError
+  in ``split_layer``, and the benchmark pins that answer
+  (``perfbench/expected.json``) until the traversals are made iterative
+  (ROADMAP item 1).
+
 All values are immutable after construction and safe to share; the one
 exception is the normal-form memo inside each ``TheorySpec``, which only
 grows, with entries computed by a pure normalizer.
@@ -36,8 +50,9 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
-# canonical forms are right-nested chains, so structural recursion depth
-# grows with combination length; the default limit is too tight for that
+# canonical forms are right-nested chains, so the depth of the recursive
+# traversals (all but word_atoms and combo_of, which loop) grows with
+# combination length; the default limit is too tight for that
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 
@@ -107,6 +122,12 @@ class App(tuple):
 
 Term = Union[Var, App]
 
+# builds an App or a Var without the arity or index check of its __new__:
+# ``_new(App, (op, args))``, ``_new(Var, (i,))``.  Internal, for nodes that
+# are well-formed by construction: a copy of an existing node's op with as
+# many args, or a symbol whose arity the caller checked once.
+_new = tuple.__new__
+
 
 def term_size(t: Term) -> int:
     """Node count of the syntax tree; the uniform truncation metric."""
@@ -123,7 +144,16 @@ def term_key(t: Term):
 
 
 def sort_key(t: Term):
-    return (term_size(t), term_key(t))
+    """``(term_size(t), term_key(t))``, from one walk of the term."""
+    if isinstance(t, Var):
+        return (1, (0, t.index))
+    size = 1
+    keys = []
+    for a in t.args:
+        s, k = sort_key(a)
+        size += s
+        keys.append(k)
+    return (size, (1, t.op.name, t.op.theory, tuple(keys)))
 
 
 def max_var(t: Term) -> int:
@@ -144,7 +174,7 @@ def substitute(t: Term, sigma: Sequence[Term]) -> Term:
             raise StructuralError(
                 f"variable {t.index} outside substitution of length {len(sigma)}")
         return sigma[t.index]
-    return App(t.op, tuple(substitute(a, sigma) for a in t.args))
+    return _new(App, (t.op, tuple(substitute(a, sigma) for a in t.args)))
 
 
 def ops_used(t: Term) -> set:

@@ -454,3 +454,33 @@ def test_check_coend_fuzz_exits_zero_or_two(tmp_path, capsys, doc):
     code, out, err = run(capsys, "check-coend", "--file", str(path))
     assert code in (0, 2)
     assert (code == 0) == (err == "")
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # the reader is gone before the report is written, as with `| head`
+    # once head has its lines; the read end is closed before the start
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("LAWVERE_SAMPLES", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lawvere", "check-law", "--law", "ring",
+             "--samples", "2", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("LAWVERE_SAMPLES", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lawvere", "enumerate", "--theory", "monoid",
+         "--arity", "1", "--size", "3", "--json"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 3
