@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .terms import (App, OperationSymbol, StructuralError, Term, TheorySpec,
-                    Var, _new, sort_key, term_size)
+                    Var, check_arity, sort_key, term_size)
 
 MUL = OperationSymbol("mul", 2, "monoid")
 ONE = OperationSymbol("one", 0, "monoid")
@@ -49,13 +49,6 @@ def word_atoms(t: Term, mul: OperationSymbol,
     return out
 
 
-def _check_arity(op: OperationSymbol, n: int) -> None:
-    """The check ``App(op, args)`` makes, for builders that then make
-    every node of ``op`` with ``n`` args through the trusted ``_new``."""
-    if op.arity != n:
-        raise StructuralError(f"{op!r} applied to {n} arguments")
-
-
 def build_word(atoms: Sequence[Term], mul: OperationSymbol,
                unit: Optional[OperationSymbol] = None) -> Term:
     """Right-nested product of the atoms; empty word needs a unit."""
@@ -64,10 +57,10 @@ def build_word(atoms: Sequence[Term], mul: OperationSymbol,
             raise StructuralError("empty word in a theory without a unit")
         return App(unit, ())
     if len(atoms) > 1:
-        _check_arity(mul, 2)
+        check_arity(mul, 2)
     out = atoms[-1]
     for a in reversed(atoms[:-1]):
-        out = _new(App, (mul, (a, out)))
+        out = tuple.__new__(App, (mul, (a, out)))
     return out
 
 
@@ -75,13 +68,9 @@ def combo_of(t: Term, add: OperationSymbol, neg: Optional[OperationSymbol],
              zero: OperationSymbol) -> dict:
     """Signed multiset of atoms of an additive layer, zeros dropped.
 
-    Keys keep the order of their first occurrence, left to right.  A run
-    of one atom object (as ``build_combo`` writes c copies) is counted
-    before the dict sees it, so the run costs one lookup.
+    Keys keep the order of their first occurrence, left to right.
     """
     acc: dict = {}
-    last = None
-    run = 0
     stack = [(t, 1)]
     while stack:
         u, sign = stack.pop()
@@ -96,14 +85,7 @@ def combo_of(t: Term, add: OperationSymbol, neg: Optional[OperationSymbol],
                 continue
             if op == zero:
                 continue
-        if u is last:
-            run += sign
-            continue
-        if last is not None:
-            acc[last] = acc.get(last, 0) + run
-        last, run = u, sign
-    if last is not None:
-        acc[last] = acc.get(last, 0) + run
+        acc[u] = acc.get(u, 0) + sign
     return {a: c for a, c in acc.items() if c != 0}
 
 
@@ -117,15 +99,15 @@ def build_combo(combo: dict, add: OperationSymbol,
         else:
             if neg is None:
                 raise StructuralError("negative coefficient without negation")
-            _check_arity(neg, 1)
-            parts.extend([_new(App, (neg, (atom,)))] * (-c))
+            check_arity(neg, 1)
+            parts.extend([tuple.__new__(App, (neg, (atom,)))] * (-c))
     if not parts:
         return App(zero, ())
     if len(parts) > 1:
-        _check_arity(add, 2)
+        check_arity(add, 2)
     out = parts[-1]
     for p in reversed(parts[:-1]):
-        out = _new(App, (add, (p, out)))
+        out = tuple.__new__(App, (add, (p, out)))
     return out
 
 

@@ -5,8 +5,9 @@ check-fs, check-coend, roundtrip, correspond.  Exit status 0 means every
 check passed, 1 means a checker reported failures, 2 means the request
 itself was invalid, 141 means the reader closed standard output early.
 JSON output is deterministic for a fixed request and seed; the default
-sample count can be set with LAWVERE_SAMPLES, read on every call.  check-coend accepts tables whose "schemaVersion" is
-SCHEMA_VERSION or absent.
+sample count can be set with LAWVERE_SAMPLES, read on every call.
+check-coend accepts tables whose "schemaVersion" is SCHEMA_VERSION or
+absent.
 """
 from __future__ import annotations
 
@@ -479,23 +480,31 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``), during a report or
+        # argparse's help.  Point stdout at devnull, so that the
+        # interpreter's final flush of what is still buffered cannot fail,
+        # and exit as a process killed by SIGPIPE would.  stdout stays on
+        # devnull after the call: its reader is gone.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _dispatch(argv) -> int:
+    try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        code = args.func(args)
-        sys.stdout.flush()
+        return args.func(args)
     except (ParseError, StructuralError, OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
-        # the reader closed stdout early (``| head``); send what is still
-        # buffered to devnull so the interpreter's final flush cannot fail,
-        # and exit as a process killed by SIGPIPE would
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
-    return code
 
 
 if __name__ == "__main__":

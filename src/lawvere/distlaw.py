@@ -24,8 +24,7 @@ from .builtin import build_combo, build_word, combo_of, word_atoms
 from .parser import format_term
 from .report import AxiomReport, Report
 from .sampling import Sampler, random_term
-from .terms import (App, StructuralError, Term, TheorySpec, Var, _new,
-                    substitute)
+from .terms import App, StructuralError, Term, TheorySpec, Var, substitute
 
 
 def split_layer(t: Term, ops: frozenset) -> tuple:
@@ -39,9 +38,9 @@ def split_layer(t: Term, ops: frozenset) -> tuple:
 
     def go(u: Term) -> Term:
         if isinstance(u, App) and u.op in ops:
-            return _new(App, (u.op, tuple(go(a) for a in u.args)))
+            return tuple.__new__(App, (u.op, tuple(go(a) for a in u.args)))
         atoms.append(u)
-        return _new(Var, (len(atoms) - 1,))
+        return tuple.__new__(Var, (len(atoms) - 1,))
 
     return go(t), atoms
 

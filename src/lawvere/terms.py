@@ -10,8 +10,9 @@ Conventions used throughout the package:
   theory's signature.  Layer-level helpers elsewhere treat subterms headed
   by foreign operations as opaque atoms, so the same normalizers serve both
   plain and layered theories.
-* ``term_key`` is the total order behind every canonical sort; canonical
-  forms must not depend on the order subterms were encountered.
+* ``sort_key`` (size, then structure) is the total order behind every
+  canonical sort; canonical forms must not depend on the order subterms
+  were encountered.
 * Terms are immutable tuples with structural equality and hashing, both
   run by ``tuple`` in C: ``OperationSymbol`` is ``(name, arity, theory)``,
   ``Var`` is ``(index,)`` and ``App`` is ``(op, args)``.  A term hashes
@@ -26,8 +27,8 @@ Conventions used throughout the package:
 * Depth.  ``builtin.word_atoms`` and ``builtin.combo_of``, which flatten
   a product or sum layer, are loops over an explicit stack and take
   chains of any length.  Every other traversal still recurses, one to
-  two frames per level: ``substitute``, ``term_size``, ``term_key``,
-  ``sort_key``, ``distlaw.split_layer``, ``distlaw.check_layer_order``,
+  two frames per level: ``substitute``, ``term_size``, ``sort_key``,
+  ``distlaw.split_layer``, ``distlaw.check_layer_order``,
   ``distlaw.expansion_estimate``, the layered and composite normalizers,
   ``parser.format_term``, the parser, and hashing and comparing (in C,
   with ``App.__hash__`` adding a Python frame per level).  So term depth
@@ -103,8 +104,7 @@ class App(tuple):
     args = property(itemgetter(1))
 
     def __new__(cls, op: OperationSymbol, args: tuple):
-        if len(args) != op.arity:
-            raise StructuralError(f"{op!r} applied to {len(args)} arguments")
+        check_arity(op, len(args))
         return tuple.__new__(cls, (op, args))
 
     # tuple.__hash__ alone recurses in C, where a term deeper than the
@@ -122,11 +122,17 @@ class App(tuple):
 
 Term = Union[Var, App]
 
-# builds an App or a Var without the arity or index check of its __new__:
-# ``_new(App, (op, args))``, ``_new(Var, (i,))``.  Internal, for nodes that
-# are well-formed by construction: a copy of an existing node's op with as
-# many args, or a symbol whose arity the caller checked once.
-_new = tuple.__new__
+# ``tuple.__new__(App, (op, args))`` and ``tuple.__new__(Var, (i,))`` build
+# a node without the checks of its __new__.  The package does so only for
+# nodes that are well-formed by construction: a copy of an existing node's
+# op with as many args, or a symbol whose arity the caller checked once
+# with ``check_arity``.
+
+
+def check_arity(op: OperationSymbol, n: int) -> None:
+    """Raise ``StructuralError`` unless ``op`` takes ``n`` arguments."""
+    if op.arity != n:
+        raise StructuralError(f"{op!r} applied to {n} arguments")
 
 
 def term_size(t: Term) -> int:
@@ -136,15 +142,12 @@ def term_size(t: Term) -> int:
     return 1 + sum(term_size(a) for a in t.args)
 
 
-def term_key(t: Term):
-    """Structural sort key; Var sorts before App, then by symbol and args."""
-    if isinstance(t, Var):
-        return (0, t.index)
-    return (1, t.op.name, t.op.theory, tuple(term_key(a) for a in t.args))
-
-
 def sort_key(t: Term):
-    """``(term_size(t), term_key(t))``, from one walk of the term."""
+    """Canonical sort key: ``(term_size(t), structure)``, in one walk.
+
+    The structure part puts Var before App, variables by index and
+    applications by symbol name, theory and then their args' structures.
+    """
     if isinstance(t, Var):
         return (1, (0, t.index))
     size = 1
@@ -174,7 +177,8 @@ def substitute(t: Term, sigma: Sequence[Term]) -> Term:
             raise StructuralError(
                 f"variable {t.index} outside substitution of length {len(sigma)}")
         return sigma[t.index]
-    return _new(App, (t.op, tuple(substitute(a, sigma) for a in t.args)))
+    return tuple.__new__(App, (t.op,
+                               tuple(substitute(a, sigma) for a in t.args)))
 
 
 def ops_used(t: Term) -> set:
@@ -282,7 +286,7 @@ def all_raw_terms(signature: Sequence[OperationSymbol], k: int,
         return out
 
     for s in range(1, size_bound + 1):
-        yield from sorted(of_size(s), key=term_key)
+        yield from sorted(of_size(s), key=sort_key)
 
 
 def _compositions(total: int, parts: int):

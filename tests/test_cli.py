@@ -475,6 +475,56 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
     assert proc.stderr == ""
 
 
+def test_help_into_a_closed_stdout_ends_without_a_traceback():
+    # argparse drops a help text whose write fails, so nothing is left in
+    # stdout's buffer for the interpreter's final flush; main flushes
+    # after the parse as well, inside its pipe handler
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lawvere", "--help"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_a_closed_stdout_leaves_no_descriptor_open_after_main():
+    # main called in process: the devnull descriptor it points stdout at
+    # is closed again, so the lowest free descriptor is the same after
+    script = """
+import json, os, sys
+from lawvere.cli import main
+def lowest_free():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+before = lowest_free()
+codes = [main(["check-law", "--law", "ring", "--samples", "2", "--json"])
+         for _ in range(2)]
+print(json.dumps([codes, before, lowest_free()]), file=sys.stderr)
+"""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("LAWVERE_SAMPLES", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after = json.loads(proc.stderr)
+    # the second report goes to devnull: its reader is gone for good
+    assert codes == [141, 0]
+    assert before == after
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("LAWVERE_SAMPLES", None)
