@@ -456,13 +456,19 @@ def test_check_coend_fuzz_exits_zero_or_two(tmp_path, capsys, doc):
     assert (code == 0) == (err == "")
 
 
-def test_a_closed_stdout_exits_141_without_a_traceback():
+@pytest.mark.parametrize("unbuffered", [None, "1"],
+                         ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_141_without_a_traceback(unbuffered):
     # the reader is gone before the report is written, as with `| head`
-    # once head has its lines; the read end is closed before the start
+    # once head has its lines; the read end is closed before the start.
+    # Unbuffered, the report's print fails; buffered, the flush after it
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("LAWVERE_SAMPLES", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "lawvere", "check-law", "--law", "ring",
