@@ -148,9 +148,23 @@ def cmd_factorize(args) -> int:
     return EXIT_PASS
 
 
+def _nothing_to_sample(args) -> bool:
+    """A sampled check with no samples would PASS having checked nothing:
+    say so and let the caller exit 2."""
+    if args.samples:
+        return False
+    hint = (", which LAWVERE_SAMPLES sets when the flag is absent"
+            if "LAWVERE_SAMPLES" in os.environ else "")
+    print(f"error: --samples is 0{hint}, so there is nothing to check",
+          file=sys.stderr)
+    return True
+
+
 def cmd_check_law(args) -> int:
     if args.law not in BUILTIN_LAWS:
         print(f"unknown law {args.law!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if _nothing_to_sample(args):
         return EXIT_USAGE
     sampler = Sampler(seed=args.seed, samples=args.samples)
     t0 = time.perf_counter()
@@ -163,6 +177,8 @@ def cmd_check_law(args) -> int:
 def cmd_check_yb(args) -> int:
     if args.series not in BUILTIN_SERIES:
         print(f"unknown series {args.series!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if _nothing_to_sample(args):
         return EXIT_USAGE
     sampler = Sampler(seed=args.seed, samples=args.samples)
     t0 = time.perf_counter()
@@ -500,6 +516,13 @@ def _dispatch(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
+    # argparse drops a value of "--" (``--morphism=--``) and stores an
+    # empty list; no option of this CLI takes a list
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: argument --{name.replace('_', '-')}: expected "
+                  "one argument", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except (ParseError, StructuralError, OutputError) as exc:

@@ -8,6 +8,29 @@ identified up to zigzags of basic morphisms whose triangles commute on
 the appropriate sides, and the decision procedure compares canonical
 forms while an optional bounded search produces an explicit witness
 chain.
+
+The public ``FactorizationPair(...)`` checks that the parts meet at the
+middle and that each is pure in its layer.  The sweep and the search
+build their pairs through the internal ``_trusted_pair`` and their
+morphisms through ``theory._trusted``, skipping checks that hold by
+construction; every check that can fail runs once, where its input
+enters:
+
+* ``factorize``: the right part is outer skeletons over the middle
+  variables, normalized (idempotent normalizers); the left part is the
+  normal forms of the input's atoms, each checked pure inner-theory,
+  since an input that bypassed the morphism checks may not be normal;
+* ``_bounded_alternatives``: left parts extend the canonical one by a
+  spare atom or a duplicate, or reverse it; the spare atoms are checked
+  by ``_spare_pool``, once per source arity in ``check_fs_over_base``;
+  right parts are renamings by ``compose``;
+* ``_neighbours``, forward: left parts are picked from the current one,
+  right parts are normal lifts over the same outer operations;
+* ``_neighbours``, backward: right parts are renamings by ``compose``,
+  left parts are filled from a pool that ``_search_witness`` filters
+  once per search to terms within the source, normal and pure;
+* ``check_fs_over_base``: hom-set morphisms are tuples of
+  ``enumerate_normal`` output (normal enumerators).
 """
 from __future__ import annotations
 
@@ -16,11 +39,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .distlaw import split_layer
 from .fincat import FiniteCategory, Morphism
 from .report import Report
-from .terms import (App, StructuralError, Term, TheorySpec, Var, ops_used,
-                    substitute, term_size)
+from .terms import (App, StructuralError, Term, TheorySpec, Var, max_var,
+                    ops_used, term_size)
 from .theory import (BaseFunction, TheoryMorphism, _trusted, _var_occurrences,
                      basic_morphism, compose)
 
@@ -78,6 +100,20 @@ class FactorizationPair:
                 f"{self.target}; left=[{ls}]; right=[{rs}])")
 
 
+def _trusted_pair(theory: TheorySpec, inner: TheorySpec, outer: TheorySpec,
+                  left: TheoryMorphism,
+                  right: TheoryMorphism) -> FactorizationPair:
+    """A pair whose parts are known to meet at the middle, with ``left``
+    pure inner-theory and ``right`` pure outer-theory; the checks of
+    ``__post_init__`` are skipped, as ``theory._trusted`` skips a
+    morphism's.  Internal: only for the construction sites listed in the
+    module docstring."""
+    p = object.__new__(FactorizationPair)
+    p.__dict__.update(theory=theory, inner=inner, outer=outer, left=left,
+                      right=right)
+    return p
+
+
 def factorize(theory: TheorySpec, inner: TheorySpec, outer: TheorySpec,
               f: TheoryMorphism) -> FactorizationPair:
     """Canonical factorization of a normal composite-theory morphism.
@@ -92,23 +128,31 @@ def factorize(theory: TheorySpec, inner: TheorySpec, outer: TheorySpec,
         for c in f.components:
             if not theory.is_normal(c):
                 raise StructuralError("factorize expects normal components")
+    outer_ops = outer.op_set
     atom_index: dict = {}
-    right_comps = []
-    for c in f.components:
-        skel, atoms = split_layer(c, outer.op_set)
-        remap = []
-        for a in atoms:
-            if a not in atom_index:
-                atom_index[a] = len(atom_index)
-            remap.append(Var(atom_index[a]))
-        right_comps.append(substitute(skel, tuple(remap)))
-    # atoms are subterms of f's components and the skeletons use the
-    # middle variables only, so both parts are in range once normalized
-    left = _trusted(theory, f.source,
-                    tuple(theory.normalize(a) for a in atom_index))
-    right = _trusted(theory, len(atom_index),
-                     tuple(theory.normalize(c) for c in right_comps))
-    return FactorizationPair(theory, inner, outer, left, right)
+
+    # split off the outer layer and rename each atom to its middle
+    # variable in one walk, as split_layer then substitute would
+    def go(u: Term) -> Term:
+        if isinstance(u, App) and u.op in outer_ops:
+            return tuple.__new__(App, (u.op, tuple(go(a) for a in u.args)))
+        i = atom_index.get(u)
+        if i is None:
+            i = atom_index[u] = len(atom_index)
+        return tuple.__new__(Var, (i,))
+
+    # the skeletons are outer-layer terms over the middle variables, so the
+    # right part is pure and in range once normalized; the atoms are
+    # subterms of f's components, in range, but pure inner-theory only
+    # when f is normal, which is checked on their normal forms
+    right = tuple(theory.normalize(go(c)) for c in f.components)
+    left = tuple(theory.normalize(a) for a in atom_index)
+    for c in left:
+        if not is_pure(c, inner):
+            raise StructuralError("left part is not pure inner-theory")
+    return _trusted_pair(theory, inner, outer,
+                         _trusted(theory, f.source, left),
+                         _trusted(theory, len(atom_index), right))
 
 
 def canonicalize(pair: FactorizationPair) -> FactorizationPair:
@@ -192,7 +236,11 @@ def _search_witness(p: FactorizationPair, q: FactorizationPair, bound: int,
     pool = set(atom_pool or [])
     pool.update(p.left.components)
     pool.update(q.left.components)
-    pool = sorted(pool, key=lambda t: (term_size(t), repr(t)))
+    # a backward neighbour is a checked pair exactly when every pool term
+    # it uses is one, so the pool is checked here, once per search
+    pool = sorted((t for t in pool
+                   if _left_atom_ok(t, p.theory, p.inner, p.source)),
+                  key=lambda t: (term_size(t), repr(t)))
     start = p.key()
     target = q.key()
     seen = {start}
@@ -213,10 +261,23 @@ def _search_witness(p: FactorizationPair, q: FactorizationPair, bound: int,
     return None
 
 
+def _left_atom_ok(t: Term, theory: TheorySpec, inner: TheorySpec,
+                  source: int) -> bool:
+    """Whether t can stand in a left part out of ``source``: within the
+    source, pure inner-theory and normal in ``theory``."""
+    try:
+        return (max_var(t) < source and is_pure(t, inner)
+                and theory.is_normal(t))
+    except StructuralError:
+        return False
+
+
 def _neighbours(f: FactorizationPair, cap: int,
                 pool: Sequence[Term]) -> Iterator[tuple]:
     """All pairs one basic step away from f; every step is a commuting
-    triangle by construction, so none is checked here.
+    triangle and every pair a checked one by construction, so none is
+    checked here.  ``pool`` holds only terms that may stand in f's left
+    part (``_search_witness`` filters it).
 
     Forward steps skip every base function whose image misses a middle
     variable that f.right uses.  The skip is exact: a variable outside
@@ -238,12 +299,12 @@ def _neighbours(f: FactorizationPair, cap: int,
                               tuple(f.left.components[u(i)]
                                     for i in range(j2)))
             for g_right in _lift_tuple(f.right.components, u, theory):
-                g = FactorizationPair(theory, inner, outer, g_left,
-                                      _trusted(theory, j2, g_right))
+                g = _trusted_pair(theory, inner, outer, g_left,
+                                  _trusted(theory, j2, g_right))
                 yield g, ZigzagStep(u, forward=True)
         # arrows g -> f: base u: [j] -> [j2]; g.right is f.right renamed
-        # along u, g.left agrees with f.left on the image and is free
-        # elsewhere, so only g.left, filled from the pool, needs checking
+        # along u, g.left agrees with f.left on the image and is filled
+        # from the pool elsewhere
         for table in itertools.product(range(j2), repeat=j):
             u = BaseFunction(j, j2, table)
             slots: list = [None] * j2
@@ -265,13 +326,9 @@ def _neighbours(f: FactorizationPair, cap: int,
                 comps = list(slots)
                 for idx, t in zip(free, fill):
                     comps[idx] = t
-                try:
-                    g = FactorizationPair(
-                        theory, inner, outer,
-                        TheoryMorphism(theory, f.source, j2, tuple(comps)),
-                        g_right)
-                except StructuralError:
-                    continue
+                g = _trusted_pair(theory, inner, outer,
+                                  _trusted(theory, f.source, tuple(comps)),
+                                  g_right)
                 yield g, ZigzagStep(u, forward=False)
 
 
@@ -331,21 +388,28 @@ def check_fs_over_base(theory: TheorySpec, inner: TheorySpec,
     rep = Report(subject=f"fs-over-base:{theory.name}",
                  bounds={"arityBound": arity_bound, "sizeBound": size_bound,
                          "witnessBound": witness_bound})
+    # atom_enumerator lists normal forms only, so the hom-set morphisms
+    # are built unchecked; the spare atoms are checked once per arity
     nfs = {k: theory.enumerate_normal(k, size_bound)
            for k in range(arity_bound + 1)}
+    spares = {k: _spare_pool(theory, inner, k)
+              for k in range(arity_bound + 1)}
     alt_total = 0
     picked = 0
     for k in range(arity_bound + 1):
         for m in range(arity_bound + 1):
             for comps in itertools.product(nfs[k], repeat=m):
-                f = TheoryMorphism(theory, k, m, tuple(comps))
+                f = _trusted(theory, k, comps)
                 rep.sample_count += 1
                 pair = factorize(theory, inner, outer, f)
                 if pair.recompose() != f:
                     rep.add_failure(check="existence", morphism=repr(f))
                     continue
+                # zigzag_equivalent(pair, alt, bound=-1) decides by these
+                # canonical keys; pair's is computed once
+                canon = canonicalize(pair).key()
                 ok = True
-                alternatives = list(_bounded_alternatives(pair))
+                alternatives = list(_bounded_alternatives(pair, spares[k]))
                 alt_total += len(alternatives)
                 for alt in alternatives:
                     if alt.recompose() != f:
@@ -353,8 +417,7 @@ def check_fs_over_base(theory: TheorySpec, inner: TheorySpec,
                                         alt=repr(alt))
                         ok = False
                         continue
-                    eq, _ = zigzag_equivalent(pair, alt, bound=-1)
-                    if not eq:
+                    if canonicalize(alt).key() != canon:
                         rep.add_failure(check="zigzag-uniqueness",
                                         morphism=repr(f), alt=repr(alt))
                         ok = False
@@ -372,14 +435,21 @@ def check_fs_over_base(theory: TheorySpec, inner: TheorySpec,
     return rep
 
 
-def _bounded_alternatives(pair: FactorizationPair) -> Iterator[FactorizationPair]:
+def _bounded_alternatives(pair: FactorizationPair,
+                          spares: Sequence[Term]
+                          ) -> Iterator[FactorizationPair]:
     """A spread of raw factorizations of the same morphism: padded with a
-    spare atom, entry duplicated, and middle reversed; the right part is
-    renamed along the base function that relates the two middles."""
+    spare atom (the first of ``spares``, pair's ``_spare_pool``, not in
+    its left part), entry duplicated, and middle reversed; the right part
+    is renamed along the base function that relates the two middles.
+
+    Every left part extends or permutes pair's checked one, by a checked
+    spare atom at most, and every right part is pair's renamed, so no
+    part is checked again."""
     theory, inner, outer = pair.theory, pair.inner, pair.outer
     j = pair.middle
     comps = pair.left.components
-    spare = _spare_atom(pair)
+    spare = next((t for t in spares if t not in comps), None)
     variants = []
     if spare is not None:
         variants.append((comps + (spare,), tuple(range(j))))
@@ -389,18 +459,20 @@ def _bounded_alternatives(pair: FactorizationPair) -> Iterator[FactorizationPair
         variants.append((comps[::-1], tuple(reversed(range(j)))))
     for new_left, table in variants:
         u = BaseFunction(j, len(new_left), table)
-        left = TheoryMorphism(theory, pair.source, len(new_left), new_left)
-        yield FactorizationPair(theory, inner, outer, left,
-                                compose(pair.right, basic_morphism(theory, u)))
+        yield _trusted_pair(theory, inner, outer,
+                            _trusted(theory, pair.source, new_left),
+                            compose(pair.right, basic_morphism(theory, u)))
 
 
-def _spare_atom(pair: FactorizationPair) -> Optional[Term]:
-    pool = pair.inner.atom_enumerator(
-        tuple(Var(i) for i in range(pair.source)), 3)
+def _spare_pool(theory: TheorySpec, inner: TheorySpec, source: int) -> list:
+    """The candidate spare atoms over ``source`` variables: the inner
+    theory's normal forms of size <= 3, each checked to fit a left part."""
+    pool = inner.atom_enumerator(tuple(Var(i) for i in range(source)), 3)
     for t in pool:
-        if t not in pair.left.components:
-            return t
-    return None
+        if not _left_atom_ok(t, theory, inner, source):
+            raise StructuralError(
+                f"spare atom {t!r} does not fit a left part out of {source}")
+    return pool
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,9 @@ class TheorySpec:
     ``atom_enumerator(atoms, bound)`` lists every normal layer form over
     the given distinct atom subterms whose node count stays within
     ``bound``; over ``atoms = (Var(0), ..., Var(k-1))`` this is exactly
-    the set of normal forms in k variables.
+    the set of normal forms in k variables.  It must list nothing else:
+    ``factorization.check_fs_over_base`` builds its hom-set morphisms
+    from ``enumerate_normal`` without checking them.
     """
     name: str
     signature: tuple

@@ -9,11 +9,24 @@ contravariantly.
 Every public way to build a morphism validates it: ``TheoryMorphism(...)``
 checks the component count, that no component uses a variable outside the
 source arity and that each component is normal, and ``morphism()``
-normalizes its components and then runs the same checks.  ``compose``,
-``basic_morphism`` and the factorisation code build morphisms whose
-components are normal and within the source by construction, so they go
-through the internal ``_trusted``, which skips the checks.  That relies on
-the ``TheorySpec`` contract: normalizers are idempotent and fix variables.
+normalizes its components and then runs the same checks.  Morphisms whose
+components are normal and within the source by construction go through
+the internal ``_trusted`` instead, which skips the checks.  Each site
+rests on one ``TheorySpec`` contract:
+
+* idempotent normalizers that fix variables: ``compose`` (normal forms of
+  substitutions of in-range components), ``basic_morphism`` (variables
+  only) and ``factorization.factorize`` (normal forms of subterms of the
+  input and of outer skeletons over the middle variables);
+* normal enumerators (``atom_enumerator`` lists only normal forms over
+  the atoms it is given): the hom-set morphisms of
+  ``factorization.check_fs_over_base``;
+* components picked from, or permuted within, an already-checked
+  morphism, plus atoms checked once where they enter: the left parts of
+  ``factorization._bounded_alternatives`` (the spare atoms are checked
+  once per source arity) and of ``factorization._neighbours`` (its pool
+  is filtered once per search by ``_search_witness``).
+
 A mutant normalizer that breaks the contract is still caught wherever a
 morphism is built from outside.
 """
@@ -89,9 +102,8 @@ def _trusted(theory: TheorySpec, source: int,
              components: tuple) -> TheoryMorphism:
     """A morphism from components known to be normal and to use only
     variables below ``source``; the checks of ``__post_init__`` are
-    skipped.  Internal: only for normalizer outputs over terms within
-    ``source``, variables below it, or components picked from an
-    already-checked morphism."""
+    skipped.  Internal: only for the construction sites listed in the
+    module docstring."""
     f = object.__new__(TheoryMorphism)
     f.__dict__.update(theory=theory, source=source,
                       target=len(components), components=components)

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lawvere.cli import main
+from lawvere.distlaw import ps_monoid_theory, ring_theory
+from lawvere.parser import parse_term
+from lawvere.theory import compose, morphism, morphism_from_json
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -51,10 +54,30 @@ def test_compose_fixture(capsys):
 
 
 def test_check_law_vacuous_pass(capsys):
-    code, out, _ = run(capsys, "check-law", "--law", "ring",
-                       "--samples", "0")
-    assert code == 0
-    assert "PASS" in out
+    # a PASS with every diagram at 0/0 would say nothing was wrong having
+    # checked nothing
+    code, out, err = run(capsys, "check-law", "--law", "ring",
+                         "--samples", "0")
+    assert code == 2
+    assert out == ""
+    assert "nothing to check" in err
+
+
+@pytest.mark.parametrize("argv", [("check-law", "--law", "ring"),
+                                  ("check-yb", "--series", "ring3")],
+                         ids=["check-law", "check-yb"])
+@pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+def test_zero_samples_exit_two(capsys, monkeypatch, argv, from_env):
+    if from_env:
+        monkeypatch.setenv("LAWVERE_SAMPLES", "0")
+    else:
+        monkeypatch.delenv("LAWVERE_SAMPLES", raising=False)
+        argv += ("--samples", "0")
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert out == ""
+    assert "nothing to check" in err
+    assert ("LAWVERE_SAMPLES" in err) == from_env
 
 
 def test_check_law_json_structure(capsys):
@@ -433,6 +456,57 @@ def mutated_tables(draw):
     else:
         parent[path[-1]] = draw(JSON)
     return doc
+
+
+COMPOSITES = {"ring": ring_theory, "ps-monoid": ps_monoid_theory}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(theory=st.sampled_from(sorted(COMPOSITES)),
+       text=st.text(alphabet="ab+-*^()0123456789,", max_size=30))
+def test_factorize_fuzz_recomposes(capsys, theory, text):
+    code, out, err = run(capsys, "factorize", "--theory", theory,
+                         f"--morphism={text}", "--json")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        spec = COMPOSITES[theory]()
+        data = json.loads(out)
+        left = morphism_from_json(data["left"], spec)
+        right = morphism_from_json(data["right"], spec)
+        assert compose(right, left) == morphism(
+            spec, 3, [parse_term(s, spec, 3) for s in text.split(",")])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(theory=st.sampled_from(sorted(COMPOSITES)),
+       arity=st.integers(0, 2), size=st.integers(0, 3))
+def test_check_fs_fuzz_exits_cleanly(capsys, theory, arity, size):
+    code, out, err = run(capsys, "check-fs", "--theory", theory,
+                         "--arity", str(arity), "--size", str(size),
+                         "--json")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads(out)["failures"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("factorize", "--theory=--", "--morphism", "a"),
+    ("factorize", "--theory", "ring", "--morphism=--"),
+    ("check-law", "--law=--"),
+    ("compose", "--theory", "monoid", "--source", "1", "--first=--",
+     "--second", "a"),
+], ids=["factorize-theory", "factorize-morphism", "check-law-law",
+        "compose-first"])
+def test_a_double_dash_value_exits_two(capsys, argv):
+    # argparse drops the value "--" and stores an empty list
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "expected one argument" in err
 
 
 def test_check_coend_missing_schema_version_reads_as_current(tmp_path,

@@ -2,14 +2,19 @@ import itertools
 
 import pytest
 
+from collections import deque
+
 from lawvere import factorization
-from lawvere.builtin import ABELIAN_GROUP, MONOID, POINTED, SEMIGROUP
+from lawvere.builtin import (ABELIAN_GROUP, BASE_THEORIES, MONOID, POINTED,
+                             SEMIGROUP)
+from lawvere.distlaw import split_layer
 from lawvere.factorization import (FactorizationPair, canonicalize,
                                    check_fs_over_base, check_strict_fs,
                                    factorize, zigzag_equivalent)
 from lawvere.fincat import chain_category, iso_pair_category, monoid_category
 from lawvere.parser import parse_term
-from lawvere.terms import StructuralError, Var, substitute
+from lawvere.report import Report
+from lawvere.terms import App, StructuralError, Var, max_var, substitute
 from lawvere.theory import (BaseFunction, TheoryMorphism, _trusted,
                             _var_occurrences, morphism)
 
@@ -63,10 +68,16 @@ def reference_lift_tuple(comps, u, theory, limit=400):
 
 
 def reference_neighbours(f, cap, pool):
+    """``reference_neighbour_pairs`` as (key, base, forward)."""
+    for g, step in reference_neighbour_pairs(f, cap, pool):
+        yield g.key(), step.base, step.forward
+
+
+def reference_neighbour_pairs(f, cap, pool):
     """``_neighbours`` with the right parts renamed by hand and every check
     run: the renaming check on lifts, the purity check on forward
-    neighbours and both triangles on backward ones; yields (key, base,
-    forward)."""
+    neighbours, the public checks on pool-filled left parts and both
+    triangles on backward ones; yields (pair, step)."""
     theory, inner, outer = f.theory, f.inner, f.outer
     j = f.middle
     used = {v for c in f.right.components for v in _var_occurrences(c)}
@@ -84,7 +95,7 @@ def reference_neighbours(f, cap, pool):
                                           _trusted(theory, j2, g_right))
                 except StructuralError:
                     continue
-                yield g.key(), u, True
+                yield g, factorization.ZigzagStep(u, forward=True)
         for table in itertools.product(range(j2), repeat=j):
             u = BaseFunction(j, j2, table)
             slots = [None] * j2
@@ -116,7 +127,24 @@ def reference_neighbours(f, cap, pool):
                     continue
                 if factorization._step_holds(
                         g, f, factorization.ZigzagStep(u, forward=True)):
-                    yield g.key(), u, False
+                    yield g, factorization.ZigzagStep(u, forward=False)
+
+
+def alternatives(pair):
+    """``_bounded_alternatives`` with the spare pool at pair's source."""
+    return factorization._bounded_alternatives(pair, factorization._spare_pool(
+        pair.theory, pair.inner, pair.source))
+
+
+def reference_spare_atom(pair):
+    """The first inner-theory atom of size <= 3 over pair's source that is
+    not in its left part, enumerated for this pair alone."""
+    pool = pair.inner.atom_enumerator(
+        tuple(Var(i) for i in range(pair.source)), 3)
+    for t in pool:
+        if t not in pair.left.components:
+            return t
+    return None
 
 
 def reference_alternatives(pair):
@@ -129,7 +157,7 @@ def reference_alternatives(pair):
         return tuple(theory.normalize(substitute(c, sigma))
                      for c in pair.right.components)
 
-    spare = factorization._spare_atom(pair)
+    spare = reference_spare_atom(pair)
     if spare is not None:
         left = TheoryMorphism(theory, pair.source, j + 1, comps + (spare,))
         yield left.components, renamed(tuple(Var(i) for i in range(j + 1)))
@@ -142,6 +170,116 @@ def reference_alternatives(pair):
         left = TheoryMorphism(theory, pair.source, j, comps[::-1])
         yield left.components, renamed(
             tuple(Var(j - 1 - i) for i in range(j)))
+
+
+def reference_search_witness(p, q, bound, atom_pool):
+    """``_search_witness`` as it was before its pool was filtered: every
+    pool term is offered and a fill that fails the public checks is
+    skipped (``reference_neighbour_pairs``)."""
+    if p.key() == q.key():
+        return factorization.ZigzagWitness([p], [])
+    if bound <= 0:
+        return None
+    cap = max(p.middle, q.middle) + bound
+    pool = set(atom_pool or [])
+    pool.update(p.left.components)
+    pool.update(q.left.components)
+    pool = sorted(pool, key=lambda t: (factorization.term_size(t), repr(t)))
+    target = q.key()
+    seen = {p.key()}
+    queue = deque([(p, [p], [])])
+    while queue:
+        cur, pairs, steps = queue.popleft()
+        if len(steps) >= bound:
+            continue
+        for nxt, step in reference_neighbour_pairs(cur, cap, pool):
+            k = nxt.key()
+            if k in seen:
+                continue
+            seen.add(k)
+            np, ns = pairs + [nxt], steps + [step]
+            if k == target:
+                return factorization.ZigzagWitness(np, ns)
+            queue.append((nxt, np, ns))
+    return None
+
+
+def reference_factorize(theory, inner, outer, f):
+    """``factorize`` as split_layer, then substitute, then the public
+    constructors."""
+    atom_index = {}
+    right = []
+    for c in f.components:
+        skel, atoms = split_layer(c, outer.op_set)
+        remap = []
+        for a in atoms:
+            atom_index.setdefault(a, len(atom_index))
+            remap.append(Var(atom_index[a]))
+        right.append(substitute(skel, tuple(remap)))
+    return FactorizationPair(
+        theory, inner, outer,
+        morphism(theory, f.source, list(atom_index)),
+        morphism(theory, len(atom_index), right))
+
+
+def reference_sweep(theory, inner, outer, arity_bound, size_bound,
+                    witness_bound=2, witness_sample=24):
+    """``check_fs_over_base`` with every part built through the public
+    constructors, the alternatives from ``reference_alternatives`` and
+    each alternative decided by ``zigzag_equivalent``."""
+    rep = Report(subject=f"fs-over-base:{theory.name}",
+                 bounds={"arityBound": arity_bound, "sizeBound": size_bound,
+                         "witnessBound": witness_bound})
+    nfs = {k: theory.enumerate_normal(k, size_bound)
+           for k in range(arity_bound + 1)}
+    alt_total = picked = 0
+    for k in range(arity_bound + 1):
+        for m in range(arity_bound + 1):
+            for comps in itertools.product(nfs[k], repeat=m):
+                f = TheoryMorphism(theory, k, m, tuple(comps))
+                rep.sample_count += 1
+                pair = reference_factorize(theory, inner, outer, f)
+                if pair.recompose() != f:
+                    rep.add_failure(check="existence", morphism=repr(f))
+                    continue
+                ok = True
+                alts = [FactorizationPair(
+                    theory, inner, outer,
+                    TheoryMorphism(theory, k, len(left), left),
+                    TheoryMorphism(theory, len(left), m, right))
+                    for left, right in reference_alternatives(pair)]
+                alt_total += len(alts)
+                for alt in alts:
+                    if alt.recompose() != f:
+                        rep.add_failure(check="alt-recompose", alt=repr(alt))
+                        ok = False
+                        continue
+                    if not zigzag_equivalent(pair, alt, bound=-1)[0]:
+                        rep.add_failure(check="zigzag-uniqueness",
+                                        morphism=repr(f), alt=repr(alt))
+                        ok = False
+                if ok and alts and picked < witness_sample:
+                    picked += 1
+                    wit = reference_search_witness(pair, alts[0],
+                                                   witness_bound, None)
+                    if wit is None or not wit.validate():
+                        rep.add_failure(check="witness", morphism=repr(f),
+                                        alt=repr(alts[0]))
+                        ok = False
+                if ok:
+                    rep.pass_count += 1
+    rep.bounds["alternativesChecked"] = alt_total
+    return rep
+
+
+def assert_public_checks_pass(pair):
+    """The pair and both its parts rebuilt through the public, checking
+    constructors equal it."""
+    left, right = (TheoryMorphism(pair.theory, part.source, part.target,
+                                  part.components)
+                   for part in (pair.left, pair.right))
+    assert FactorizationPair(pair.theory, pair.inner, pair.outer, left,
+                             right) == pair
 
 
 def assert_neighbours_match_reference(x):
@@ -299,8 +437,8 @@ class TestSweep:
                 seen["neighbours"].append(g)
                 yield g, step
 
-        def record_alternatives(pair):
-            for alt in real_alternatives(pair):
+        def record_alternatives(*args):
+            for alt in real_alternatives(*args):
                 seen["alternatives"].append(alt)
                 yield alt
 
@@ -350,7 +488,7 @@ class TestSweep:
             for comps in itertools.product(nfs[k], repeat=m):
                 pair = factorize(theory, inner, outer,
                                  TheoryMorphism(theory, k, m, comps))
-                for x in [pair, *factorization._bounded_alternatives(pair)]:
+                for x in [pair, *alternatives(pair)]:
                     cap = x.middle + 1
                     got = [(g.key(), step.base, step.forward)
                            for g, step in factorization._neighbours(x, cap,
@@ -384,11 +522,10 @@ class TestSweep:
             for comps in itertools.product(nfs[k], repeat=m):
                 pair = factorize(theory, inner, outer,
                                  TheoryMorphism(theory, k, m, comps))
-                alternatives = list(
-                    factorization._bounded_alternatives(pair))
-                assert [alt.key() for alt in alternatives] == list(
+                alts = list(alternatives(pair))
+                assert [alt.key() for alt in alts] == list(
                     reference_alternatives(pair))
-                for x in [pair, *alternatives]:
+                for x in [pair, *alts]:
                     steps += assert_neighbours_match_reference(x)
                     pairs += 1
         assert pairs > 100 and steps > 1000
@@ -398,8 +535,8 @@ class TestSweep:
                                                              text):
         f = morphism(ring, 3, [parse_term(text, ring, 3)])
         pair = factorize(ring, MONOID, ABELIAN_GROUP, f)
-        assert [alt.key() for alt in factorization._bounded_alternatives(
-            pair)] == list(reference_alternatives(pair))
+        assert [alt.key() for alt in alternatives(pair)] == list(
+            reference_alternatives(pair))
         assert assert_neighbours_match_reference(pair) > 20
 
     def test_raw_factorization_not_unique(self, ring):
@@ -409,6 +546,146 @@ class TestSweep:
         alt = ring_pair(ring, ["ab", "c", "abc"], ["a+b"], 3)
         assert alt.recompose() == f
         assert alt.key() != canon.key()
+
+
+SWEEPS = [("ring", MONOID, ABELIAN_GROUP, 2, 3),
+          ("ps_monoid", SEMIGROUP, POINTED, 2, 5)]
+SWEEP_IDS = ["ring-2-3", "ps-monoid-2-5"]
+
+
+class TestTrustedConstruction:
+    """The sweep and the search build pairs and morphisms without the
+    public checks; what they build must pass them, and what they report
+    must be what the fully checked construction reports."""
+
+    @pytest.mark.parametrize("theory_name, inner, outer, arity, size",
+                             SWEEPS, ids=SWEEP_IDS)
+    def test_every_built_pair_passes_the_public_checks(
+            self, request, monkeypatch, theory_name, inner, outer, arity,
+            size):
+        theory = request.getfixturevalue(theory_name)
+        real_factorize = factorization.factorize
+        real_neighbours = factorization._neighbours
+        real_alternatives = factorization._bounded_alternatives
+        seen = {"factorize": [], "forward": [], "backward": [],
+                "alternatives": []}
+
+        def record_factorize(*args):
+            pair = real_factorize(*args)
+            seen["factorize"].append(pair)
+            return pair
+
+        def record_neighbours(*args):
+            for g, step in real_neighbours(*args):
+                seen["forward" if step.forward else "backward"].append(g)
+                yield g, step
+
+        def record_alternatives(*args):
+            for alt in real_alternatives(*args):
+                seen["alternatives"].append(alt)
+                yield alt
+
+        monkeypatch.setattr(factorization, "factorize", record_factorize)
+        monkeypatch.setattr(factorization, "_neighbours", record_neighbours)
+        monkeypatch.setattr(factorization, "_bounded_alternatives",
+                            record_alternatives)
+        assert check_fs_over_base(theory, inner, outer, arity, size).passed
+        assert all(seen.values())
+        for pairs in seen.values():
+            for pair in pairs:
+                assert_public_checks_pass(pair)
+
+    @pytest.mark.parametrize("name", sorted(BASE_THEORIES) + [
+        "ring", "ps_monoid"])
+    def test_atom_enumerators_list_only_normal_forms(self, request, name):
+        # check_fs_over_base builds its hom-sets from these unchecked; a
+        # base theory can be an inner layer, so its forms must be pure
+        if name in BASE_THEORIES:
+            spec = BASE_THEORIES[name]
+        else:
+            spec = request.getfixturevalue(name)
+        for k in range(4):
+            atoms = tuple(Var(i) for i in range(k))
+            for bound in range(6):
+                for t in spec.atom_enumerator(atoms, bound):
+                    assert max_var(t) < k
+                    assert spec.is_normal(t)
+                    if name in BASE_THEORIES:
+                        assert factorization.is_pure(t, spec)
+
+    @pytest.mark.parametrize("theory_name, inner, outer, arity, size", [
+        ("ring", MONOID, ABELIAN_GROUP, 2, 3),
+        ("ring", MONOID, ABELIAN_GROUP, 3, 2),
+        ("ps_monoid", SEMIGROUP, POINTED, 2, 5)],
+        ids=["ring-2-3", "ring-3-2", "ps-monoid-2-5"])
+    def test_sweep_matches_the_checked_reference(self, request, theory_name,
+                                                 inner, outer, arity, size):
+        theory = request.getfixturevalue(theory_name)
+        got = check_fs_over_base(theory, inner, outer, arity, size)
+        want = reference_sweep(theory, inner, outer, arity, size)
+        assert want.bounds["alternativesChecked"] > 0
+        assert got.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.parametrize("make", [
+        lambda mul, a: App(mul, (App(mul, (a, a)), a)),
+        lambda mul, a: App(mul, (a, Var(a.index + 1))),
+    ], ids=["not-normal", "outside-the-source"])
+    def test_spare_pool_rejects_a_bad_atom(self, ring, make):
+        # a broken inner enumerator is caught once, before the sweep
+        from dataclasses import replace
+        mul = MONOID.op("mul")
+        broken = replace(MONOID, atom_enumerator=lambda atoms, bound: [
+            make(mul, a) for a in atoms[:1]])
+        with pytest.raises(StructuralError):
+            factorization._spare_pool(ring, broken, 1)
+        with pytest.raises(StructuralError):
+            check_fs_over_base(ring, broken, ABELIAN_GROUP, 1, 2)
+
+    @pytest.mark.parametrize("left_texts, right_texts, alt_left, alt_right", [
+        (["ab", "c"], ["a+b"], ["ab", "c", "abc"], ["a+b"]),
+        (["ab", "c"], ["a+b"], ["c", "ab"], ["b+a"]),
+        (["a^2"], ["a+a"], ["a^2", "a^2", "a"], ["a+b"]),
+    ], ids=["pad", "swap", "square"])
+    def test_search_matches_the_reference_on_a_mixed_pool(
+            self, ring, monkeypatch, left_texts, right_texts, alt_left,
+            alt_right):
+        # _neighbours trusts its pool, which _search_witness filters: the
+        # pairs it yields must pass the public checks, and the witness must
+        # be the one found when every pool term was offered and checked
+        real_neighbours = factorization._neighbours
+        yielded = []
+
+        def record_neighbours(*args):
+            for g, step in real_neighbours(*args):
+                yielded.append(g)
+                yield g, step
+
+        monkeypatch.setattr(factorization, "_neighbours", record_neighbours)
+        source = 3
+        p = ring_pair(ring, left_texts, right_texts, source)
+        q = ring_pair(ring, alt_left, alt_right, source)
+        mul = MONOID.op("mul")
+        pool = [
+            parse_term("a+b", ring, 2),              # impure
+            App(mul, (App(mul, (Var(0), Var(1))), Var(2))),  # not normal
+            parse_term("d", ring, 4),                # outside the source
+            App(SEMIGROUP.op("mul"), (Var(0), Var(1))),  # foreign op
+            parse_term("abc", ring, 3),
+            parse_term("bb", ring, 3),
+            parse_term("1", ring, 0),
+        ]
+        assert not ring.is_normal(pool[1])
+        for x, y in [(p, q), (q, p)]:
+            eq, wit = zigzag_equivalent(x, y, bound=2, atom_pool=pool)
+            want = reference_search_witness(x, y, 2, pool)
+            assert eq and want is not None and wit is not None
+            assert [g.key() for g in wit.pairs] == [
+                g.key() for g in want.pairs]
+            assert wit.steps == want.steps
+            assert wit.validate()
+        assert yielded
+        for g in yielded:
+            assert_public_checks_pass(g)
 
 
 class TestStrictFS:
