@@ -158,15 +158,16 @@ def monad_from_theory(table: MonadTheoryTable, x: int, truncation: int,
     Elements are classes of an operation e of some arity n <= truncation
     together with an assignment v: [n] -> [x] of its inputs, written
     (n, v, (e,)) and valued in F[x]; the result carries a flag recording
-    whether one more arity level changes the quotient.
+    whether one more arity level changes the quotient.  The classes and
+    invariants are read at the truncation; the flag comes from extending
+    the same quotient by one level in place and comparing class counts.
     """
-    frag = table.fragment
-    comp = KeypropComputation(frag, x, 1, truncation, size_bound)
-    bigger = KeypropComputation(frag, x, 1, truncation + 1, size_bound)
+    comp = KeypropComputation(table.fragment, x, 1, truncation, size_bound)
     classes = comp.classes()
-    return CoendResult(classes=classes,
-                       invariants={r: comp.invariant(r)[0] for r in classes},
-                       stable=bigger.class_count() == len(classes),
+    invariants = {r: comp.invariant(r)[0] for r in classes}
+    comp.extend()
+    return CoendResult(classes=classes, invariants=invariants,
+                       stable=comp.class_count() == len(classes),
                        truncation=truncation)
 
 

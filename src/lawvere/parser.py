@@ -21,7 +21,9 @@ from .terms import App, StructuralError, Term, TheorySpec, Var
 LETTERS = string.ascii_lowercase
 # parentheses and prefix minus signs open at once; each level costs the
 # recursive-descent parser a few frames, so deeper input is refused
-# before it can exhaust the interpreter's recursion limit
+# before it can exhaust the interpreter's recursion limit.  A power
+# chain may nest at most as many products: a^n nests n - 1, and nested
+# powers multiply, so (a^40)^40 nests 1,599.
 MAX_NESTING = 1000
 
 
@@ -69,6 +71,9 @@ class _Parser:
         self.theory = theory
         self.arity = arity
         self.depth = 0
+        # factors of the longest power chain in the innermost open
+        # parentheses so far
+        self.power = 1
 
     def nest(self, pos: int):
         self.depth += 1
@@ -124,10 +129,17 @@ class _Parser:
             t = App(neg, (self.factor(),))
             self.depth -= 1
             return t
-        t = self.primary()
+        t, power = self.primary()
         while self.sc.peek() == "^":
             self.sc.take()
+            self.sc.skip_ws()
+            pos = self.sc.pos
             n = self.sc.nat()
+            power = power * n if n else 1
+            if power - 1 > MAX_NESTING:
+                raise ParseError(
+                    f"power nests too deeply (more than {MAX_NESTING} "
+                    "products)", pos)
             if n == 0:
                 t = App(self.need("unit", ("one", "point")), ())
             else:
@@ -136,30 +148,35 @@ class _Parser:
                 for _ in range(n - 1):
                     out = App(mul, (t, out))
                 t = out
+        self.power = max(self.power, power)
         return t
 
-    def primary(self) -> Term:
+    def primary(self) -> tuple:
+        """The primary and the factors of the longest power chain in
+        it, which a power of the primary multiplies."""
         pos = self.sc.pos
         ch = self.sc.take()
         if ch == "(":
             self.nest(self.sc.pos - 1)
+            enclosing, self.power = self.power, 1
             t = self.expr()
+            power, self.power = self.power, enclosing
             self.depth -= 1
             if self.sc.peek() != ")":
                 raise ParseError("expected ')'", self.sc.pos)
             self.sc.take()
-            return t
+            return t, power
         if ch == "0":
-            return App(self.need("zero"), ())
+            return App(self.need("zero"), ()), 1
         if ch == "1":
-            return App(self.need("unit", ("one", "point")), ())
+            return App(self.need("unit", ("one", "point")), ()), 1
         if ch in LETTERS:
             idx = LETTERS.index(ch)
             if idx >= self.arity:
                 raise ParseError(
                     f"variable {ch!r} is outside the declared arity {self.arity}",
                     pos)
-            return Var(idx)
+            return Var(idx), 1
         raise ParseError(f"unexpected character {ch!r}", pos)
 
 

@@ -18,10 +18,15 @@ canonical insertions).
 element (k, y, xs) pairs n operations xs of arity k with an assignment
 y: [k] -> [j] of their inputs.  Besides keyprop it serves the round trip
 and ``monad_from_theory`` (n = 1) in ``correspondence`` and both
-quotients of ``istar_composite``.  It numbers its elements in enumeration
-order (level by level, then y, then xs, each read as a mixed-radix
-number) and runs its union-find on a flat list of those numbers; each
-class is named by its least member under ``_label_key``.
+quotients of ``istar_composite``.  It keeps no list of elements: it
+numbers them in enumeration order (level by level, then y, then xs, each
+read as a mixed-radix number), runs its union-find on a flat list of
+those numbers and decodes members only when ``classes()`` is called.
+Levels are added in place, one at a time, so a stability check extends
+the quotient by one level instead of building it again.  The invariant
+is kept per class, and a new level's values come from one row of
+``F.map`` calls per (level, y).  Each class is named by its least member
+under ``_label_key``.
 """
 from __future__ import annotations
 
@@ -183,18 +188,26 @@ class KeypropComputation:
     relations, with the canonical invariant into Set(n, F[j]), which must
     take a single value on every class.
 
-    Elements (k, y, xs) are numbered in the order they are enumerated:
-    level k starts where level k - 1 ends, and inside it (y, xs) sits at
-    rank(y) * |F[k]|^n + rank(xs), where rank(y) reads y in base j and
-    rank(xs) reads the carrier positions of xs in base |F[k]|.  The
-    union-find is a flat list over these numbers.  An elementary map g
-    acts through a table of carrier positions built from one ``F.map``
-    call per carrier element.  A carrier that lists an element twice, or
-    a map that leaves the bounded carrier, raises ``StructuralError``.
+    The quotient grows level by level: ``__init__`` adds levels
+    0..k_cap through ``extend()``, and ``extend()`` adds the next level
+    to the same quotient in place, which is how stability is checked.
+    Elements are never stored.  Element (k, y, xs) is known by its
+    number: level k starts where level k - 1 ends, and inside it (y, xs)
+    sits at rank(y) * |F[k]|^n + rank(xs), where rank(y) reads y in base
+    j and rank(xs) reads the carrier positions of xs in base |F[k]|.
+    The union-find is a flat list over these numbers, and a class's root
+    is its least number.  A new level is related along the elementary
+    maps that touch it, each acting through a table of carrier positions
+    built from one ``F.map`` call per carrier element.  The invariant is
+    kept as one value per class root: the old roots are carried to
+    their new roots, and each new element's value is read from one row
+    of ``F.map`` calls per (level, y).  A carrier that lists an element
+    twice, or a map that leaves the bounded carrier, raises
+    ``StructuralError``.
 
     A class's representative is its least member under ``_label_key``,
-    chosen when ``classes()`` is built; classes come in the order of
-    their first members.
+    chosen when ``classes()`` walks the elements; classes come in the
+    order of their first members.
     """
 
     def __init__(self, fragment: FinitaryMonadFragment, j: int, n: int,
@@ -202,37 +215,47 @@ class KeypropComputation:
         self.fragment = fragment
         self.j = j
         self.n = n
-        self.k_cap = k_cap
+        self.k_cap = -1
         self.carrier_bound = carrier_bound
-        self._carriers = {k: list(fragment.carrier(k, carrier_bound))
-                          for k in range(k_cap + 1)}
-        self._positions = {}
-        for k, carrier in self._carriers.items():
-            self._positions[k] = {x: i for i, x in enumerate(carrier)}
-            if len(self._positions[k]) != len(carrier):
-                raise StructuralError(
-                    f"fragment {fragment.name}: carrier F[{k}] lists an "
-                    "element twice")
-        self._elements: list = []
+        self._carriers: dict = {}
+        self._positions: dict = {}
         self._offsets: list = []
-        self._populate()
-        self._parent = list(range(len(self._elements)))
+        self._parent: list = []
+        self._values: dict = {}
         self._classes: Optional[dict] = None
-        self._relate()
-        self._check_invariant()
+        for _ in range(k_cap + 1):
+            self.extend()
+
+    def extend(self):
+        """Add level k_cap + 1: number its elements after the others,
+        relate them along the elementary maps that touch the level (the
+        maps between lower levels are related already) and check the
+        invariant."""
+        k = self.k_cap + 1
+        carrier = list(self.fragment.carrier(k, self.carrier_bound))
+        positions = {x: i for i, x in enumerate(carrier)}
+        if len(positions) != len(carrier):
+            raise StructuralError(
+                f"fragment {self.fragment.name}: carrier F[{k}] lists an "
+                "element twice")
+        self._carriers[k] = carrier
+        self._positions[k] = positions
+        start = len(self._parent)
+        self._offsets.append(start)
+        self._parent.extend(
+            range(start, start + self.j ** k * len(carrier) ** self.n))
+        self.k_cap = k
+        self._classes = None
+        for (k_from, k_to, g) in _elementary_maps(k):
+            if k in (k_from, k_to):
+                self._relate(k_from, k_to, g)
+        self._check_invariant(k)
 
     def _ys(self, k: int):
         return itertools.product(range(self.j), repeat=k)
 
     def _xs(self, k: int):
         return itertools.product(self._carriers[k], repeat=self.n)
-
-    def _populate(self):
-        for k in range(self.k_cap + 1):
-            self._offsets.append(len(self._elements))
-            xss = list(self._xs(k))
-            self._elements.extend((k, y, xs) for y in self._ys(k)
-                                  for xs in xss)
 
     def _map_positions(self, g, k_from: int, k_to: int) -> list:
         """Carrier position of F(g) z for each z in F[k_from]."""
@@ -248,43 +271,42 @@ class KeypropComputation:
             out.append(p)
         return out
 
-    def _relate(self):
+    def _relate(self, k_from: int, k_to: int, g: tuple):
+        # g: [k_from] -> [k_to]; relate (k_to, y, F(g) zs) with
+        # (k_from, y o g, zs).  Position p of y lands at every i with
+        # g[i] = p in y o g, whose rank is read in base j.
         j, n, parent = self.j, self.n, self._parent
-        for (k_from, k_to, g) in _elementary_maps(self.k_cap):
-            # g: [k_from] -> [k_to]; relate (k_to, y, F(g) zs) with
-            # (k_from, y o g, zs).  Position p of y lands at every i with
-            # g[i] = p in y o g, whose rank is read in base j.
-            weights = [sum(j ** (k_from - 1 - i) for i in range(k_from)
-                           if g[i] == p) for p in range(k_to)]
-            yg_ranks = _ranks([d * w for d in range(j)] for w in weights)
-            if not yg_ranks:
-                continue
-            m_to = len(self._carriers[k_to])
-            # rank of F(g) zs for every zs, in rank order of zs
-            mapped = [0]
-            if n:
-                positions = self._map_positions(g, k_from, k_to)
-                mapped = _ranks([p * m_to ** (n - 1 - t) for p in positions]
-                                for t in range(n))
-            to_base, to_size = self._offsets[k_to], m_to ** n
-            from_base, from_size = self._offsets[k_from], len(mapped)
-            for rank_y, rank_yg in enumerate(yg_ranks):
-                a0 = to_base + rank_y * to_size
-                b = from_base + rank_yg * from_size
-                for r in mapped:
-                    a = a0 + r
-                    while parent[a] != a:
-                        parent[a] = parent[parent[a]]
-                        a = parent[a]
-                    rb = b
-                    while parent[rb] != rb:
-                        parent[rb] = parent[parent[rb]]
-                        rb = parent[rb]
-                    if a < rb:
-                        parent[rb] = a
-                    elif rb < a:
-                        parent[a] = rb
-                    b += 1
+        weights = [sum(j ** (k_from - 1 - i) for i in range(k_from)
+                       if g[i] == p) for p in range(k_to)]
+        yg_ranks = _ranks([d * w for d in range(j)] for w in weights)
+        if not yg_ranks:
+            return
+        m_to = len(self._carriers[k_to])
+        # rank of F(g) zs for every zs, in rank order of zs
+        mapped = [0]
+        if n:
+            positions = self._map_positions(g, k_from, k_to)
+            mapped = _ranks([p * m_to ** (n - 1 - t) for p in positions]
+                            for t in range(n))
+        to_base, to_size = self._offsets[k_to], m_to ** n
+        from_base, from_size = self._offsets[k_from], len(mapped)
+        for rank_y, rank_yg in enumerate(yg_ranks):
+            a0 = to_base + rank_y * to_size
+            b = from_base + rank_yg * from_size
+            for r in mapped:
+                a = a0 + r
+                while parent[a] != a:
+                    parent[a] = parent[parent[a]]
+                    a = parent[a]
+                rb = b
+                while parent[rb] != rb:
+                    parent[rb] = parent[parent[rb]]
+                    rb = parent[rb]
+                if a < rb:
+                    parent[rb] = a
+                elif rb < a:
+                    parent[a] = rb
+                b += 1
 
     def _find(self, i: int) -> int:
         parent = self._parent
@@ -293,15 +315,31 @@ class KeypropComputation:
             i = parent[i]
         return i
 
-    def _check_invariant(self):
-        # a relation between elements of different values would merge
-        # them into one class, so one check per element is as strong as
-        # one per relation
-        value_of_class: dict = {}
-        for i, element in enumerate(self._elements):
-            value = self.invariant(element)
-            if value_of_class.setdefault(self._find(i), value) != value:
+    def _check_invariant(self, k: int):
+        # every element of an old class has its class's value, so the
+        # invariant holds when merged old classes agree and each new
+        # element agrees with its class
+        find, parent = self._find, self._parent
+        values: dict = {}
+        for root, value in self._values.items():
+            if values.setdefault(find(root), value) != value:
                 raise StructuralError("coend relation breaks the invariant")
+        F, j, n = self.fragment, self.j, self.n
+        carrier = self._carriers[k]
+        i = self._offsets[k]
+        for y in self._ys(k):
+            # F(y) on F[k] once; the values of (y, xs) in rank order of xs
+            row = [F.map(y, j, z) for z in carrier] if n else ()
+            for value in itertools.product(row, repeat=n):
+                root = i
+                while parent[root] != root:
+                    parent[root] = parent[parent[root]]
+                    root = parent[root]
+                if values.setdefault(root, value) != value:
+                    raise StructuralError(
+                        "coend relation breaks the invariant")
+                i += 1
+        self._values = values
 
     def invariant(self, element) -> tuple:
         k, y, xs = element
@@ -330,12 +368,19 @@ class KeypropComputation:
         return self.index(element) is not None
 
     def classes(self) -> dict:
-        """Least ``_label_key`` member -> all members, in enumeration
-        order, classes in the order of their first members."""
+        """Least ``_label_key`` member -> all members, in numbering
+        order, classes in the order of their first members.  The
+        members are decoded here, walking the numbering once."""
         if self._classes is None:
+            find = self._find
             groups: dict = {}
-            for i, element in enumerate(self._elements):
-                groups.setdefault(self._find(i), []).append(element)
+            i = 0
+            for k in range(self.k_cap + 1):
+                xss = list(self._xs(k))
+                for y in self._ys(k):
+                    for xs in xss:
+                        groups.setdefault(find(i), []).append((k, y, xs))
+                        i += 1
             self._classes = {
                 (min(members, key=_label_key) if len(members) > 1
                  else members[0]): members
@@ -343,7 +388,7 @@ class KeypropComputation:
         return self._classes
 
     def class_count(self) -> int:
-        return sum(i == p for i, p in enumerate(self._parent))
+        return len(self._values)
 
 
 def _ranks(columns) -> list:
@@ -361,12 +406,14 @@ def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
     (j, n) -> Set(n, F[j]) in cardinality and action.
 
     For every j, n within bounds the singleton-string coend is computed at
-    entry cap j + 1 and again at j + 2 (stability), compared against
-    Set(n, F[j]) through the canonical invariant, and the two hom actions
-    are verified on class representatives.  Separately, strings of length
-    two are adjoined at a small scale: each must reduce through the
-    canonical insertions to a singleton element with the same value in
-    Set(n, F[j]), so that gluing them on changes no class.
+    entry cap j + 1 and compared against Set(n, F[j]) through the
+    canonical invariant; it is then extended in place to entry cap j + 2
+    (stability: the class count must not change), and the two hom
+    actions are verified on the entry-cap j + 1 class representatives.
+    Separately, strings of length two are adjoined at a small scale: each
+    must reduce through the canonical insertions to a singleton element
+    with the same value in Set(n, F[j]), so that gluing them on changes
+    no class.
     """
     rep = Report(subject=f"keyprop:{fragment.name}",
                  bounds={"jBound": j_bound, "nBound": n_bound,
@@ -376,8 +423,6 @@ def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
         for n in range(n_bound + 1):
             k_cap = j + 1
             comp = KeypropComputation(fragment, j, n, k_cap, carrier_bound)
-            comp_next = KeypropComputation(fragment, j, n, k_cap + 1,
-                                           carrier_bound)
             expected = [tuple(v) for v in itertools.product(
                 fragment.carrier(j, carrier_bound), repeat=n)]
             rep.sample_count += 1
@@ -387,9 +432,10 @@ def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
             ok = (len(classes) == len(expected)
                   and len(invs) == len(classes)
                   and sorted(expected, key=_label_key) == invs)
-            stable = comp_next.class_count() == len(classes)
+            comp.extend()
+            stable = comp.class_count() == len(classes)
             stability[f"j={j},n={n}"] = stable
-            if ok and stable and _actions_ok(comp):
+            if ok and stable and _actions_ok(comp, classes):
                 rep.pass_count += 1
             else:
                 rep.add_failure(j=j, n=n, classes=len(classes),
@@ -406,11 +452,13 @@ def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
     return rep
 
 
-def _actions_ok(comp: KeypropComputation) -> bool:
+def _actions_ok(comp: KeypropComputation, reps) -> bool:
     """Both hom actions agree with the Set(n, F[j]) ones through the
-    invariant, on every class representative and elementary map."""
+    invariant, on every representative in ``reps`` and elementary map.
+    Neither membership nor the invariant of an element changes when the
+    quotient grows, so ``comp`` may have grown past the representatives'
+    levels."""
     F, j, n = comp.fragment, comp.j, comp.n
-    reps = list(comp.classes())
     for (a, b, g) in _elementary_maps(max(j, 1)):
         if a != j:
             continue

@@ -342,11 +342,26 @@ def test_factorize_deep_parentheses_is_a_usage_error():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("morphism, position", [
+    ("a^1000000", 2),
+    ("(a^40)^40", 7),
+], ids=["flat", "nested"])
+def test_factorize_long_power_is_a_usage_error(morphism, position):
+    proc = run_process("factorize", "--theory", "ps-monoid", "--arity", "1",
+                       "--morphism", morphism)
+    assert proc.returncode == 2
+    assert ("power nests too deeply (more than 1000 products) "
+            f"(at position {position})") in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("check-fs", "--theory", "ring", "--arity", "2", "--size", "3"),
     ("check-law", "--law", "ring", "--samples", "50"),
     ("check-yb", "--series", "ring3", "--samples", "15"),
     ("correspond", "--law", "ring", "--size", "4", "--samples", "20"),
+    ("roundtrip", "--monad", "pointed", "--bound", "2", "--size", "2"),
 ], ids=lambda argv: argv[0])
 def test_check_fs_json_ignores_the_hash_seed(argv):
     # the checkers walk sets and dicts of terms, whose hashes mix in string
@@ -357,6 +372,18 @@ def test_check_fs_json_ignores_the_hash_seed(argv):
         assert proc.returncode == 0, proc.stderr
     data = json.loads(runs[0].stdout)
     assert min(d["sampleCount"] for d in data.get("diagrams", [data])) > 0
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_check_coend_json_ignores_the_hash_seed(tmp_path):
+    # the coend quotient walks dicts keyed by table names; its report
+    # carries sizes, not a sampleCount
+    path = coend_file(tmp_path)
+    runs = [run_process("check-coend", "--file", str(path), "--json",
+                        hash_seed=seed) for seed in ("0", "1")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert json.loads(runs[0].stdout)["composite"]["size"] == 3
     assert runs[0].stdout == runs[1].stdout
 
 

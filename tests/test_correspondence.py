@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+import lawvere.correspondence as correspondence
 from lawvere.builtin import IDENTITY_THEORY, MONOID, POINTED, SEMIGROUP
-from lawvere.correspondence import (MonadMap, TheoryFragment,
+from lawvere.correspondence import (CoendResult, MonadMap, TheoryFragment,
                                     composite_correspondence_check,
                                     encode_term, istar_composite,
                                     monad_from_theory, monad_map_natural,
@@ -14,6 +15,7 @@ from lawvere.fragments import (FREE_MONOID_MONAD, FREE_RING_MONAD,
                                FREE_SEMIGROUP_MONAD, IDENTITY_MONAD,
                                POINTED_MONAD)
 from lawvere.parser import parse_term
+from lawvere.pcompletion import KeypropComputation
 from lawvere.terms import StructuralError
 from lawvere.theory import BaseFunction
 from .conftest import words_over
@@ -73,6 +75,60 @@ class TestMonadFromTheory:
         res = monad_from_theory(phi(POINTED_MONAD), 3, 3)
         assert res.size == 4
         assert res.stable
+
+
+def reference_monad_from_theory(table, x, truncation, size_bound=None):
+    """``monad_from_theory`` as it was with a second build at
+    truncation + 1 for the stability flag."""
+    frag = table.fragment
+    comp = KeypropComputation(frag, x, 1, truncation, size_bound)
+    bigger = KeypropComputation(frag, x, 1, truncation + 1, size_bound)
+    classes = comp.classes()
+    return CoendResult(classes=classes,
+                       invariants={r: comp.invariant(r)[0] for r in classes},
+                       stable=bigger.class_count() == len(classes),
+                       truncation=truncation)
+
+
+REBUILT = [
+    (IDENTITY_MONAD, None), (POINTED_MONAD, None),
+    (FREE_MONOID_MONAD, 2), (FREE_SEMIGROUP_MONAD, 2), (FREE_RING_MONAD, 1),
+    (TheoryFragment(POINTED), 3), (TheoryFragment(MONOID), 3),
+]
+
+
+@pytest.mark.parametrize("fragment, bound", REBUILT,
+                         ids=lambda v: getattr(v, "name", repr(v)))
+def test_monad_from_theory_matches_two_builds(fragment, bound):
+    unstable = 0
+    for x, truncation in itertools.product(range(3), range(4)):
+        got = monad_from_theory(phi(fragment), x, truncation, bound)
+        want = reference_monad_from_theory(phi(fragment), x, truncation,
+                                           bound)
+        assert list(got.classes.items()) == list(want.classes.items())
+        assert list(got.invariants.items()) == \
+            list(want.invariants.items())
+        assert (got.stable, got.truncation) == \
+            (want.stable, want.truncation)
+        unstable += not got.stable
+    # truncations below x + 1 leave classes out, so some flags are False
+    assert unstable
+
+
+@pytest.mark.parametrize("fragment, bound", REBUILT[:5],
+                         ids=lambda v: getattr(v, "name", repr(v)))
+def test_roundtrip_matches_two_builds(fragment, bound, monkeypatch):
+    runs = [(2, None), (2, 0), (2, 1), (1, 3)]
+    got = [roundtrip_check(fragment, x, truncation=t, size_bound=bound)
+           for x, t in runs]
+    monkeypatch.setattr(correspondence, "monad_from_theory",
+                        reference_monad_from_theory)
+    want = [roundtrip_check(fragment, x, truncation=t, size_bound=bound)
+            for x, t in runs]
+    assert [r.to_json_dict() for r in got] == \
+        [r.to_json_dict() for r in want]
+    assert [r.stability for r in got] == [r.stability for r in want]
+    assert not all(all(r.stability.values()) for r in got)
 
 
 class TestRoundtrip:

@@ -80,6 +80,25 @@ def test_nesting_limit(ring):
         assert err.value.position == position
 
 
+def test_power_limit():
+    # a^n nests n - 1 products; nested powers multiply their exponents
+    n = MAX_NESTING
+    assert parse_term(f"a^{n + 1}", MONOID, 1) == \
+        parse_term("a" * (n + 1), MONOID, 1)
+    assert parse_term("((a^10)^10)^10", MONOID, 1) == \
+        parse_term("a" * 1000, MONOID, 1)
+    assert parse_term("(a^500)^0", MONOID, 1) == parse_term("1", MONOID, 1)
+    for text, position in [(f"a^{n + 2}", 2),
+                           ("(a^40)^40", 7),
+                           ("(a^40 b)^ 26", 10),
+                           ("a^0^5000", 4),
+                           ("b(a^2)^2^300", 9),
+                           ("a^" + "9" * 30, 2)]:
+        with pytest.raises(ParseError, match="power nests too deeply") as err:
+            parse_term(text, MONOID, 2)
+        assert err.value.position == position
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_print_parse_round_trip(ring, ps_monoid, data):

@@ -2,15 +2,17 @@ import itertools
 
 import pytest
 
+from lawvere.correspondence import monad_from_theory, phi
 from lawvere.fincat import chain_category, discrete_category
 from lawvere.fragments import (FRAGMENTS, FREE_MONOID_MONAD,
                                IDENTITY_MONAD, POINTED_MONAD, PointedMonad)
-from lawvere.pcompletion import (KeypropComputation, _elementary_maps,
-                                 _pair_strings_ok, eta_homset, mu_homset,
-                                 oplus, p_category, p_on_profunctor,
-                                 verify_keyprop)
+from lawvere.pcompletion import (KeypropComputation, _actions_ok,
+                                 _elementary_maps, _pair_strings_ok,
+                                 eta_homset, mu_homset, oplus, p_category,
+                                 p_on_profunctor, verify_keyprop)
 from lawvere.profunctor import (_label_key, constant_profunctor,
                                 hom_profunctor)
+from lawvere.report import Report
 from lawvere.terms import StructuralError
 
 
@@ -78,6 +80,19 @@ class TestKleisliData:
         assert eta_homset(3) == [(0,), (1,), (2,)]
 
 
+class ForgetTwo(PointedMonad):
+    """A map that misses two or more of its outputs sends every element
+    to the point: the canonical insertions of length-two strings then
+    land on the wrong singleton element, while every map that keyprop at
+    j, n <= 1 applies stays correct."""
+    name = "pointed-forget-two"
+
+    def map(self, table, n_to, e):
+        if n_to - len(set(table)) >= 2:
+            return self.POINT
+        return super().map(table, n_to, e)
+
+
 class TestKeyprop:
     def test_pointed_one_two(self):
         comp = KeypropComputation(POINTED_MONAD, 1, 2, k_cap=2)
@@ -114,18 +129,6 @@ class TestKeyprop:
             KeypropComputation(SwapZeroOne(), 2, 1, k_cap=2)
 
     def test_pair_strings_catch_a_wrong_insertion(self):
-        class ForgetTwo(PointedMonad):
-            """A map that misses two or more of its outputs sends every
-            element to the point: the canonical insertions of length-two
-            strings then land on the wrong singleton element, while every
-            map that keyprop at j, n <= 1 applies stays correct."""
-            name = "pointed-forget-two"
-
-            def map(self, table, n_to, e):
-                if n_to - len(set(table)) >= 2:
-                    return self.POINT
-                return super().map(table, n_to, e)
-
         rep = verify_keyprop(ForgetTwo(), 1, 1)
         assert rep.failures == [{"check": "pair-strings"}]
         assert rep.pass_count == rep.sample_count - 1
@@ -275,3 +278,129 @@ class TestOplus:
     def test_monoid_words_block_sum(self):
         got = oplus(FREE_MONOID_MONAD, [(0, 1)], 2, [(0,)], 1)
         assert got == [(0, 1), (2,)]
+
+
+# ---------------------------------------------------------------------------
+# the quotient grown in place against fresh builds
+
+
+@pytest.mark.parametrize("name", sorted(FRAGMENTS))
+def test_extension_matches_a_fresh_build(name):
+    frag = FRAGMENTS[name]
+    for bound in ([None] if frag.finite else [1, 2, 3]):
+        for j, n, k_cap in itertools.product(range(3), range(3), range(4)):
+            comp = KeypropComputation(frag, j, n, k_cap, bound)
+            before = comp.classes()
+            comp.extend()
+            fresh = KeypropComputation(frag, j, n, k_cap + 1, bound)
+            at = (name, bound, j, n, k_cap)
+            assert comp.k_cap == k_cap + 1, at
+            assert list(comp.classes().items()) == \
+                list(fresh.classes().items()), at
+            assert comp.class_count() == fresh.class_count() == \
+                len(fresh.classes()), at
+            # classes read before the extension are not touched by it
+            assert list(before.items()) == list(KeypropComputation(
+                frag, j, n, k_cap, bound).classes().items()), at
+
+
+def reference_verify_keyprop(fragment, j_bound, n_bound, *,
+                             carrier_bound=None, pair_entry_cap=2):
+    """``verify_keyprop`` as it was with a second build at k_cap + 1
+    for stability."""
+    rep = Report(subject=f"keyprop:{fragment.name}",
+                 bounds={"jBound": j_bound, "nBound": n_bound,
+                         "pairEntryCap": pair_entry_cap})
+    stability = {}
+    for j in range(j_bound + 1):
+        for n in range(n_bound + 1):
+            k_cap = j + 1
+            comp = KeypropComputation(fragment, j, n, k_cap, carrier_bound)
+            comp_next = KeypropComputation(fragment, j, n, k_cap + 1,
+                                           carrier_bound)
+            expected = [tuple(v) for v in itertools.product(
+                fragment.carrier(j, carrier_bound), repeat=n)]
+            rep.sample_count += 1
+            classes = comp.classes()
+            invs = sorted(set(comp.invariant(r) for r in classes),
+                          key=_label_key)
+            ok = (len(classes) == len(expected)
+                  and len(invs) == len(classes)
+                  and sorted(expected, key=_label_key) == invs)
+            stable = comp_next.class_count() == len(classes)
+            stability[f"j={j},n={n}"] = stable
+            if ok and stable and _actions_ok(comp, list(comp.classes())):
+                rep.pass_count += 1
+            else:
+                rep.add_failure(j=j, n=n, classes=len(classes),
+                                expected=len(expected), stable=stable)
+    rep.sample_count += 1
+    pair_ok = _pair_strings_ok(fragment, 2, 2, pair_entry_cap,
+                               carrier_bound)
+    stability["pairStrings"] = pair_ok
+    if pair_ok:
+        rep.pass_count += 1
+    else:
+        rep.add_failure(check="pair-strings")
+    rep.stability = stability
+    return rep
+
+
+@pytest.mark.parametrize("fragment, bound, j_bound, n_bound", [
+    (IDENTITY_MONAD, None, 2, 2),
+    (POINTED_MONAD, None, 2, 2),
+    (FRAGMENTS["free-monoid"], 1, 1, 2),
+    (FRAGMENTS["free-semigroup"], 2, 1, 1),
+    (FRAGMENTS["free-ring"], 1, 1, 1),
+    (ForgetTwo(), None, 2, 1),
+], ids=lambda v: getattr(v, "name", repr(v)))
+def test_verify_keyprop_matches_two_builds(fragment, bound, j_bound,
+                                           n_bound):
+    got = verify_keyprop(fragment, j_bound, n_bound, carrier_bound=bound)
+    want = reference_verify_keyprop(fragment, j_bound, n_bound,
+                                    carrier_bound=bound)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.stability == want.stability
+
+
+class BreakAtThree(PointedMonad):
+    """Natural on arities up to 2; a non-monotone g: [3] -> [2] sends the
+    point to 0.  Such a g is no elementary map, so the quotient of
+    levels 0..3 is the lawful one, but its value row at level 3 is
+    wrong."""
+    name = "pointed-break-at-three"
+
+    def map(self, table, n_to, e):
+        if (len(table) == 3 and n_to == 2 and e == self.POINT
+                and list(table) != sorted(table)):
+            return 0
+        return super().map(table, n_to, e)
+
+
+class MergeAtThree(PointedMonad):
+    """Natural on arities up to 2.  At arity 3 the injection (0, 1) sends
+    0 to the point, which joins the class of 0 to the class of the point
+    only through level 3, and every map [3] -> [1] sends everything to
+    the point, so each element of level 3 agrees with the merged class's
+    root."""
+    name = "pointed-merge-at-three"
+
+    def map(self, table, n_to, e):
+        if n_to == 3 and tuple(table) == (0, 1) and e == 0:
+            return self.POINT
+        if len(table) == 3 and n_to == 1:
+            return self.POINT
+        return super().map(table, n_to, e)
+
+
+@pytest.mark.parametrize("fragment, j", [(BreakAtThree(), 2),
+                                         (MergeAtThree(), 1)],
+                         ids=["new-element", "old-classes-merge"])
+def test_stability_step_checks_the_invariant(fragment, j):
+    comp = KeypropComputation(fragment, j, 1, k_cap=2)
+    with pytest.raises(StructuralError, match="breaks the invariant"):
+        comp.extend()
+    with pytest.raises(StructuralError, match="breaks the invariant"):
+        monad_from_theory(phi(fragment), j, 2)
+    with pytest.raises(StructuralError, match="breaks the invariant"):
+        KeypropComputation(fragment, j, 1, k_cap=3)
