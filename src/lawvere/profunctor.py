@@ -304,20 +304,27 @@ def prof_iso(p: FiniteProfunctor, q: FiniteProfunctor) -> Optional[dict]:
                         return False
         return True
 
-    def solve(i: int) -> bool:
-        if i == len(cells):
-            return True
-        cell = cells[i]
-        pe = p.elements(*cell)
-        qe = q.elements(*cell)
-        for perm in itertools.permutations(qe):
+    # depth-first over the cells in order, one permutation iterator per
+    # cell on the path; a loop, so no self-referencing closure keeps the
+    # tables alive after the call
+    tries: list = []
+    i = 0
+    while 0 <= i < len(cells):
+        if len(tries) == i:
+            cell = cells[i]
+            tries.append((cell, p.elements(*cell),
+                          itertools.permutations(q.elements(*cell))))
+        cell, pe, perms = tries[i]
+        for perm in perms:
             assign[cell] = dict(zip(pe, perm))
-            if consistent(cell) and solve(i + 1):
-                return True
-        del assign[cell]
-        return False
-
-    return dict(assign) if solve(0) else None
+            if consistent(cell):
+                i += 1
+                break
+        else:
+            del assign[cell]
+            tries.pop()
+            i -= 1
+    return dict(assign) if i == len(cells) else None
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ Conventions used throughout the package:
 
 * Depth.  ``builtin.word_atoms`` and ``builtin.combo_of``, which flatten
   a product or sum layer, are loops over an explicit stack and take
-  chains of any length.  Every other traversal still recurses, one to
-  two frames per level: ``substitute``, ``term_size``, ``sort_key``,
+  chains of any length; the multiplicative law rewriters read their
+  input through them alone and no longer call ``split_layer``.  Every
+  other traversal still recurses, one to two frames per level:
+  ``substitute``, ``term_size``, ``sort_key``,
   ``distlaw.split_layer``, ``distlaw.check_layer_order``,
   ``distlaw.expansion_estimate``, the layered and composite normalizers,
   ``parser.format_term``, the parser, and hashing and comparing (in C,

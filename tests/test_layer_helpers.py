@@ -1,11 +1,12 @@
 """The layer helpers on the law-checking path against reference copies.
 
 ``word_atoms`` and ``combo_of`` walk with an explicit stack, ``sort_key``
-makes one walk for both its parts, ``random_term`` recurses through an inner function and the
-multiplicative law flattens each summand once.  The ``reference_*``
-functions below are the straightforward recursive versions; every rewrite
-must give the same values, the same dict order and consume the random
-stream the same way.
+makes one walk for both its parts, ``random_term`` recurses through an
+inner function, and the multiplicative laws read a product layer in one
+``word_atoms`` walk, the additive one flattening each summand once and
+building each monomial once.  The ``reference_*`` functions below are
+the straightforward versions; every rewrite must give the same values,
+the same dict order and consume the random stream the same way.
 """
 import itertools
 import random
@@ -18,9 +19,9 @@ from hypothesis import assume, given, settings, strategies as st
 from lawvere.builtin import (ADD, BASE_THEORIES, CM_ADD, CM_ZERO, MUL, NEG,
                              ONE, SG_MUL, ZERO, build_combo, build_word,
                              combo_of, word_atoms)
-from lawvere.distlaw import (RING_LAW, SEMIGROUP_SUM_LAW, _EXPANSION_LIMIT,
-                             expansion_estimate, ps_monoid_theory,
-                             ring_theory, split_layer)
+from lawvere.distlaw import (PS_LAW, RING_LAW, SEMIGROUP_SUM_LAW,
+                             _EXPANSION_LIMIT, expansion_estimate,
+                             ps_monoid_theory, ring_theory, split_layer)
 from lawvere.sampling import random_term
 from lawvere.terms import (App, StructuralError, Var, sort_key, substitute,
                            term_size)
@@ -118,6 +119,34 @@ def reference_rewrite(mult, additive):
         return build_combo(acc, add, neg, zero)
 
     return rw
+
+
+def reference_pointed_rewrite(mult, pointed):
+    """multiplicative_over_pointed_law's rewrite, reading the product
+    layer through split_layer and its skeleton."""
+    mul = mult.op("mul")
+    unit = mult.op("one") if mult.has_op("one") else None
+    point = App(pointed.op("point"), ())
+
+    def rw(t):
+        skel, leaves = split_layer(t, mult.op_set)
+        slots = [v.index for v in reference_word_atoms(skel, mul, unit)]
+        kept = []
+        for i in slots:
+            leaf = leaves[i]
+            if leaf == point:
+                continue
+            kept.extend(reference_word_atoms(leaf, mul, unit))
+        if not kept:
+            return point
+        return build_word(kept, mul, unit)
+
+    return rw
+
+
+REFERENCE_REWRITES = {RING_LAW.name: reference_rewrite,
+                      SEMIGROUP_SUM_LAW.name: reference_rewrite,
+                      PS_LAW.name: reference_pointed_rewrite}
 
 
 def assert_same_combo(got, want):
@@ -236,7 +265,7 @@ def test_random_term_consumes_the_stream_as_the_reference(spec):
         assert rng.getstate() == ref.getstate()
 
 
-@pytest.mark.parametrize("law", [RING_LAW, SEMIGROUP_SUM_LAW],
+@pytest.mark.parametrize("law", [RING_LAW, SEMIGROUP_SUM_LAW, PS_LAW],
                          ids=lambda law: law.name)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -248,7 +277,8 @@ def test_multiplicative_law_rewrite_matches_the_reference(law, data):
     # the law checks redraw larger samples; their canonical sums are too
     # deep to compare under the recursion limit Hypothesis sets
     assume(expansion_estimate(t) <= _EXPANSION_LIMIT)
-    assert law.rewrite(t) == reference_rewrite(law.inner, law.outer)(t)
+    reference = REFERENCE_REWRITES[law.name](law.inner, law.outer)
+    assert law.rewrite(t) == reference(t)
 
 
 # depth and arity -------------------------------------------------------

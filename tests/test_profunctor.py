@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -12,7 +14,8 @@ from lawvere.fincat import (FiniteCategory, FiniteFunctor, Morphism,
 from lawvere.profunctor import (BimoduleMonad, compose_prof,
                                 constant_profunctor, functor_to_monad,
                                 hom_profunctor, monad_to_functor, prof_iso,
-                                relabel_profunctor, representable)
+                                relabel_profunctor, representable,
+                                _label_key)
 from lawvere.terms import StructuralError, Var
 from lawvere.theory import compose as theory_compose, morphism
 
@@ -128,6 +131,87 @@ class TestProfIso:
         hom = hom_profunctor(c)
         const = constant_profunctor(c, c, ["u", "v"])
         assert prof_iso(hom, const) is None
+
+    def test_search_leaves_no_cycle(self):
+        # the search state is freed on return, without the cycle collector
+        p = hom_profunctor(chain_category(3))
+        q = relabel_profunctor(p, "w")
+        refs = [weakref.ref(p), weakref.ref(q)]
+        gc.disable()
+        try:
+            assert prof_iso(p, q) is not None
+            assert prof_iso(p, constant_profunctor(p.src, p.tgt,
+                                                   ["u"])) is None
+            del p, q
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_search_matches_the_recursive_reference(self):
+        rng = random.Random(0)
+        found = 0
+        for c in category_pool():
+            pool = profunctor_pool(rng, c, c)
+            pool += [compose_prof(a, b) for a in pool[:3] for b in pool[:3]]
+            pool += [relabel_profunctor(a, "w") for a in pool[:4]]
+            for a in pool:
+                for b in pool:
+                    got = prof_iso(a, b)
+                    assert got == reference_prof_iso(a, b)
+                    if got is not None:
+                        assert list(got) == list(reference_prof_iso(a, b))
+                        found += 1
+        assert found
+
+
+def reference_prof_iso(p, q):
+    """prof_iso with its search as a recursive inner function."""
+    if p.src != q.src and p.src is not q.src:
+        return None
+    cells = sorted(set(p.table) | set(q.table), key=_label_key)
+    for cell in cells:
+        if len(p.elements(*cell)) != len(q.elements(*cell)):
+            return None
+    assign = {}
+
+    def natural(cell):
+        # every square whose two corners are solved commutes
+        d, c = cell
+        beta = assign[cell]
+        for f in p.src.morphisms:
+            if f.src == c and (d, f.tgt) in assign:
+                for x, qx in beta.items():
+                    if assign[(d, f.tgt)][p.act_c(f, d, x)] != \
+                            q.act_c(f, d, qx):
+                        return False
+            if f.tgt == c and (d, f.src) in assign:
+                for x, qx in assign[(d, f.src)].items():
+                    if beta.get(p.act_c(f, d, x)) != q.act_c(f, d, qx):
+                        return False
+        for g in p.tgt.morphisms:
+            if g.tgt == d and (g.src, c) in assign:
+                for x, qx in beta.items():
+                    if assign[(g.src, c)][p.act_d(g, c, x)] != \
+                            q.act_d(g, c, qx):
+                        return False
+            if g.src == d and (g.tgt, c) in assign:
+                for x, qx in assign[(g.tgt, c)].items():
+                    if beta.get(p.act_d(g, c, x)) != q.act_d(g, c, qx):
+                        return False
+        return True
+
+    def solve(i):
+        if i == len(cells):
+            return True
+        cell = cells[i]
+        for perm in itertools.permutations(q.elements(*cell)):
+            assign[cell] = dict(zip(p.elements(*cell), perm))
+            if natural(cell) and solve(i + 1):
+                return True
+        del assign[cell]
+        return False
+
+    return dict(assign) if solve(0) else None
 
 
 class TestBimodules:
