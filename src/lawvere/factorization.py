@@ -29,6 +29,9 @@ enters:
 * ``_neighbours``, backward: right parts are renamings by ``compose``,
   left parts are filled from a pool that ``_search_witness`` filters
   once per search to terms within the source, normal and pure;
+* ``_search_witness``, the last pair of a witness: the target's
+  components, once ``_step_to`` has found them among the current pair's
+  neighbours by the same forward and backward steps;
 * ``check_fs_over_base``: hom-set morphisms are tuples of
   ``enumerate_normal`` output (normal enumerators).
 """
@@ -228,6 +231,10 @@ def zigzag_equivalent(p: FactorizationPair, q: FactorizationPair,
 
 def _search_witness(p: FactorizationPair, q: FactorizationPair, bound: int,
                     atom_pool: Optional[Sequence[Term]]) -> Optional[ZigzagWitness]:
+    """Breadth-first search for a shortest zigzag from p to q.  A dequeued
+    pair is expanded by ``_neighbours`` only if q is not one step away
+    (``_step_to``) and the pair is above the last level; ``_step_to``
+    says why the chain is the one a full expansion would return."""
     if p.key() == q.key():
         return ZigzagWitness([p], [])
     if bound <= 0:
@@ -241,23 +248,25 @@ def _search_witness(p: FactorizationPair, q: FactorizationPair, bound: int,
     pool = sorted((t for t in pool
                    if _left_atom_ok(t, p.theory, p.inner, p.source)),
                   key=lambda t: (term_size(t), repr(t)))
-    start = p.key()
-    target = q.key()
-    seen = {start}
+    seen = {p.key()}
     queue = deque([(p, [p], [])])
     while queue:
         cur, pairs, steps = queue.popleft()
-        if len(steps) >= bound:
+        step = _step_to(cur, q, pool)
+        if step is not None:
+            theory = cur.theory
+            last = _trusted_pair(
+                theory, cur.inner, cur.outer,
+                _trusted(theory, cur.source, q.left.components),
+                _trusted(theory, q.middle, q.right.components))
+            return ZigzagWitness(pairs + [last], steps + [step])
+        if len(steps) + 1 >= bound:
             continue
         for nxt, step in _neighbours(cur, cap, pool):
             k = nxt.key()
-            if k in seen:
-                continue
-            seen.add(k)
-            np, ns = pairs + [nxt], steps + [step]
-            if k == target:
-                return ZigzagWitness(np, ns)
-            queue.append((nxt, np, ns))
+            if k not in seen:
+                seen.add(k)
+                queue.append((nxt, pairs + [nxt], steps + [step]))
     return None
 
 
@@ -272,32 +281,73 @@ def _left_atom_ok(t: Term, theory: TheorySpec, inner: TheorySpec,
         return False
 
 
+def _forward_picks(f: FactorizationPair, j2: int) -> Iterator[tuple]:
+    """Forward steps out of f to middle j2, as (table of u: [j2] -> [j],
+    left part picked from f's along u).  A table whose image misses a
+    middle variable that f.right uses is skipped; this is exact, as a
+    component using it has no lift and ``_lift_tuple`` would yield
+    nothing."""
+    used = {v for c in f.right.components for v in _var_occurrences(c)}
+    comps = f.left.components
+    for table in itertools.product(range(f.middle), repeat=j2):
+        if used.issubset(table):
+            yield table, tuple(comps[v] for v in table)
+
+
+def _backward_slots(f: FactorizationPair, j2: int) -> Iterator[tuple]:
+    """Backward steps into f from middle j2, as (table of u: [j] -> [j2],
+    slots): a slot in u's image holds the f.left entries sent to it, which
+    must agree, and the others, at most three, hold None."""
+    comps = f.left.components
+    for table in itertools.product(range(j2), repeat=f.middle):
+        image = dict(zip(table, comps))
+        if len(image) >= j2 - 3 and all(
+                image[v] == c for v, c in zip(table, comps)):
+            yield table, [image.get(i) for i in range(j2)]
+
+
+def _step_to(f: FactorizationPair, q: FactorizationPair,
+             pool: Sequence[Term]) -> Optional[ZigzagStep]:
+    """The step of the first pair with q's key that ``_neighbours(f, cap,
+    pool)`` yields, or None; a search stops there, as q's key is never
+    seen.  Only steps to q's middle can match, forward first: a forward
+    one must pick q.left before any lift is built, a backward one must
+    agree with q.left on its slots and fill the rest from the pool before
+    its right part is composed.  The pairs skipped cannot raise: forward
+    lifts use only the component's own operations, and a backward
+    ``compose`` renames within range."""
+    theory, j, j2 = f.theory, f.middle, q.middle
+    left, right = q.left.components, q.right.components
+    for table, g_left in _forward_picks(f, j2):
+        if g_left == left:
+            u = BaseFunction(j2, j, table)
+            if right in _lift_tuple(f.right.components, u, theory):
+                return ZigzagStep(u, forward=True)
+    for table, slots in _backward_slots(f, j2):
+        if all(t in pool if s is None else s == t
+               for s, t in zip(slots, left)):
+            u = BaseFunction(j, j2, table)
+            if compose(f.right, basic_morphism(theory, u)).components == right:
+                return ZigzagStep(u, forward=False)
+    return None
+
+
 def _neighbours(f: FactorizationPair, cap: int,
                 pool: Sequence[Term]) -> Iterator[tuple]:
     """All pairs one basic step away from f; every step is a commuting
     triangle and every pair a checked one by construction, so none is
     checked here.  ``pool`` holds only terms that may stand in f's left
-    part (``_search_witness`` filters it).
-
-    Forward steps skip every base function whose image misses a middle
-    variable that f.right uses.  The skip is exact: a variable outside
-    the image has no preimage, so a component using it has no lift and
-    ``_lift_tuple`` would yield nothing for that base function.
-    """
+    part (``_search_witness`` filters it).  ``_step_to`` finds one given
+    pair among them without building the others."""
     theory, inner, outer = f.theory, f.inner, f.outer
     j = f.middle
-    used = {v for c in f.right.components for v in _var_occurrences(c)}
     for j2 in range(0, cap + 1):
         # arrows f -> g: base u: [j2] -> [j]; g.left is picked from f.left,
         # g.right is any normal lift of f.right along the renaming; both
         # are normal, in range and pure already
-        for table in itertools.product(range(j), repeat=j2):
-            if not used.issubset(table):
-                continue
+        for table, picked in _forward_picks(f, j2):
             u = BaseFunction(j2, j, table)
-            g_left = _trusted(theory, f.source,
-                              tuple(f.left.components[u(i)]
-                                    for i in range(j2)))
+            g_left = _trusted(theory, f.source, picked)
             for g_right in _lift_tuple(f.right.components, u, theory):
                 g = _trusted_pair(theory, inner, outer, g_left,
                                   _trusted(theory, j2, g_right))
@@ -305,22 +355,9 @@ def _neighbours(f: FactorizationPair, cap: int,
         # arrows g -> f: base u: [j] -> [j2]; g.right is f.right renamed
         # along u, g.left agrees with f.left on the image and is filled
         # from the pool elsewhere
-        for table in itertools.product(range(j2), repeat=j):
+        for table, slots in _backward_slots(f, j2):
             u = BaseFunction(j, j2, table)
-            slots: list = [None] * j2
-            ok = True
-            for i in range(j):
-                want = f.left.components[i]
-                if slots[u(i)] is None:
-                    slots[u(i)] = want
-                elif slots[u(i)] != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
             free = [i for i in range(j2) if slots[i] is None]
-            if len(free) > 3:
-                continue
             g_right = compose(f.right, basic_morphism(theory, u))
             for fill in itertools.product(pool, repeat=len(free)):
                 comps = list(slots)

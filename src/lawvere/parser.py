@@ -227,7 +227,7 @@ def _fmt(t: Term) -> str:
         return f"-{body}"
     if name == "add":
         out = []
-        for i, p in enumerate(_sum_parts(t)):
+        for i, p in enumerate(_chain_parts(t, "add")):
             if _is_neg(p):
                 body = _fmt(p.args[0])
                 if _is_sum(p.args[0]):
@@ -238,7 +238,7 @@ def _fmt(t: Term) -> str:
         return "".join(out)
     if name == "mul":
         rendered = []
-        for f in _prod_parts(t):
+        for f in _chain_parts(t, "mul"):
             body = _fmt(f)
             if _is_sum(f) or _is_neg(f):
                 body = f"({body})"
@@ -247,13 +247,15 @@ def _fmt(t: Term) -> str:
     raise StructuralError(f"no printer for operation {t.op!r}")
 
 
-def _sum_parts(t: Term) -> list:
-    if _is_sum(t):
-        return _sum_parts(t.args[0]) + _sum_parts(t.args[1])
-    return [t]
-
-
-def _prod_parts(t: Term) -> list:
-    if isinstance(t, App) and t.op.name == "mul":
-        return _prod_parts(t.args[0]) + _prod_parts(t.args[1])
-    return [t]
+def _chain_parts(t: Term, name: str) -> list:
+    """The operands of a tree of binary ``name`` nodes, left to right; a
+    loop, so that a long chain, such as a composite word, cannot exhaust
+    the stack."""
+    parts, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, App) and x.op.name == name:
+            todo += (x.args[1], x.args[0])
+        else:
+            parts.append(x)
+    return parts

@@ -24,8 +24,9 @@ rests on one ``TheorySpec`` contract:
 * components picked from, or permuted within, an already-checked
   morphism, plus atoms checked once where they enter: the left parts of
   ``factorization._bounded_alternatives`` (the spare atoms are checked
-  once per source arity) and of ``factorization._neighbours`` (its pool
-  is filtered once per search by ``_search_witness``).
+  once per source arity), of ``factorization._neighbours`` (its pool
+  is filtered once per search by ``_search_witness``) and of a witness's
+  last pair, which ``_step_to`` finds by the same steps.
 
 A mutant normalizer that breaks the contract is still caught wherever a
 morphism is built from outside.

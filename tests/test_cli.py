@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lawvere.builtin import BASE_THEORIES
 from lawvere.cli import main
 from lawvere.distlaw import ps_monoid_theory, ring_theory
 from lawvere.parser import parse_term
@@ -51,6 +52,16 @@ def test_compose_fixture(capsys):
     data = json.loads(out)
     assert data["composite"] == {"source": 3, "target": 1,
                                  "components": ["abcabcabbcc"]}
+
+
+def test_compose_prints_a_word_longer_than_the_recursion_limit(capsys):
+    # a^150 after a^150 is a product of 22,500 letters, which the printer
+    # flattens in a loop
+    code, out, err = run(capsys, "compose", "--theory", "monoid",
+                         "--source", "1", "--first", "a^150",
+                         "--second", "a^150", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["composite"]["components"] == ["a" * 22500]
 
 
 def test_check_law_vacuous_pass(capsys):
@@ -519,6 +530,52 @@ def test_check_fs_fuzz_exits_cleanly(capsys, theory, arity, size):
     assert "Traceback" not in err
     if code == 0:
         assert json.loads(out)["failures"] == []
+
+
+THEORIES = {**BASE_THEORIES, **{name: make() for name, make in
+                                 COMPOSITES.items()}}
+TERMS = st.text(alphabet="abc+-*^()0123456789,", max_size=16)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(theory=st.sampled_from(sorted(THEORIES) + ["group"]),
+       source=st.integers(0, 3), first=TERMS, second=TERMS)
+def test_compose_fuzz_exits_cleanly(capsys, theory, source, first, second):
+    code, out, err = run(capsys, "compose", "--theory", theory,
+                         "--source", str(source), f"--first={first}",
+                         f"--second={second}", "--json")
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert (code == 0) == (err == "")
+    if code == 0:
+        # the printed composite parses back to the composite
+        spec = THEORIES[theory]
+        f = morphism(spec, source, [parse_term(s, spec, source)
+                                    for s in first.split(",")])
+        g = morphism(spec, f.target, [parse_term(s, spec, f.target)
+                                      for s in second.split(",")])
+        assert morphism_from_json(json.loads(out)["composite"],
+                                  spec) == compose(g, f)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(theory=st.sampled_from(sorted(THEORIES) + ["group"]),
+       arity=st.integers(0, 4), size=st.integers(0, 6))
+def test_enumerate_fuzz_exits_cleanly(capsys, theory, arity, size):
+    code, out, err = run(capsys, "enumerate", "--theory", theory,
+                         "--arity", str(arity), "--size", str(size),
+                         "--json")
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    assert (code == 0) == (theory in THEORIES)
+    if code == 0:
+        # every printed normal form parses back to itself
+        spec = THEORIES[theory]
+        texts = json.loads(out)["terms"]
+        assert [parse_term(t, spec, arity) for t in texts] == \
+            spec.enumerate_normal(arity, size)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,15 @@
+import functools
 import itertools
+import json
+import random
 
 import pytest
 
 from collections import deque
 
 from lawvere import factorization
-from lawvere.builtin import (ABELIAN_GROUP, BASE_THEORIES, MONOID, POINTED,
-                             SEMIGROUP)
+from lawvere.builtin import (ABELIAN_GROUP, ADD, BASE_THEORIES, MONOID, MUL,
+                             NEG, ONE, POINTED, SEMIGROUP, build_word)
 from lawvere.distlaw import split_layer
 from lawvere.factorization import (FactorizationPair, canonicalize,
                                    check_fs_over_base, check_strict_fs,
@@ -16,7 +19,8 @@ from lawvere.parser import parse_term
 from lawvere.report import Report
 from lawvere.terms import App, StructuralError, Var, max_var, substitute
 from lawvere.theory import (BaseFunction, TheoryMorphism, _trusted,
-                            _var_occurrences, morphism)
+                            _var_occurrences, basic_morphism, compose,
+                            morphism)
 
 
 def ring_pair(ring, left_texts, right_texts, source):
@@ -292,6 +296,130 @@ def assert_neighbours_match_reference(x):
     return len(got)
 
 
+def search_neighbours(p, q, bound, atom_pool):
+    """``_neighbours`` of p, with the cap and the filtered pool that
+    ``_search_witness(p, q, bound, atom_pool)`` gives it."""
+    pool = {*(atom_pool or ()), *p.left.components, *q.left.components}
+    pool = sorted((t for t in pool if factorization._left_atom_ok(
+        t, p.theory, p.inner, p.source)),
+        key=lambda t: (factorization.term_size(t), repr(t)))
+    cap = max(p.middle, q.middle) + bound
+    return list(factorization._neighbours(p, cap, pool))
+
+
+def record_searches(monkeypatch):
+    """Wrap ``_search_witness``; the list returned collects each search's
+    arguments and witness."""
+    real = factorization._search_witness
+    searches = []
+
+    def record(*args):
+        wit = real(*args)
+        searches.append((args, wit))
+        return wit
+
+    monkeypatch.setattr(factorization, "_search_witness", record)
+    return searches
+
+
+def expanding_neighbours(f, cap, pool):
+    """``_neighbours`` as it was before ``_step_to``, verbatim but for
+    module prefixes and comments."""
+    theory, inner, outer = f.theory, f.inner, f.outer
+    j = f.middle
+    used = {v for c in f.right.components for v in _var_occurrences(c)}
+    for j2 in range(0, cap + 1):
+        for table in itertools.product(range(j), repeat=j2):
+            if not used.issubset(table):
+                continue
+            u = BaseFunction(j2, j, table)
+            g_left = _trusted(theory, f.source,
+                              tuple(f.left.components[u(i)]
+                                    for i in range(j2)))
+            for g_right in factorization._lift_tuple(f.right.components, u,
+                                                     theory):
+                g = factorization._trusted_pair(
+                    theory, inner, outer, g_left,
+                    _trusted(theory, j2, g_right))
+                yield g, factorization.ZigzagStep(u, forward=True)
+        for table in itertools.product(range(j2), repeat=j):
+            u = BaseFunction(j, j2, table)
+            slots = [None] * j2
+            ok = True
+            for i in range(j):
+                want = f.left.components[i]
+                if slots[u(i)] is None:
+                    slots[u(i)] = want
+                elif slots[u(i)] != want:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            free = [i for i in range(j2) if slots[i] is None]
+            if len(free) > 3:
+                continue
+            g_right = compose(f.right, basic_morphism(theory, u))
+            for fill in itertools.product(pool, repeat=len(free)):
+                comps = list(slots)
+                for idx, t in zip(free, fill):
+                    comps[idx] = t
+                g = factorization._trusted_pair(
+                    theory, inner, outer,
+                    _trusted(theory, f.source, tuple(comps)), g_right)
+                yield g, factorization.ZigzagStep(u, forward=False)
+
+
+def expanding_search_witness(p, q, bound, atom_pool):
+    """``_search_witness`` as it was before ``_step_to``, verbatim but for
+    module prefixes and comments: every dequeued pair is expanded in
+    full and each neighbour compared with the target."""
+    if p.key() == q.key():
+        return factorization.ZigzagWitness([p], [])
+    if bound <= 0:
+        return None
+    cap = max(p.middle, q.middle) + bound
+    pool = set(atom_pool or [])
+    pool.update(p.left.components)
+    pool.update(q.left.components)
+    pool = sorted((t for t in pool
+                   if factorization._left_atom_ok(t, p.theory, p.inner,
+                                                  p.source)),
+                  key=lambda t: (factorization.term_size(t), repr(t)))
+    start = p.key()
+    target = q.key()
+    seen = {start}
+    queue = deque([(p, [p], [])])
+    while queue:
+        cur, pairs, steps = queue.popleft()
+        if len(steps) >= bound:
+            continue
+        for nxt, step in expanding_neighbours(cur, cap, pool):
+            k = nxt.key()
+            if k in seen:
+                continue
+            seen.add(k)
+            np, ns = pairs + [nxt], steps + [step]
+            if k == target:
+                return factorization.ZigzagWitness(np, ns)
+            queue.append((nxt, np, ns))
+    return None
+
+
+def random_ring_morphism(ring, rng):
+    """An arity-3 ring morphism of one or two components, each a signed
+    sum of one to three random words of length at most 3."""
+    comps = []
+    for _ in range(rng.randint(1, 2)):
+        summands = []
+        for _ in range(rng.randint(1, 3)):
+            w = build_word([Var(rng.randrange(3))
+                            for _ in range(rng.randrange(4))], MUL, ONE)
+            summands.append(App(NEG, (w,)) if rng.random() < 0.3 else w)
+        comps.append(functools.reduce(lambda a, b: App(ADD, (a, b)),
+                                      summands))
+    return morphism(ring, 3, comps)
+
+
 class TestFactorize:
     def test_ab_plus_c(self, ring):
         f = morphism(ring, 3, [parse_term("ab+c", ring, 3)])
@@ -419,23 +547,20 @@ class TestSweep:
         assert rep.passed
 
     def test_unchecked_parts_pass_the_public_checks(self, ring, monkeypatch):
-        # factorize, _neighbours and _bounded_alternatives build their
-        # parts without re-running the morphism checks; every part they
-        # yield on the ring (2, 3) sweep must pass them
+        # factorize, _neighbours, _bounded_alternatives and the witness
+        # search build their parts without re-running the morphism
+        # checks; every part they build on the ring (2, 3) sweep must pass
+        # them.  The sweep's searches each end in one step, so _neighbours
+        # is driven on their start pairs, with their caps and pools
         real_factorize = factorization.factorize
-        real_neighbours = factorization._neighbours
         real_alternatives = factorization._bounded_alternatives
-        seen = {"factorize": [], "neighbours": [], "alternatives": []}
+        seen = {"factorize": [], "neighbours": [], "alternatives": [],
+                "witnesses": []}
 
         def record_factorize(*args):
             pair = real_factorize(*args)
             seen["factorize"].append(pair)
             return pair
-
-        def record_neighbours(*args):
-            for g, step in real_neighbours(*args):
-                seen["neighbours"].append(g)
-                yield g, step
 
         def record_alternatives(*args):
             for alt in real_alternatives(*args):
@@ -443,11 +568,14 @@ class TestSweep:
                 yield alt
 
         monkeypatch.setattr(factorization, "factorize", record_factorize)
-        monkeypatch.setattr(factorization, "_neighbours", record_neighbours)
         monkeypatch.setattr(factorization, "_bounded_alternatives",
                             record_alternatives)
+        searches = record_searches(monkeypatch)
         rep = check_fs_over_base(ring, MONOID, ABELIAN_GROUP, 2, 3)
         assert rep.passed
+        for args, wit in searches:
+            seen["neighbours"] += [g for g, _ in search_neighbours(*args)]
+            seen["witnesses"] += wit.pairs
         assert all(seen.values())
         for pairs in seen.values():
             for pair in pairs:
@@ -565,20 +693,14 @@ class TestTrustedConstruction:
             size):
         theory = request.getfixturevalue(theory_name)
         real_factorize = factorization.factorize
-        real_neighbours = factorization._neighbours
         real_alternatives = factorization._bounded_alternatives
         seen = {"factorize": [], "forward": [], "backward": [],
-                "alternatives": []}
+                "alternatives": [], "witnesses": []}
 
         def record_factorize(*args):
             pair = real_factorize(*args)
             seen["factorize"].append(pair)
             return pair
-
-        def record_neighbours(*args):
-            for g, step in real_neighbours(*args):
-                seen["forward" if step.forward else "backward"].append(g)
-                yield g, step
 
         def record_alternatives(*args):
             for alt in real_alternatives(*args):
@@ -586,10 +708,15 @@ class TestTrustedConstruction:
                 yield alt
 
         monkeypatch.setattr(factorization, "factorize", record_factorize)
-        monkeypatch.setattr(factorization, "_neighbours", record_neighbours)
         monkeypatch.setattr(factorization, "_bounded_alternatives",
                             record_alternatives)
+        searches = record_searches(monkeypatch)
         assert check_fs_over_base(theory, inner, outer, arity, size).passed
+        # _neighbours on each search's start pair, cap and pool
+        for args, wit in searches:
+            for g, step in search_neighbours(*args):
+                seen["forward" if step.forward else "backward"].append(g)
+            seen["witnesses"] += wit.pairs
         assert all(seen.values())
         for pairs in seen.values():
             for pair in pairs:
@@ -647,20 +774,12 @@ class TestTrustedConstruction:
         (["a^2"], ["a+a"], ["a^2", "a^2", "a"], ["a+b"]),
     ], ids=["pad", "swap", "square"])
     def test_search_matches_the_reference_on_a_mixed_pool(
-            self, ring, monkeypatch, left_texts, right_texts, alt_left,
-            alt_right):
+            self, ring, left_texts, right_texts, alt_left, alt_right):
         # _neighbours trusts its pool, which _search_witness filters: the
-        # pairs it yields must pass the public checks, and the witness must
-        # be the one found when every pool term was offered and checked
-        real_neighbours = factorization._neighbours
+        # pairs it yields with the search's cap and pool, and the witness's
+        # pairs, must pass the public checks, and the witness must be the
+        # one found when every pool term was offered and checked
         yielded = []
-
-        def record_neighbours(*args):
-            for g, step in real_neighbours(*args):
-                yielded.append(g)
-                yield g, step
-
-        monkeypatch.setattr(factorization, "_neighbours", record_neighbours)
         source = 3
         p = ring_pair(ring, left_texts, right_texts, source)
         q = ring_pair(ring, alt_left, alt_right, source)
@@ -683,9 +802,153 @@ class TestTrustedConstruction:
                 g.key() for g in want.pairs]
             assert wit.steps == want.steps
             assert wit.validate()
+            yielded += wit.pairs
+            yielded += [g for g, _ in search_neighbours(x, y, 2, pool)]
         assert yielded
         for g in yielded:
             assert_public_checks_pass(g)
+
+
+class TestOneStepTest:
+    """``_search_witness`` tests each dequeued pair for the target one step
+    away before expanding it; it must return the very witness the search
+    that expands every pair returns."""
+
+    @staticmethod
+    def assert_same_witness(p, q, bound, atom_pool=None):
+        wit = zigzag_equivalent(p, q, bound=bound, atom_pool=atom_pool)[1]
+        ref = expanding_search_witness(p, q, bound, atom_pool)
+        if ref is None:
+            assert wit is None
+            return None
+        assert wit is not None
+        assert wit.pairs == ref.pairs
+        assert wit.steps == ref.steps
+        assert wit.validate()
+        return wit
+
+    def test_ring_zigzags_of_every_shape(self, ring):
+        found = {"pad": 0, "dup": 0, "perm": 0}
+        for seed in range(12):
+            rng = random.Random(seed)
+            pair = factorize(ring, MONOID, ABELIAN_GROUP,
+                             random_ring_morphism(ring, rng))
+            # pad, dup and perm in that order, as far as the middle allows
+            kinds = ["pad", "dup", "perm"][:len(list(alternatives(pair)))]
+            for kind, alt in zip(kinds, alternatives(pair)):
+                for bound in (0, 1, 2):
+                    for x, y in [(pair, alt), (alt, pair)]:
+                        wit = self.assert_same_witness(x, y, bound)
+                        found[kind] += wit is not None and len(wit) > 0
+        assert all(found.values())
+
+    def test_ps_monoid_pairs(self, ps_monoid):
+        lengths = set()
+        for k, m in itertools.product(range(3), repeat=2):
+            for comps in itertools.product(
+                    ps_monoid.enumerate_normal(k, 4), repeat=m):
+                pair = factorize(ps_monoid, SEMIGROUP, POINTED,
+                                 TheoryMorphism(ps_monoid, k, m, comps))
+                for alt in alternatives(pair):
+                    for x, y in [(pair, alt), (alt, pair)]:
+                        wit = self.assert_same_witness(x, y, 2)
+                        lengths.add(None if wit is None else len(wit))
+        assert 1 in lengths
+
+    def test_depth_two_and_no_witness_within_the_bound(self, ring):
+        p = ring_pair(ring, ["a^2", "a^2", "a"], ["a+b"], 1)
+        q = ring_pair(ring, ["a^2"], ["a+a"], 1)
+        for x, y in [(p, q), (q, p)]:
+            assert self.assert_same_witness(x, y, 1) is None
+            assert len(self.assert_same_witness(x, y, 2)) == 2
+
+    def test_a_target_entry_outside_the_search_pool(self, ring):
+        # q's spare entry a+b is checked against q's inner layer, the whole
+        # ring, but the search's pool keeps only terms pure in p's
+        p = ring_pair(ring, ["ab"], ["a"], 2)
+        q = FactorizationPair(
+            ring, ring, ABELIAN_GROUP,
+            morphism(ring, 2, [parse_term(t, ring, 2) for t in ("ab", "a+b")]),
+            morphism(ring, 2, [Var(0)]))
+        assert zigzag_equivalent(p, q, bound=-1)[0]
+        for bound in (1, 2):
+            assert self.assert_same_witness(p, q, bound) is None
+
+    def test_a_forward_step_past_the_lift_limit(self, ring):
+        # q is a forward neighbour of p along [2] -> [1], but its five
+        # components have five normal lifts each, and _lift_tuple gives up
+        # on more than 400 tuples
+        p = ring_pair(ring, ["ab"], ["a+a+a+a"] * 5, 2)
+        q = ring_pair(ring, ["ab", "ab"], ["a+a+b+b"] + ["a+a+a+a"] * 4, 2)
+        u = BaseFunction(2, 1, (0, 0))
+        assert q.right.components in factorization._lift_tuple(
+            p.right.components, u, ring, limit=10 ** 6)
+        assert not list(factorization._lift_tuple(p.right.components, u,
+                                                  ring))
+        for bound in (0, 1, 2):
+            for x, y in [(p, q), (q, p)]:
+                self.assert_same_witness(x, y, bound)
+
+
+def perturbed_alternatives(real):
+    """``_bounded_alternatives`` with the first right component of each
+    alternative replaced: by the outer theory's constant, or by the first
+    middle variable where it is that constant already."""
+    def alternatives(pair, spares):
+        theory, outer = pair.theory, pair.outer
+        const = next(op for op in outer.signature if op.arity == 0)
+        for alt in real(pair, spares):
+            comps = alt.right.components
+            bump = theory.normalize(App(const, ()))
+            if comps and comps[0] == bump and alt.middle:
+                bump = Var(0)
+            if comps and comps[0] != bump:
+                alt = FactorizationPair(
+                    theory, alt.inner, outer, alt.left,
+                    TheoryMorphism(theory, alt.middle, alt.target,
+                                   (bump,) + comps[1:]))
+            yield alt
+    return alternatives
+
+
+def wrong_last_step(real):
+    """``_search_witness`` with the base function of the witness's last step
+    replaced by another one of the same domain."""
+    def search(*args):
+        wit = real(*args)
+        if wit is not None and wit.steps:
+            last = wit.steps[-1]
+            u = last.base
+            if u.cod > 1:
+                wrong = BaseFunction(u.dom, u.cod, tuple(
+                    (v + 1) % u.cod for v in u.table))
+            else:
+                wrong = BaseFunction(u.dom, 2, (1,) * u.dom)
+            wit.steps[-1] = factorization.ZigzagStep(wrong, last.forward)
+        return wit
+    return search
+
+
+class TestCheckFsMutants:
+    """Each check-fs mutant must make the default sweep of the CLI fail on
+    the check it targets.  ``zigzag-uniqueness`` has no mutant: it compares
+    canonical forms of equal recompositions, so no mutant reaches it."""
+
+    @pytest.mark.parametrize("theory", ["ring", "ps-monoid"])
+    @pytest.mark.parametrize("name, make, check", [
+        ("_bounded_alternatives", perturbed_alternatives, "alt-recompose"),
+        ("_search_witness", wrong_last_step, "witness"),
+        ("_search_witness", lambda real: lambda *args: None, "witness"),
+    ], ids=["perturbed-right-part", "wrong-last-base", "no-witness"])
+    def test_mutant_fails_its_check(self, capsys, monkeypatch, theory, name,
+                                    make, check):
+        from lawvere.cli import main
+        monkeypatch.setattr(factorization, name,
+                            make(getattr(factorization, name)))
+        code = main(["check-fs", "--theory", theory, "--json"])
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert code == 1
+        assert {f["check"] for f in failures} == {check}
 
 
 class TestStrictFS:
