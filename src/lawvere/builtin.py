@@ -17,7 +17,7 @@ can stack them.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .terms import (App, OperationSymbol, StructuralError, Term, TheorySpec,
                     Var, check_arity, sort_key, term_size)
@@ -34,18 +34,34 @@ CM_ZERO = OperationSymbol("zero", 0, "cmonoid")
 
 
 def word_atoms(t: Term, mul: OperationSymbol,
-               unit: Optional[OperationSymbol] = None) -> list:
-    """Flatten a product layer into its left-to-right list of atoms."""
+               unit: Optional[OperationSymbol] = None,
+               leaf: Optional[Callable[[Term], Term]] = None) -> list:
+    """Flatten a product layer into its left-to-right list of atoms.
+
+    With ``leaf``, each atom stands for ``leaf(atom)``, itself flattened
+    when it is a product or the unit: the atoms of the layer read with
+    every atom replaced by its image.  ``leaf`` runs once per run of one
+    atom object.
+    """
     out = []
     stack = [t]
+    prev = prev_image = None
     while stack:
         u = stack.pop()
         # down the left spine; right factors wait on the stack
-        while isinstance(u, App) and u.op == mul:
-            stack.append(u.args[1])
-            u = u.args[0]
-        if unit is None or not (isinstance(u, App) and u.op == unit):
-            out.append(u)
+        while isinstance(u, App) and u[0] == mul:
+            stack.append(u[1][1])
+            u = u[1][0]
+        if unit is not None and isinstance(u, App) and u[0] == unit:
+            continue
+        if leaf is not None:
+            if u is not prev:
+                prev, prev_image = u, leaf(u)
+            u = prev_image
+            if isinstance(u, App) and (u[0] == mul or u[0] == unit):
+                out.extend(word_atoms(u, mul, unit))
+                continue
+        out.append(u)
     return out
 
 
@@ -65,27 +81,47 @@ def build_word(atoms: Sequence[Term], mul: OperationSymbol,
 
 
 def combo_of(t: Term, add: OperationSymbol, neg: Optional[OperationSymbol],
-             zero: OperationSymbol) -> dict:
+             zero: OperationSymbol,
+             leaf: Optional[Callable[[Term], Term]] = None) -> dict:
     """Signed multiset of atoms of an additive layer, zeros dropped.
 
-    Keys keep the order of their first occurrence, left to right.
+    Keys keep the order of their first occurrence, left to right.  With
+    ``leaf``, each atom counts as ``leaf(atom)``, itself read as a sum
+    when it is one: the multiset of the layer with every atom replaced by
+    its image.  A canonical sum repeats one atom object c times; each run
+    of one object is hashed, and passed to ``leaf``, once.
     """
     acc: dict = {}
-    stack = [(t, 1)]
+    run, count = None, 0
+    # the sentinel at the bottom ends the last run
+    stack = [(None, 0), (t, 1)]
     while stack:
         u, sign = stack.pop()
+        if u is run:
+            count += sign
+            continue
         if isinstance(u, App):
-            op = u.op
+            op, args = u
             if op == add:
-                stack.append((u.args[1], sign))
-                stack.append((u.args[0], sign))
+                stack.append((args[1], sign))
+                stack.append((args[0], sign))
                 continue
-            if neg is not None and op == neg:
-                stack.append((u.args[0], -sign))
+            if op == neg:
+                stack.append((args[0], -sign))
                 continue
             if op == zero:
                 continue
-        acc[u] = acc.get(u, 0) + sign
+        if run is not None:
+            if leaf is None:
+                acc[run] = acc.get(run, 0) + count
+            else:
+                image = leaf(run)
+                if isinstance(image, App) and image[0] in (add, neg, zero):
+                    for a, c in combo_of(image, add, neg, zero).items():
+                        acc[a] = acc.get(a, 0) + c * count
+                else:
+                    acc[image] = acc.get(image, 0) + count
+        run, count = u, sign
     return {a: c for a, c in acc.items() if c != 0}
 
 
@@ -111,28 +147,36 @@ def build_combo(combo: dict, add: OperationSymbol,
     return out
 
 
-def _monoid_normalize(t: Term) -> Term:
-    return build_word(word_atoms(t, MUL, ONE), MUL, ONE)
+# Each normalizer below also takes ``leaf``, the normalizer of the layers
+# beneath: ``normalizer(t, leaf)`` equals ``normalizer(substitute(skel,
+# [leaf(a) for a in atoms]))`` for ``skel, atoms = split_layer(t, op_set)``,
+# computed in one walk of the layer (``LAYER_READERS``).
+
+def _monoid_normalize(t: Term, leaf=None) -> Term:
+    return build_word(word_atoms(t, MUL, ONE, leaf), MUL, ONE)
 
 
-def _semigroup_normalize(t: Term) -> Term:
-    return build_word(word_atoms(t, SG_MUL), SG_MUL)
+def _semigroup_normalize(t: Term, leaf=None) -> Term:
+    return build_word(word_atoms(t, SG_MUL, None, leaf), SG_MUL)
 
 
-def _pointed_normalize(t: Term) -> Term:
-    return t
+def _pointed_normalize(t: Term, leaf=None) -> Term:
+    if leaf is None or (isinstance(t, App) and t[0] == POINT):
+        return t
+    return leaf(t)
 
 
-def _abgroup_normalize(t: Term) -> Term:
-    return build_combo(combo_of(t, ADD, NEG, ZERO), ADD, NEG, ZERO)
+def _abgroup_normalize(t: Term, leaf=None) -> Term:
+    return build_combo(combo_of(t, ADD, NEG, ZERO, leaf), ADD, NEG, ZERO)
 
 
-def _cmonoid_normalize(t: Term) -> Term:
-    return build_combo(combo_of(t, CM_ADD, None, CM_ZERO), CM_ADD, None, CM_ZERO)
+def _cmonoid_normalize(t: Term, leaf=None) -> Term:
+    return build_combo(combo_of(t, CM_ADD, None, CM_ZERO, leaf),
+                       CM_ADD, None, CM_ZERO)
 
 
-def _identity_normalize(t: Term) -> Term:
-    return t
+def _identity_normalize(t: Term, leaf=None) -> Term:
+    return t if leaf is None else leaf(t)
 
 
 def word_enumerator(mul: OperationSymbol, unit: Optional[OperationSymbol]):
@@ -260,3 +304,7 @@ BASE_THEORIES = {
     for s in (MONOID, SEMIGROUP, POINTED, ABELIAN_GROUP, COMMUTATIVE_MONOID,
               IDENTITY_THEORY)
 }
+
+# normalizer(t, leaf) of each built-in spec, by id: a spec hashes by its
+# fields on every lookup, and these objects live as long as the module
+LAYER_READERS = {id(s): s.normalizer for s in BASE_THEORIES.values()}

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Callable, Optional, Sequence
 
-from .builtin import build_combo, build_word, combo_of, word_atoms
+from .builtin import (LAYER_READERS, build_combo, build_word, combo_of,
+                      word_atoms)
 from .parser import format_term
 from .report import AxiomReport, Report
 from .sampling import Sampler, random_term
@@ -68,7 +69,9 @@ def layered_normalize(t: Term, order: Sequence[TheorySpec]) -> Term:
     """Normalize each layer of an already layered term, outermost first.
 
     Unlike a composite theory's normalizer this never invokes the law, so
-    it can serve as the neutral comparison form in axiom checks.
+    it can serve as the neutral comparison form in axiom checks.  The
+    layer-order check recurses, one frame per level; the normal form is
+    ``_layered_nf``'s.
     """
     if not check_layer_order(t, [s.op_set for s in order]):
         raise StructuralError(
@@ -77,12 +80,28 @@ def layered_normalize(t: Term, order: Sequence[TheorySpec]) -> Term:
 
 
 def _layered_nf(t: Term, order: Sequence[TheorySpec]) -> Term:
-    if len(order) == 1:
-        return order[0].normalizer(t)
+    """The head's normal form of t with each atom of its layer (each
+    maximal subterm headed by anything else) replaced by its own
+    ``_layered_nf`` over the rest of the order.
+
+    A built-in head (``LAYER_READERS``) reads its layer in one loop and
+    normalizes each atom as it meets it, once per run of one atom object,
+    without ``split_layer`` or ``substitute``; only the calls for deeper
+    layers nest, a few frames per layer rather than per level.  Any other
+    head, such as a composite, is split, its atoms normalized, and the
+    term rebuilt with ``substitute``, which all recurse per level.
+    """
     head = order[0]
+    if len(order) == 1:
+        return head.normalizer(t)
+    rest = order[1:]
+    leaf = (rest[0].normalizer if len(rest) == 1
+            else lambda a: _layered_nf(a, rest))
+    read = LAYER_READERS.get(id(head))
+    if read is not None:
+        return read(t, leaf)
     skel, atoms = split_layer(t, head.op_set)
-    norm = [_layered_nf(a, order[1:]) for a in atoms]
-    return head.normalizer(substitute(skel, norm))
+    return head.normalizer(substitute(skel, [leaf(a) for a in atoms]))
 
 
 @dataclass(frozen=True)
@@ -383,8 +402,14 @@ def check_law_axioms(law: DistributiveLawSpec,
         bottom = nf(bottom_raw)
         v = law.rewrite(substitute(sigma2, tuple(xis2)))
         skel, atoms = split_layer(v, T.op_set)
-        hatted = [law.rewrite(substitute(w, tuple(zetas))) for w in atoms]
-        top = nf_again(substitute(skel, tuple(hatted)), bottom_raw, bottom)
+        # a canonical v repeats one atom object per copy: rewrite it once
+        zetas = tuple(zetas)
+        hat: dict = {}
+        for w in atoms:
+            if id(w) not in hat:
+                hat[id(w)] = law.rewrite(substitute(w, zetas))
+        top = nf_again(substitute(skel, [hat[id(w)] for w in atoms]),
+                       bottom_raw, bottom)
         if top != bottom:
             d_mult_t.add_failure(format_term(flat_t),
                                  format_term(top), format_term(bottom))

@@ -218,8 +218,12 @@ def zigzag_equivalent(p: FactorizationPair, q: FactorizationPair,
     neighbours (middles capped at max(middles) + bound) tries to exhibit
     a chain of length <= bound, so ``bound == 0`` finds only the empty
     chain between equal pairs; ``None`` means no witness within bounds,
-    not inequivalence.
+    not inequivalence.  Pairs over different theories or layers are
+    rejected: each would be canonicalized by its own outer layer.
     """
+    if (p.theory, p.inner, p.outer) != (q.theory, q.inner, q.outer):
+        raise StructuralError("factorizations over different theories or "
+                              "layers")
     if (p.source, p.target) != (q.source, q.target):
         raise StructuralError("factorization endpoints differ")
     equivalent = canonicalize(p).key() == canonicalize(q).key()

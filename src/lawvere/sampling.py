@@ -34,15 +34,22 @@ def random_term(spec: TheorySpec, k: int, rng: random.Random,
     if not leaves:
         raise StructuralError(
             f"theory {spec.name} has no closed terms over 0 variables")
-    inner = [op for op in spec.signature if op.arity > 0]
+    inner = [(op, op.arity) for op in spec.signature if op.arity > 0]
+    rand, choice, randrange = rng.random, rng.choice, rng.randrange
 
+    # every node is well-formed by construction: an op with as many args
+    # as its arity, or a variable below k
     def draw(depth: int) -> Term:
-        if depth <= 0 or not inner or rng.random() < 0.3:
-            pick = rng.choice(leaves)
+        if depth <= 0 or not inner or rand() < 0.3:
+            pick = choice(leaves)
             if pick == "var":
-                return Var(rng.randrange(k))
-            return App(pick, ())
-        op = rng.choice(inner)
-        return App(op, tuple(draw(depth - 1) for _ in range(op.arity)))
+                return tuple.__new__(Var, (randrange(k),))
+            return tuple.__new__(App, (pick, ()))
+        op, arity = choice(inner)
+        if arity == 2:
+            args = (draw(depth - 1), draw(depth - 1))
+        else:
+            args = tuple([draw(depth - 1) for _ in range(arity)])
+        return tuple.__new__(App, (op, args))
 
     return draw(depth)

@@ -27,14 +27,18 @@ Conventions used throughout the package:
 * Depth.  ``builtin.word_atoms`` and ``builtin.combo_of``, which flatten
   a product or sum layer, are loops over an explicit stack and take
   chains of any length; the multiplicative law rewriters read their
-  input through them alone and no longer call ``split_layer``.  Every
-  other traversal still recurses, one to two frames per level:
-  ``substitute``, ``term_size``, ``sort_key``,
-  ``distlaw.split_layer``, ``distlaw.check_layer_order``,
-  ``distlaw.expansion_estimate``, the layered and composite normalizers,
-  ``parser.format_term``, the parser, and hashing and comparing (in C,
-  with ``App.__hash__`` adding a Python frame per level).  So term depth
-  is bounded by the recursion limit set below.  The README's ``check-yb
+  input through them alone and no longer call ``split_layer``.  So do
+  the built-in normalizers, and ``distlaw._layered_nf`` reads a built-in
+  head's layer through them without ``split_layer`` or ``substitute``:
+  its calls nest a few frames per layer, not per level.  Every other
+  traversal still recurses: ``substitute`` and ``sort_key`` one frame
+  per level, and ``term_size``, ``distlaw.split_layer``,
+  ``distlaw.check_layer_order`` (so ``layered_normalize``),
+  ``distlaw.expansion_estimate``, ``_layered_nf`` at a composite head,
+  the composite normalizers, ``parser.format_term``, the parser, and
+  hashing and comparing (in C, with ``App.__hash__`` adding a Python
+  frame per level) one to two frames per level.  So term depth is
+  bounded by the recursion limit set below.  The README's ``check-yb
   --series ring3 --samples 300 --seed 7`` still ends in RecursionError
   in ``split_layer``, and the benchmark pins that answer
   (``perfbench/expected.json``) until the traversals are made iterative
@@ -54,8 +58,8 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence, Union
 
 # canonical forms are right-nested chains, so the depth of the recursive
-# traversals (all but word_atoms and combo_of, which loop) grows with
-# combination length; the default limit is too tight for that
+# traversals (all but the layer loops named under Depth above) grows
+# with combination length; the default limit is too tight for that
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 
@@ -151,14 +155,19 @@ def sort_key(t: Term):
     applications by symbol name, theory and then their args' structures.
     """
     if isinstance(t, Var):
-        return (1, (0, t.index))
+        return (1, (0, t[0]))
+    (name, _, theory), args = t
+    if len(args) == 2:
+        s0, k0 = sort_key(args[0])
+        s1, k1 = sort_key(args[1])
+        return (1 + s0 + s1, (1, name, theory, (k0, k1)))
     size = 1
     keys = []
-    for a in t.args:
+    for a in args:
         s, k = sort_key(a)
         size += s
         keys.append(k)
-    return (size, (1, t.op.name, t.op.theory, tuple(keys)))
+    return (size, (1, name, theory, tuple(keys)))
 
 
 def max_var(t: Term) -> int:
@@ -175,12 +184,16 @@ def substitute(t: Term, sigma: Sequence[Term]) -> Term:
     uses a variable outside the tuple.
     """
     if isinstance(t, Var):
-        if t.index >= len(sigma):
+        if t[0] >= len(sigma):
             raise StructuralError(
                 f"variable {t.index} outside substitution of length {len(sigma)}")
-        return sigma[t.index]
-    return tuple.__new__(App, (t.op,
-                               tuple(substitute(a, sigma) for a in t.args)))
+        return sigma[t[0]]
+    op, args = t
+    if len(args) == 2:
+        args = (substitute(args[0], sigma), substitute(args[1], sigma))
+    else:
+        args = tuple([substitute(a, sigma) for a in args])
+    return tuple.__new__(App, (op, args))
 
 
 def ops_used(t: Term) -> set:

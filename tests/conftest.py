@@ -55,6 +55,53 @@ def make_dropping_mutant(mult_theory, additive_theory,
     return DistributiveLawSpec(name, mult_theory, additive_theory, rewrite)
 
 
+def make_diagram_mutant(diagram: str) -> DistributiveLawSpec:
+    """The ring law, wrong on the inputs one compatibility diagram feeds
+    it (the other diagrams may see such inputs too):
+
+    * ``unit-inner``: a normal sum with no product comes back negated;
+    * ``unit-outer``: a product with no sum comes back reversed;
+    * ``mult-inner``: sums carrying products below a product (the top leg
+      of the inner square rewrites such terms) come back negated;
+    * ``naturality``: when the input has a sum, the letters of each
+      monomial are sorted by variable index, which renaming undoes.
+    """
+    from lawvere.distlaw import RING_LAW, check_layer_order
+    from lawvere.terms import ops_used
+    S, T = RING_LAW.inner, RING_LAW.outer
+    mul, one = S.op("mul"), S.op("one")
+    add, neg, zero = T.op("add"), T.op("neg"), T.op("zero")
+
+    def negated(t):
+        return build_combo({a: -c for a, c in combo_of(
+            t, add, neg, zero).items()}, add, neg, zero)
+
+    def rewrite(t):
+        ops = ops_used(t)
+        has_s, has_t = bool(ops & S.op_set), bool(ops & T.op_set)
+        if diagram == "unit-inner" and has_t and not has_s \
+                and T.normalizer(t) == t:
+            return negated(t)
+        if diagram == "unit-outer" and not has_t:
+            return build_word(word_atoms(t, mul, one)[::-1], mul, one)
+        out = RING_LAW.rewrite(t)
+        if diagram == "mult-inner" and not check_layer_order(
+                t, [S.op_set, T.op_set]):
+            return negated(out)
+        if diagram == "naturality" and has_t:
+            acc = {}
+            for w, c in combo_of(out, add, neg, zero).items():
+                letters = sorted(word_atoms(w, mul, one),
+                                 key=lambda v: v.index)
+                key = build_word(letters, mul, one)
+                acc[key] = acc.get(key, 0) + c
+            return build_combo({w: c for w, c in acc.items() if c},
+                               add, neg, zero)
+        return out
+
+    return DistributiveLawSpec(f"{diagram}-mutant", S, T, rewrite)
+
+
 def make_ring_mutant() -> DistributiveLawSpec:
     return make_dropping_mutant(MONOID, ABELIAN_GROUP, name="ring-mutant")
 

@@ -17,8 +17,8 @@ from lawvere.distlaw import (BUILTIN_LAWS, DistributiveSeries, PS_LAW,
 from lawvere.parser import parse_term
 from lawvere.sampling import Sampler, random_term
 from lawvere.terms import App, StructuralError, Var, sort_key, substitute
-from .conftest import (eval_ring_term, make_dropping_mutant,
-                       make_ring_mutant, words_over)
+from .conftest import (eval_ring_term, make_diagram_mutant,
+                       make_dropping_mutant, make_ring_mutant, words_over)
 
 
 class TestApplyLaw:
@@ -177,6 +177,19 @@ class TestAxioms:
         assert not rep.diagram("mult-outer").passed
         witness = rep.diagram("mult-outer").failures[0]
         assert witness["leftValue"] != witness["rightValue"]
+
+    @pytest.mark.parametrize("diagram", ["unit-inner", "unit-outer",
+                                         "mult-inner", "naturality"])
+    def test_each_diagram_catches_its_mutant(self, diagram):
+        # default bounds; a mutant can also fail diagrams that feed the
+        # law the same kind of input, but never slips past its own
+        rep = check_law_axioms(make_diagram_mutant(diagram))
+        failed = {d.diagram for d in rep.diagrams if d.failures}
+        assert diagram in failed
+        witness = rep.diagram(diagram).failures[0]
+        assert witness["leftValue"] != witness["rightValue"]
+        if diagram == "mult-inner":
+            assert failed == {"mult-inner"}
 
     def test_identity_inner_law_vacuous(self):
         law = trivial_law(IDENTITY_THEORY, ABELIAN_GROUP)

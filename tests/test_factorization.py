@@ -496,6 +496,23 @@ class TestZigzag:
         with pytest.raises(StructuralError):
             zigzag_equivalent(p, q)
 
+    def test_pairs_over_different_layers_rejected(self, ring, ps_monoid):
+        # the same source and target, but another theory, inner or outer
+        p = ring_pair(ring, ["ab"], ["a"], 2)
+        comps = p.left, p.right
+        others = [
+            FactorizationPair(ring, ring, ABELIAN_GROUP, *comps),
+            FactorizationPair(ring, MONOID, ring, *comps),
+            factorize(ps_monoid, SEMIGROUP, POINTED, morphism(
+                ps_monoid, 2, [parse_term("ab", ps_monoid, 2)])),
+        ]
+        for q in others:
+            assert (q.source, q.target) == (p.source, p.target)
+            for x, y in [(p, q), (q, p)]:
+                with pytest.raises(StructuralError,
+                                   match="different theories or layers"):
+                    zigzag_equivalent(x, y, bound=1)
+
     def test_inequivalent_when_recompositions_differ(self, ring):
         p = ring_pair(ring, ["ab", "c"], ["a+b"], 3)
         q = ring_pair(ring, ["ab", "c"], ["a-b"], 3)
@@ -864,15 +881,19 @@ class TestOneStepTest:
 
     def test_a_target_entry_outside_the_search_pool(self, ring):
         # q's spare entry a+b is checked against q's inner layer, the whole
-        # ring, but the search's pool keeps only terms pure in p's
+        # ring, but the search's pool keeps only terms pure in p's;
+        # zigzag_equivalent rejects pairs over different layers, so the
+        # search is called directly
         p = ring_pair(ring, ["ab"], ["a"], 2)
         q = FactorizationPair(
             ring, ring, ABELIAN_GROUP,
             morphism(ring, 2, [parse_term(t, ring, 2) for t in ("ab", "a+b")]),
             morphism(ring, 2, [Var(0)]))
-        assert zigzag_equivalent(p, q, bound=-1)[0]
+        with pytest.raises(StructuralError, match="different theories"):
+            zigzag_equivalent(p, q, bound=-1)
         for bound in (1, 2):
-            assert self.assert_same_witness(p, q, bound) is None
+            assert factorization._search_witness(p, q, bound, None) is None
+            assert expanding_search_witness(p, q, bound, None) is None
 
     def test_a_forward_step_past_the_lift_limit(self, ring):
         # q is a forward neighbour of p along [2] -> [1], but its five

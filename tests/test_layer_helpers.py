@@ -1,8 +1,9 @@
 """The layer helpers on the law-checking path against reference copies.
 
 ``word_atoms`` and ``combo_of`` walk with an explicit stack, ``sort_key``
-makes one walk for both its parts, ``random_term`` recurses through an
-inner function, and the multiplicative laws read a product layer in one
+makes one walk for both its parts, ``substitute`` and ``sort_key`` build
+no generator or list at a binary node, ``random_term`` recurses through
+an inner function, and the multiplicative laws read a product layer in one
 ``word_atoms`` walk, the additive one flattening each summand once and
 building each monomial once.  The ``reference_*`` functions below are
 the straightforward versions; every rewrite must give the same values,
@@ -23,8 +24,8 @@ from lawvere.distlaw import (PS_LAW, RING_LAW, SEMIGROUP_SUM_LAW,
                              _EXPANSION_LIMIT, expansion_estimate,
                              ps_monoid_theory, ring_theory, split_layer)
 from lawvere.sampling import random_term
-from lawvere.terms import (App, StructuralError, Var, sort_key, substitute,
-                           term_size)
+from lawvere.terms import (App, OperationSymbol, StructuralError, TheorySpec,
+                           Var, sort_key, substitute, term_size)
 from .test_terms import raw_terms
 
 WORD_OPS = [(MUL, ONE), (MUL, None), (SG_MUL, None)]
@@ -72,6 +73,15 @@ def reference_term_key(t):
         return (0, t.index)
     return (1, t.op.name, t.op.theory,
             tuple(reference_term_key(a) for a in t.args))
+
+
+def reference_substitute(t, sigma):
+    if isinstance(t, Var):
+        if t.index >= len(sigma):
+            raise StructuralError(
+                f"variable {t.index} outside substitution of length {len(sigma)}")
+        return sigma[t.index]
+    return App(t.op, tuple(reference_substitute(a, sigma) for a in t.args))
 
 
 def reference_random_term(spec, k, rng, depth):
@@ -251,7 +261,32 @@ def test_sort_key_is_size_then_key(t):
     assert sort_key(t) == (term_size(t), reference_term_key(t))
 
 
-@pytest.mark.parametrize("spec", builtin_theories(), ids=lambda s: s.name)
+# one symbol of each arity 0..3, so every branch of the walks is taken
+ARITIES = TheorySpec(
+    name="arities",
+    signature=tuple(OperationSymbol(f"f{n}", n, "arities") for n in range(4)),
+    normalizer=lambda t: t, atom_enumerator=lambda atoms, bound: [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_substitute_and_sort_key_match_the_reference(data):
+    spec = data.draw(st.sampled_from(builtin_theories() + [ARITIES]))
+    t = data.draw(raw_terms(spec, 3))
+    sigma = tuple(data.draw(raw_terms(spec, 2)) for _ in range(
+        data.draw(st.integers(0, 3))))
+    assert sort_key(t) == (term_size(t), reference_term_key(t))
+    try:
+        want = reference_substitute(t, sigma)
+    except StructuralError as exc:
+        with pytest.raises(StructuralError, match=str(exc)):
+            substitute(t, sigma)
+        return
+    assert substitute(t, sigma) == want
+
+
+@pytest.mark.parametrize("spec", builtin_theories() + [ARITIES],
+                         ids=lambda s: s.name)
 def test_random_term_consumes_the_stream_as_the_reference(spec):
     params = random.Random(spec.name)
     rng, ref = random.Random(11), random.Random(11)
