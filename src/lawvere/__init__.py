@@ -10,7 +10,7 @@ between theories and finitary monads, brute-force checked.
 
 from .builtin import (ABELIAN_GROUP, BASE_THEORIES, COMMUTATIVE_MONOID,
                       IDENTITY_THEORY, MONOID, POINTED, SEMIGROUP)
-from .correspondence import (MonadMap, MonadTheoryTable, TheoryFragment,
+from .correspondence import (MonadMap, TheoryFragment,
                              composite_correspondence_check, encode_term,
                              istar_composite, monad_from_theory, phi,
                              roundtrip_check)
@@ -23,8 +23,8 @@ from .factorization import (FactorizationPair, ZigzagStep, ZigzagWitness,
                             canonicalize, check_fs_over_base,
                             check_strict_fs, factorize, zigzag_equivalent)
 from .fincat import (FiniteCategory, FiniteFunctor, Morphism,
-                     chain_category, discrete_category, fop_truncation,
-                     iso_pair_category, monoid_category)
+                     chain_category, discrete_category, iso_pair_category,
+                     monoid_category)
 from .fragments import (FRAGMENTS, FREE_MONOID_MONAD, FREE_RING_MONAD,
                         FREE_SEMIGROUP_MONAD, FinitaryMonadFragment,
                         IDENTITY_MONAD, POINTED_MONAD)

@@ -1,12 +1,12 @@
-"""The dictionary between theories-as-arity-categories and finitary
-monads presented by fragments.
+"""The dictionary between theories of arities and finitary monads
+presented by fragments.
 
-One direction tabulates a fragment: the morphisms n -> m are the
+One direction is ``phi``: a fragment tabulates as the theory
+``theory.LawvereTheory(fragment)``, whose morphisms n -> m are the
 functions from [m] into the carrier F[n], composed by Kleisli
-substitution, with variable picking embedded through the unit; a term
-theory is tabulated as ``phi(TheoryFragment(spec))``.  The other
-direction rebuilds a monad's value on a finite set as a truncated coend
-over arities, with an explicit stabilization flag.
+substitution; a term theory's is ``phi(TheoryFragment(spec))``.  The
+other direction rebuilds a monad's value on a finite set as a truncated
+coend over arities, with an explicit stabilization flag.
 
 Every quotient over arities here, in ``monad_from_theory``,
 ``roundtrip_check`` and both halves of ``istar_composite``, is the one
@@ -25,36 +25,12 @@ from .profunctor import _label_key
 from .report import Report
 from .sampling import Sampler
 from .terms import StructuralError, Term, TheorySpec, Var, substitute
-from .theory import BaseFunction
+from .theory import LawvereTheory
 
 
-class MonadTheoryTable:
-    """hom(n, m) = functions [m] -> F[n]; composition is Kleisli."""
-
-    def __init__(self, fragment: FinitaryMonadFragment):
-        self.fragment = fragment
-        self.name = f"table({fragment.name})"
-
-    def hom(self, n: int, m: int, bound: Optional[int] = None) -> list:
-        pool = self.fragment.carrier(n, bound)
-        return [tuple(c) for c in itertools.product(pool, repeat=m)]
-
-    def compose(self, g: tuple, f: tuple) -> tuple:
-        """g: m -> p after f: n -> m, both as element tuples."""
-        return tuple(self.fragment.subst(e, f) for e in g)
-
-    def identity(self, n: int) -> tuple:
-        return tuple(self.fragment.unit(n, i) for i in range(n))
-
-    def basic(self, alpha: BaseFunction) -> tuple:
-        """The embedded morphism alpha.cod -> alpha.dom."""
-        return tuple(self.fragment.unit(alpha.cod, alpha(i))
-                     for i in range(alpha.dom))
-
-
-def phi(fragment: FinitaryMonadFragment) -> MonadTheoryTable:
+def phi(fragment: FinitaryMonadFragment) -> LawvereTheory:
     """Tabulate a finitary monad fragment as a theory of arities."""
-    return MonadTheoryTable(fragment)
+    return LawvereTheory(fragment)
 
 
 class TheoryFragment(FinitaryMonadFragment):
@@ -114,7 +90,7 @@ def tabulate_map(alpha: MonadMap, f: tuple, n: int) -> tuple:
     return tuple(alpha.at(n, e) for e in f)
 
 
-def reconstruct_map(tableF: MonadTheoryTable, tableG: MonadTheoryTable,
+def reconstruct_map(tableF: LawvereTheory, tableG: LawvereTheory,
                     beta: Callable, n_bound: int,
                     carrier_bound: Optional[int] = None) -> Optional[MonadMap]:
     """Rebuild a transformation from the (n, 1) components of a natural
@@ -151,7 +127,7 @@ class CoendResult:
         return len(self.classes)
 
 
-def monad_from_theory(table: MonadTheoryTable, x: int, truncation: int,
+def monad_from_theory(table: LawvereTheory, x: int, truncation: int,
                       size_bound: Optional[int] = None) -> CoendResult:
     """Value on a set of size x of the monad rebuilt from a theory table.
 
@@ -253,9 +229,11 @@ def composite_correspondence_check(law: DistributiveLawSpec,
                                    spec: Optional[TheorySpec] = None) -> Report:
     """The composite theory tabulates the composite monad.
 
-    Hom-sets within the size bound must biject with the fragment's bounded
-    carriers under term interpretation, compositions must agree on
-    deterministic samples, and the composite's product structure must pass.
+    The law's axioms must pass on the sampler's draws, hom-sets within the
+    size bound must biject with the fragment's bounded carriers under term
+    interpretation, and compositions must agree on deterministic samples.
+    The composite's product structure is not checked here: run
+    ``check_product_structure`` on ``phi(TheoryFragment(spec))``.
     """
     sampler = sampler or Sampler(samples=150)
     theory = spec if spec is not None else composite_theory(law, check=False)

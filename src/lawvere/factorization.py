@@ -14,26 +14,8 @@ middle and that each is pure in its layer.  The sweep and the search
 build their pairs through the internal ``_trusted_pair`` and their
 morphisms through ``theory._trusted``, skipping checks that hold by
 construction; every check that can fail runs once, where its input
-enters:
-
-* ``factorize``: the right part is outer skeletons over the middle
-  variables, normalized (idempotent normalizers); the left part is the
-  normal forms of the input's atoms, each checked pure inner-theory,
-  since an input that bypassed the morphism checks may not be normal;
-* ``_bounded_alternatives``: left parts extend the canonical one by a
-  spare atom or a duplicate, or reverse it; the spare atoms are checked
-  by ``_spare_pool``, once per source arity in ``check_fs_over_base``;
-  right parts are renamings by ``compose``;
-* ``_neighbours``, forward: left parts are picked from the current one,
-  right parts are normal lifts over the same outer operations;
-* ``_neighbours``, backward: right parts are renamings by ``compose``,
-  left parts are filled from a pool that ``_search_witness`` filters
-  once per search to terms within the source, normal and pure;
-* ``_search_witness``, the last pair of a witness: the target's
-  components, once ``_step_to`` has found them among the current pair's
-  neighbours by the same forward and backward steps;
-* ``check_fs_over_base``: hom-set morphisms are tuples of
-  ``enumerate_normal`` output (normal enumerators).
+enters.  The construction sites and the contract each rests on are
+listed in the ``theory`` module docstring.
 """
 from __future__ import annotations
 

@@ -7,7 +7,6 @@ is a category.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -143,40 +142,6 @@ def iso_pair_category(name: str = "iso2") -> FiniteCategory:
     }
     return FiniteCategory(name, objects, morphisms,
                           {"x": "id_x", "y": "id_y"}, comp)
-
-
-def fop_truncation(sizes: Sequence[int], name: str = "") -> FiniteCategory:
-    """Finite sets and functions, read contravariantly: an arrow k -> m is
-    a function table [m] -> [k]."""
-    objects = list(sizes)
-    morphisms = []
-    comp = {}
-
-    def mname(k, m, table):
-        return f"{k}->{m}:{','.join(map(str, table))}"
-
-    for k in objects:
-        for m in objects:
-            for table in itertools.product(range(k), repeat=m):
-                morphisms.append(Morphism(mname(k, m, table), k, m))
-    for f in morphisms:
-        ftab = _parse_table(f.name)
-        for g in morphisms:
-            if f.tgt != g.src:
-                continue
-            gtab = _parse_table(g.name)
-            comp[(g.name, f.name)] = mname(
-                f.src, g.tgt, tuple(ftab[v] for v in gtab))
-    idents = {k: mname(k, k, tuple(range(k))) for k in objects}
-    return FiniteCategory(name or f"fop{list(sizes)}", objects, morphisms,
-                          idents, comp)
-
-
-def _parse_table(name: str) -> tuple:
-    part = name.split(":", 1)[1]
-    if not part:
-        return ()
-    return tuple(int(v) for v in part.split(","))
 
 
 class FiniteFunctor:

@@ -1,23 +1,29 @@
 """Algebraic theories as categories of arities.
 
-A morphism k -> m is an m-tuple of normal terms in k variables; composing
-g after f substitutes f's tuple into each component of g and renormalizes.
-Objects are natural numbers, k + m is the product of k and m, and the
-basic morphisms (variable picking) embed the category of finite sets,
-contravariantly.
+``LawvereTheory(fragment)`` is Phi of a finitary monad fragment: a
+morphism n -> m is an m-tuple of elements of F[n], composition is Kleisli
+substitution, and variable picking embeds the category of finite sets,
+contravariantly, through the unit.  Objects are natural numbers and k + m
+is the product of k and m.  A term theory's is
+``LawvereTheory(correspondence.TheoryFragment(spec))``: its elements are
+normal terms and composing substitutes and renormalizes.  Hom-sets of
+infinite carriers are enumerated under a size bound; finite ones
+tabulate as a ``FiniteCategory`` through ``truncate``.
 
-Every public way to build a morphism validates it: ``TheoryMorphism(...)``
-checks the component count, that no component uses a variable outside the
-source arity and that each component is normal, and ``morphism()``
-normalizes its components and then runs the same checks.  Morphisms whose
-components are normal and within the source by construction go through
-the internal ``_trusted`` instead, which skips the checks.  Each site
-rests on one ``TheorySpec`` contract:
+``TheoryMorphism`` is a term-theory morphism that carries its spec, the
+form factorisation works on.  Every public way to build one validates it:
+``TheoryMorphism(...)`` checks the component count, that no component
+uses a variable outside the source arity and that each component is
+normal, and ``morphism()`` normalizes its components and then runs the
+same checks.  Morphisms whose components are normal and within the
+source by construction go through the internal ``_trusted`` instead,
+which skips the checks.  Each site rests on one ``TheorySpec`` contract:
 
 * idempotent normalizers that fix variables: ``compose`` (normal forms of
   substitutions of in-range components), ``basic_morphism`` (variables
   only) and ``factorization.factorize`` (normal forms of subterms of the
-  input and of outer skeletons over the middle variables);
+  input, each checked pure in the inner layer, and of outer skeletons
+  over the middle variables);
 * normal enumerators (``atom_enumerator`` lists only normal forms over
   the atoms it is given): the hom-set morphisms of
   ``factorization.check_fs_over_base``;
@@ -26,7 +32,9 @@ rests on one ``TheorySpec`` contract:
   ``factorization._bounded_alternatives`` (the spare atoms are checked
   once per source arity), of ``factorization._neighbours`` (its pool
   is filtered once per search by ``_search_witness``) and of a witness's
-  last pair, which ``_step_to`` finds by the same steps.
+  last pair, which ``_step_to`` finds by the same steps.  Their right
+  parts are renamings by ``compose`` or normal lifts over the same outer
+  operations.
 
 A mutant normalizer that breaks the contract is still caught wherever a
 morphism is built from outside.
@@ -37,6 +45,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .fincat import FiniteCategory, Morphism
+from .fragments import FinitaryMonadFragment
 from .report import Report
 from .terms import (StructuralError, Term, TheorySpec, Var, max_var,
                     substitute)
@@ -141,73 +151,70 @@ def basic_morphism(theory: TheorySpec, alpha: BaseFunction) -> TheoryMorphism:
     return _trusted(theory, alpha.cod, tuple(map(Var, alpha.table)))
 
 
-def pairing(f: TheoryMorphism, g: TheoryMorphism) -> TheoryMorphism:
-    """The tuple <f, g>: p -> k + m by concatenating components."""
-    if f.source != g.source:
-        raise StructuralError("pairing needs a common source")
-    return TheoryMorphism(f.theory, f.source, f.target + g.target,
-                          f.components + g.components)
-
-
-def projections(theory: TheorySpec, k: int, m: int):
-    """The two product projections out of k + m."""
-    p1 = basic_morphism(theory, BaseFunction(k, k + m, tuple(range(k))))
-    p2 = basic_morphism(theory, BaseFunction(m, k + m,
-                                             tuple(range(k, k + m))))
-    return p1, p2
-
-
 class LawvereTheory:
-    """A theory spec viewed as a category with enumerable hom-sets.
+    """Phi of a fragment: hom(n, m) is the functions [m] -> F[n], as
+    m-tuples of carrier elements; composition is Kleisli."""
 
-    Hom-sets are intensional: most are infinite, so they are only ever
-    enumerated under a size bound.
-    """
+    def __init__(self, fragment: FinitaryMonadFragment):
+        self.fragment = fragment
+        self.name = fragment.name
 
-    def __init__(self, spec: TheorySpec):
-        self.spec = spec
+    def hom(self, n: int, m: int, bound: Optional[int] = None) -> list:
+        return list(itertools.product(self.fragment.carrier(n, bound),
+                                      repeat=m))
 
-    @property
-    def name(self) -> str:
-        return self.spec.name
+    def compose(self, g: tuple, f: tuple) -> tuple:
+        """g: m -> p after f: n -> m, both as element tuples."""
+        return tuple(self.fragment.subst(e, f) for e in g)
 
-    def identity(self, k: int) -> TheoryMorphism:
-        return identity_morphism(self.spec, k)
+    def identity(self, n: int) -> tuple:
+        return tuple(self.fragment.unit(n, i) for i in range(n))
 
-    def compose(self, g: TheoryMorphism, f: TheoryMorphism) -> TheoryMorphism:
-        return compose(g, f)
+    def basic(self, alpha: BaseFunction) -> tuple:
+        """The embedded morphism alpha.cod -> alpha.dom."""
+        return tuple(self.fragment.unit(alpha.cod, alpha(i))
+                     for i in range(alpha.dom))
 
-    def basic(self, alpha: BaseFunction) -> TheoryMorphism:
-        return basic_morphism(self.spec, alpha)
+    def truncate(self, sizes: Sequence[int],
+                 name: str = "") -> FiniteCategory:
+        """The full subcategory on the arities ``sizes``, validated; the
+        arrow f: n -> m is named ``n->m:`` and f's elements joined by
+        commas.  Only fragments with finite carriers have one."""
+        if not self.fragment.finite:
+            raise StructuralError(
+                f"{self.name} has infinite carriers: no finite truncation")
+        objects = list(sizes)
+        homs = {(n, m): self.hom(n, m) for n in objects for m in objects}
 
-    def contains(self, f: TheoryMorphism) -> bool:
-        return True
+        def mname(n, m, f):
+            return f"{n}->{m}:{','.join(map(str, f))}"
 
-    def hom_terms(self, k: int, size_bound: int) -> list:
-        return self.spec.enumerate_normal(k, size_bound)
-
-    def hom(self, k: int, m: int, size_bound: int) -> Iterator[TheoryMorphism]:
-        """All morphisms k -> m whose components have size <= size_bound."""
-        pool = self.hom_terms(k, size_bound)
-        for comps in itertools.product(pool, repeat=m):
-            yield TheoryMorphism(self.spec, k, m, tuple(comps))
-
-    def hom_in(self, k: int, m: int, size_bound: int) -> Iterator[TheoryMorphism]:
-        return (f for f in self.hom(k, m, size_bound) if self.contains(f))
+        morphisms = [Morphism(mname(n, m, f), n, m)
+                     for (n, m), fs in homs.items() for f in fs]
+        comp = {(mname(m, p, g), mname(n, m, f)):
+                mname(n, p, self.compose(g, f))
+                for (n, m), fs in homs.items() for f in fs
+                for p in objects for g in homs[(m, p)]}
+        idents = {n: mname(n, n, self.identity(n)) for n in objects}
+        return FiniteCategory(name or f"{self.name}{objects}", objects,
+                              morphisms, idents, comp)
 
 
 class NoDiagonalsTheory(LawvereTheory):
-    """Restriction in which no variable may be used twice across a tuple.
+    """A term theory restricted to the tuples in which no variable is
+    used twice across the components.
 
     Dropping the diagonal basic morphisms breaks the product structure;
     this exists purely as a counterexample feed for the product checker.
     """
 
-    def contains(self, f: TheoryMorphism) -> bool:
-        occ: list = []
-        for c in f.components:
-            occ.extend(_var_occurrences(c))
-        return len(occ) == len(set(occ))
+    def hom(self, n: int, m: int, bound: Optional[int] = None) -> list:
+        out = []
+        for f in super().hom(n, m, bound):
+            occ = [v for c in f for v in _var_occurrences(c)]
+            if len(occ) == len(set(occ)):
+                out.append(f)
+        return out
 
 
 def _var_occurrences(t: Term) -> list:
@@ -227,30 +234,32 @@ def check_product_structure(theory: LawvereTheory, k: int, m: int,
     """Verify that k + m behaves as the product of k and m.
 
     For morphism pairs (f: p -> k, g: p -> m) checks that the pairing
-    exists in the category and satisfies the projection equations, and for
-    morphisms h: p -> k + m that pairing the two projections of h gives h
-    back.  Failures are collected, not raised.
+    f + g is in the bounded hom-set p -> k + m and satisfies the
+    projection equations, and for morphisms h: p -> k + m that pairing
+    the two projections of h gives h back.  Failures are collected, not
+    raised; bounds that leave nothing to check raise ``StructuralError``.
     """
     import random
     rng = random.Random(seed)
+    ps = list(p_values)
     rep = Report(subject=f"product-structure:{theory.name}",
-                 bounds={"k": k, "m": m, "sizeBound": size_bound,
-                         "p": list(p_values)},
+                 bounds={"k": k, "m": m, "sizeBound": size_bound, "p": ps},
                  seed=seed)
-    p1, p2 = projections(theory.spec, k, m)
+    p1 = theory.basic(BaseFunction(k, k + m, tuple(range(k))))
+    p2 = theory.basic(BaseFunction(m, k + m, tuple(range(k, k + m))))
 
-    def run_pair(f, g):
+    def run_pair(f, g, hom_km):
         rep.sample_count += 1
-        h = pairing(f, g)
+        h = f + g
         ok = True
-        if not theory.contains(h):
+        if h not in hom_km:
             rep.add_failure(check="pairing-exists", f=repr(f), g=repr(g))
             ok = False
         else:
-            if compose(p1, h) != f:
+            if theory.compose(p1, h) != f:
                 rep.add_failure(check="projection-1", f=repr(f), g=repr(g))
                 ok = False
-            if compose(p2, h) != g:
+            if theory.compose(p2, h) != g:
                 rep.add_failure(check="projection-2", f=repr(f), g=repr(g))
                 ok = False
         if ok:
@@ -258,16 +267,15 @@ def check_product_structure(theory: LawvereTheory, k: int, m: int,
 
     def run_surjective(h):
         rep.sample_count += 1
-        back = pairing(compose(p1, h), compose(p2, h))
-        if back != h:
+        if theory.compose(p1, h) + theory.compose(p2, h) != h:
             rep.add_failure(check="surjective-pairing", h=repr(h))
         else:
             rep.pass_count += 1
 
-    for p in p_values:
-        fs = list(theory.hom_in(p, k, size_bound))
-        gs = list(theory.hom_in(p, m, size_bound))
-        hs = list(theory.hom_in(p, k + m, size_bound))
+    for p in ps:
+        fs = theory.hom(p, k, size_bound)
+        gs = theory.hom(p, m, size_bound)
+        hs = theory.hom(p, k + m, size_bound)
         if sample_count is not None:
             pairs = [(rng.choice(fs), rng.choice(gs))
                      for _ in range(sample_count) if fs and gs]
@@ -275,10 +283,15 @@ def check_product_structure(theory: LawvereTheory, k: int, m: int,
         else:
             pairs = list(itertools.product(fs, gs))
             picks = hs
+        hom_km = set(hs)
         for f, g in pairs:
-            run_pair(f, g)
+            run_pair(f, g, hom_km)
         for h in picks:
             run_surjective(h)
+    if not rep.sample_count:
+        raise StructuralError(
+            f"k={k}, m={m}, p in {ps} and size bound {size_bound} leave "
+            "nothing to check")
     return rep
 
 

@@ -6,7 +6,8 @@ import time
 
 
 from lawvere.builtin import ABELIAN_GROUP, MONOID, POINTED, SEMIGROUP
-from lawvere.correspondence import composite_correspondence_check
+from lawvere.correspondence import (TheoryFragment,
+                                    composite_correspondence_check)
 from lawvere.distlaw import (RING_LAW, apply_law, check_law_axioms,
                              check_yang_baxter, ring3_series)
 from lawvere.factorization import (FactorizationPair, check_fs_over_base,
@@ -204,8 +205,8 @@ def test_criterion_8_roundtrips():
 def test_criterion_9_composite_correspondence(ring):
     rep = composite_correspondence_check(
         RING_LAW, FREE_RING_MONAD, size_bound=6, arity_bound=2, spec=ring)
-    prod = check_product_structure(LawvereTheory(ring), 1, 2,
-                                   p_values=(1, 2), size_bound=3,
+    prod = check_product_structure(LawvereTheory(TheoryFragment(ring)),
+                                   1, 2, p_values=(1, 2), size_bound=3,
                                    sample_count=150)
     ok = rep.passed and prod.passed
     announce(9, ok, f"hom bijections at size 6 and product structure "

@@ -6,11 +6,12 @@ import weakref
 import pytest
 
 from lawvere.builtin import POINTED
+from lawvere.correspondence import phi
 from lawvere.fincat import (FiniteCategory, FiniteFunctor, Morphism,
                             chain_category, compose_functors,
                             constant_functor, discrete_category,
-                            fop_truncation, identity_functor,
-                            monoid_category)
+                            identity_functor, monoid_category)
+from lawvere.fragments import IDENTITY_MONAD
 from lawvere.profunctor import (BimoduleMonad, compose_prof,
                                 constant_profunctor, functor_to_monad,
                                 hom_profunctor, monad_to_functor, prof_iso,
@@ -58,7 +59,7 @@ class TestCategories:
             FiniteCategory("bad", ["x"], ms, {"x": "id_x"}, bad)
 
     def test_fop_truncation_matches_basic_morphisms(self):
-        cat = fop_truncation([0, 1, 2])
+        cat = phi(IDENTITY_MONAD).truncate([0, 1, 2])
         # arrows k -> m are tables [m] -> [k]
         assert len(cat.hom(2, 2)) == 4
         assert len(cat.hom(2, 0)) == 1
@@ -234,7 +235,7 @@ class TestBimodules:
 
     def test_pointed_hom_tables_over_two_arities(self):
         # the embedded arity category inside the pointed theory, on {0, 1}
-        fop = fop_truncation([0, 1], name="fop01")
+        fop = phi(IDENTITY_MONAD).truncate([0, 1], name="fop01")
         pt = POINTED
         tuples = {}
         morphs = []
@@ -259,11 +260,13 @@ class TestBimodules:
                   for k in (0, 1)}
         ptcat = FiniteCategory("pointed01", [0, 1],
                                [m for m, _ in morphs], idents, comp)
-        from lawvere.fincat import _parse_table
+        # an arrow k -> m of the arity category is named "k->m:" and its
+        # table [m] -> [k], comma-separated
         emb = FiniteFunctor(
             fop, ptcat, {0: 0, 1: 1},
             {f.name: tuples[(f.src, f.tgt,
-                             tuple(Var(v) for v in _parse_table(f.name)))]
+                             tuple(Var(int(v)) for v in
+                                   f.name.split(":")[1].split(",") if v))]
              for f in fop.morphisms})
         m = functor_to_monad(emb)
         a, functor, names = monad_to_functor(m)

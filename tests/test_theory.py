@@ -5,6 +5,10 @@ import pytest
 
 from lawvere.builtin import (ABELIAN_GROUP, BASE_THEORIES, IDENTITY_THEORY,
                              MONOID)
+from lawvere.correspondence import TheoryFragment, phi
+from lawvere.fincat import FiniteCategory, Morphism
+from lawvere.fragments import (FRAGMENTS, FREE_MONOID_MONAD, IDENTITY_MONAD,
+                               POINTED_MONAD)
 from lawvere.distlaw import (ps_monoid_theory, ring3_series, ring_theory,
                              series_composite_left, series_composite_right)
 from lawvere.parser import parse_term
@@ -132,10 +136,10 @@ class TestBasicMorphism:
 
 def test_hom_set_formula():
     # morphisms k -> 1 of bounded size are exactly the bounded normal forms
-    th = LawvereTheory(MONOID)
+    th = LawvereTheory(TheoryFragment(MONOID))
     hom = list(th.hom(2, 1, 5))
     terms = MONOID.enumerate_normal(2, 5)
-    assert [f.components[0] for f in hom] == terms
+    assert [f[0] for f in hom] == terms
 
 
 def test_json_round_trip():
@@ -146,23 +150,177 @@ def test_json_round_trip():
     assert morphism_from_json(data, MONOID) == f
 
 
+def reference_product_check(spec, k, m, p_values, size_bound,
+                            sample_count=None, seed=0, no_diagonals=False):
+    """The product check as it ran on validated ``TheoryMorphism``s, with
+    every hom-set filtered by the no-diagonals test when asked: (samples,
+    passes, the failed checks in order)."""
+    rng = random.Random(seed)
+
+    def keep(f):
+        occ, stack = [], list(f.components)
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                occ.append(t.index)
+            else:
+                stack.extend(t.args)
+        return not no_diagonals or len(occ) == len(set(occ))
+
+    def hom(p, n):
+        pool = spec.enumerate_normal(p, size_bound)
+        homs = (TheoryMorphism(spec, p, n, comps)
+                for comps in itertools.product(pool, repeat=n))
+        return [f for f in homs if keep(f)]
+
+    p1 = basic_morphism(spec, BaseFunction(k, k + m, tuple(range(k))))
+    p2 = basic_morphism(spec, BaseFunction(m, k + m, tuple(range(k, k + m))))
+    samples, passes, failed = 0, 0, []
+    for p in p_values:
+        fs, gs, hs = hom(p, k), hom(p, m), hom(p, k + m)
+        if sample_count is not None:
+            pairs = [(rng.choice(fs), rng.choice(gs))
+                     for _ in range(sample_count) if fs and gs]
+            picks = [rng.choice(hs) for _ in range(sample_count) if hs]
+        else:
+            pairs, picks = list(itertools.product(fs, gs)), hs
+        for f, g in pairs:
+            samples += 1
+            h = TheoryMorphism(spec, p, k + m, f.components + g.components)
+            if not keep(h):
+                bad = ["pairing-exists"]
+            else:
+                bad = [check for check, proj, want in
+                       (("projection-1", p1, f), ("projection-2", p2, g))
+                       if compose(proj, h) != want]
+            failed += bad
+            passes += not bad
+        for h in picks:
+            samples += 1
+            if compose(p1, h).components + compose(p2, h).components \
+                    == h.components:
+                passes += 1
+            else:
+                failed.append("surjective-pairing")
+    return samples, passes, failed
+
+
+PRODUCT_CASES = [
+    *(("identity", k, m, (0, 1, 2), 1, None, 0)
+      for k, m in itertools.product(range(3), repeat=2)),
+    ("ring", 1, 2, (1, 2), 3, 120, 0),
+    ("ring", 1, 2, (1, 2), 3, 150, 0),
+    ("monoid", 2, 1, (0, 1, 2), 3, 40, 5),
+    ("no-diagonals", 1, 1, (1,), 3, None, 0),
+    ("no-diagonals", 1, 2, (2,), 3, 50, 3),
+]
+
+
 class TestProductStructure:
+    @pytest.mark.parametrize("case", PRODUCT_CASES,
+                             ids=lambda c: f"{c[0]}-{c[1]}{c[2]}-{c[5]}")
+    def test_counts_match_the_morphism_checker(self, case, ring):
+        name, k, m, ps, bound, samples, seed = case
+        spec = {"identity": IDENTITY_THEORY, "ring": ring}.get(name, MONOID)
+        cls = NoDiagonalsTheory if name == "no-diagonals" else LawvereTheory
+        rep = check_product_structure(cls(TheoryFragment(spec)), k, m,
+                                      p_values=ps, size_bound=bound,
+                                      sample_count=samples, seed=seed)
+        assert rep.subject == f"product-structure:{spec.name}"
+        assert (rep.sample_count, rep.pass_count,
+                [f["check"] for f in rep.failures]) == \
+            reference_product_check(spec, k, m, ps, bound, samples, seed,
+                                    no_diagonals=name == "no-diagonals")
+
+    @pytest.mark.parametrize("spec, ps", [(MONOID, (1,)),
+                                          (IDENTITY_THEORY, (0,))],
+                             ids=["monoid", "identity"])
+    def test_bounds_that_leave_nothing_to_check_raise(self, spec, ps):
+        with pytest.raises(StructuralError, match="size bound 0 leave "
+                                                  "nothing to check"):
+            check_product_structure(LawvereTheory(TheoryFragment(spec)),
+                                    2, 1, p_values=ps, size_bound=0)
+
+    @pytest.mark.parametrize("name", sorted(FRAGMENTS))
+    def test_every_fragment_has_products(self, name):
+        rep = check_product_structure(phi(FRAGMENTS[name]), 1, 2,
+                                      size_bound=2, sample_count=60)
+        assert rep.passed
+        assert rep.subject == f"product-structure:{name}"
+        assert rep.sample_count >= 240
+
     def test_identity_theory_exhaustive(self):
-        th = LawvereTheory(IDENTITY_THEORY)
+        th = LawvereTheory(TheoryFragment(IDENTITY_THEORY))
         for k, m in itertools.product(range(3), repeat=2):
             rep = check_product_structure(th, k, m, p_values=(0, 1, 2),
                                           size_bound=1)
             assert rep.passed
 
     def test_composite_theory_sampled(self, ring):
-        th = LawvereTheory(ring)
+        th = LawvereTheory(TheoryFragment(ring))
         rep = check_product_structure(th, 1, 2, p_values=(1, 2),
                                       size_bound=3, sample_count=120)
         assert rep.passed
         assert rep.sample_count >= 240
 
     def test_no_diagonals_variant_fails(self):
-        th = NoDiagonalsTheory(MONOID)
+        th = NoDiagonalsTheory(TheoryFragment(MONOID))
         rep = check_product_structure(th, 1, 1, p_values=(1,), size_bound=3)
         assert not rep.passed
         assert any(f["check"] == "pairing-exists" for f in rep.failures)
+
+
+def reference_fop_truncation(sizes, name=""):
+    """Finite sets and functions read contravariantly, built the way the
+    package built them before ``truncate``: an arrow k -> m is a table
+    [m] -> [k], and composites read the tables back from the names."""
+    objects = list(sizes)
+
+    def mname(k, m, table):
+        return f"{k}->{m}:{','.join(map(str, table))}"
+
+    def parse(name):
+        part = name.split(":", 1)[1]
+        return tuple(int(v) for v in part.split(",")) if part else ()
+
+    morphisms = [Morphism(mname(k, m, table), k, m)
+                 for k in objects for m in objects
+                 for table in itertools.product(range(k), repeat=m)]
+    comp = {}
+    for f in morphisms:
+        for g in morphisms:
+            if f.tgt == g.src:
+                comp[(g.name, f.name)] = mname(
+                    f.src, g.tgt, tuple(parse(f.name)[v]
+                                        for v in parse(g.name)))
+    idents = {k: mname(k, k, tuple(range(k))) for k in objects}
+    return FiniteCategory(name or f"fop{objects}", objects, morphisms,
+                          idents, comp)
+
+
+def category_tables(cat):
+    return ([(f.name, f.src, f.tgt) for f in cat.morphisms],
+            {o: cat.identity(o).name for o in cat.objects},
+            {(g.name, f.name): cat.compose(g, f).name
+             for g, f in cat.composable_pairs()})
+
+
+class TestTruncate:
+    @pytest.mark.parametrize("sizes", [[0, 1, 2], [0, 1, 2, 3], [3, 1],
+                                       [2]], ids=str)
+    def test_identity_truncation_is_finite_sets_reversed(self, sizes):
+        got = phi(IDENTITY_MONAD).truncate(sizes, name="fop")
+        want = reference_fop_truncation(sizes, name="fop")
+        assert got.objects == want.objects
+        assert category_tables(got) == category_tables(want)
+
+    def test_pointed_morphism_counts(self):
+        assert len(phi(POINTED_MONAD).truncate(range(3)).morphisms) == 23
+        assert len(phi(POINTED_MONAD).truncate(range(4)).morphisms) == 144
+
+    @pytest.mark.parametrize("fragment", [FREE_MONOID_MONAD,
+                                          TheoryFragment(MONOID)],
+                             ids=["free-monoid", "monoid-theory"])
+    def test_infinite_fragment_rejected(self, fragment):
+        with pytest.raises(StructuralError, match="infinite carriers"):
+            phi(fragment).truncate(range(2))
