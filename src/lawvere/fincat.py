@@ -4,10 +4,16 @@ Morphisms are identified by name; the composition table maps a composable
 pair (g after f) to the resulting morphism name.  Constructors validate
 the category laws exhaustively, so anything that typechecks here really
 is a category.
+
+A category indexes its morphisms by endpoint once, in declaration order:
+``out_of(x)``, ``into(x)`` and ``hom(x, y)`` read that index, so no other
+module scans ``morphisms`` to find the arrows that leave or enter an
+object.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 from .terms import StructuralError
@@ -23,6 +29,13 @@ class Morphism:
         return f"{self.name}:{self.src}->{self.tgt}"
 
 
+def _index(morphisms, key) -> dict:
+    out: dict = {}
+    for m in morphisms:
+        out.setdefault(key(m), []).append(m)
+    return {k: tuple(ms) for k, ms in out.items()}
+
+
 class FiniteCategory:
     def __init__(self, name: str, objects: Sequence, morphisms: Sequence[Morphism],
                  identities: dict, composition: dict):
@@ -35,6 +48,9 @@ class FiniteCategory:
             raise StructuralError("duplicate morphism names")
         self._identities = dict(identities)
         self._composition = dict(composition)
+        self._out = _index(self.morphisms, attrgetter("src"))
+        self._in = _index(self.morphisms, attrgetter("tgt"))
+        self._hom = _index(self.morphisms, attrgetter("src", "tgt"))
         self._validate()
 
     def __repr__(self):
@@ -53,14 +69,21 @@ class FiniteCategory:
             raise StructuralError(f"{g!r} after {f!r} undefined")
         return self._by_name[self._composition[(g.name, f.name)]]
 
-    def hom(self, x, y) -> list:
-        return [m for m in self.morphisms if m.src == x and m.tgt == y]
+    def out_of(self, x) -> tuple:
+        """The morphisms with source x, in declaration order."""
+        return self._out.get(x, ())
+
+    def into(self, x) -> tuple:
+        """The morphisms with target x, in declaration order."""
+        return self._in.get(x, ())
+
+    def hom(self, x, y) -> tuple:
+        return self._hom.get((x, y), ())
 
     def composable_pairs(self):
         for f in self.morphisms:
-            for g in self.morphisms:
-                if f.tgt == g.src:
-                    yield g, f
+            for g in self.out_of(f.tgt):
+                yield g, f
 
     def _validate(self):
         for obj in self.objects:
@@ -82,16 +105,11 @@ class FiniteCategory:
                 raise StructuralError(f"right identity fails at {m!r}")
             if self.compose(self.identity(m.tgt), m) != m:
                 raise StructuralError(f"left identity fails at {m!r}")
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if f.tgt != g.src:
-                    continue
-                for h in self.morphisms:
-                    if g.tgt != h.src:
-                        continue
-                    if self.compose(h, self.compose(g, f)) != \
-                            self.compose(self.compose(h, g), f):
-                        raise StructuralError("associativity fails")
+        for g, f in self.composable_pairs():
+            gf = self.compose(g, f)
+            for h in self.out_of(g.tgt):
+                if self.compose(h, gf) != self.compose(self.compose(h, g), f):
+                    raise StructuralError("associativity fails")
 
 
 def discrete_category(objects: Sequence, name: str = "") -> FiniteCategory:
@@ -107,11 +125,8 @@ def chain_category(n: int, name: str = "") -> FiniteCategory:
     objects = list(range(n))
     morphisms = [Morphism(f"{i}->{j}", i, j)
                  for i in range(n) for j in range(i, n)]
-    comp = {}
-    for f in morphisms:
-        for g in morphisms:
-            if f.tgt == g.src:
-                comp[(g.name, f.name)] = f"{f.src}->{g.tgt}"
+    comp = {(f"{j}->{k}", f"{i}->{j}"): f"{i}->{k}"
+            for i in objects for j in range(i, n) for k in range(j, n)}
     return FiniteCategory(name or f"chain{n}", objects, morphisms,
                           {i: f"{i}->{i}" for i in objects}, comp)
 

@@ -113,9 +113,7 @@ def p_on_profunctor(f: FiniteProfunctor, max_len: int,
     for b in PD.objects:
         for a in PC.objects:
             for (alpha, xs) in table[(b, a)]:
-                for phi in PC.morphisms:
-                    if phi.src != a:
-                        continue
+                for phi in PC.out_of(a):
                     beta, comps = PC.p_data[phi.name]
                     a2 = phi.tgt
                     new_alpha = tuple(alpha[beta[i]]
@@ -125,9 +123,7 @@ def p_on_profunctor(f: FiniteProfunctor, max_len: int,
                         for i in range(len(a2)))
                     c_action[(phi.name, b, (alpha, xs))] = \
                         (new_alpha, new_xs)
-                for psi in PD.morphisms:
-                    if psi.tgt != b:
-                        continue
+                for psi in PD.into(b):
                     # psi: b2 -> b with index gamma: [len(b)] -> [len(b2)];
                     # each picked position is transported contravariantly
                     gamma, comps = PD.p_data[psi.name]

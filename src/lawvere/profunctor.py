@@ -93,16 +93,12 @@ class FiniteProfunctor:
         for d in self.tgt.objects:
             for c in self.src.objects:
                 for x in self.elements(d, c):
-                    for f in self.src.morphisms:
-                        if f.src != c:
-                            continue
+                    for f in self.src.out_of(c):
                         y = self.act_c(f, d, x)
                         if y not in self.elements(d, f.tgt):
                             raise StructuralError(
                                 f"{self.name}: C-action leaves the table")
-                    for g in self.tgt.morphisms:
-                        if g.tgt != d:
-                            continue
+                    for g in self.tgt.into(d):
                         y = self.act_d(g, c, x)
                         if y not in self.elements(g.src, c):
                             raise StructuralError(
@@ -156,14 +152,11 @@ def representable(functor: FiniteFunctor, name: str = "") -> FiniteProfunctor:
         for c in C.objects:
             for mname in table[(d, c)]:
                 m = D.morphism(mname)
-                for f in C.morphisms:
-                    if f.src == c:
-                        c_action[(f.name, d, mname)] = \
-                            D.compose(functor.on_mor(f), m).name
-                for g in D.morphisms:
-                    if g.tgt == d:
-                        d_action[(g.name, c, mname)] = \
-                            D.compose(m, g).name
+                for f in C.out_of(c):
+                    c_action[(f.name, d, mname)] = \
+                        D.compose(functor.on_mor(f), m).name
+                for g in D.into(d):
+                    d_action[(g.name, c, mname)] = D.compose(m, g).name
     return FiniteProfunctor(name or f"rep({functor.src.name})",
                             C, D, table, c_action, d_action)
 
@@ -225,27 +218,16 @@ def compose_prof(g: FiniteProfunctor, f: FiniteProfunctor,
              for k, ds in dsets.items()}
 
     c_action = {}
-    for e in E.objects:
-        for c in C.objects:
-            for rep in table[(e, c)]:
-                d, y, x = rep
-                for h in C.morphisms:
-                    if h.src != c:
-                        continue
-                    moved = (d, y, f.act_c(h, d, x))
-                    c_action[(h.name, e, rep)] = \
-                        dsets[(e, h.tgt)].find(moved)
     d_action = {}
-    for e in E.objects:
-        for c in C.objects:
-            for rep in table[(e, c)]:
-                d, y, x = rep
-                for h in E.morphisms:
-                    if h.tgt != e:
-                        continue
-                    moved = (d, g.act_d(h, d, y), x)
-                    d_action[(h.name, c, rep)] = \
-                        dsets[(h.src, c)].find(moved)
+    for (e, c), reps in table.items():
+        for rep in reps:
+            d, y, x = rep
+            for h in C.out_of(c):
+                moved = (d, y, f.act_c(h, d, x))
+                c_action[(h.name, e, rep)] = dsets[(e, h.tgt)].find(moved)
+            for h in E.into(e):
+                moved = (d, g.act_d(h, d, y), x)
+                d_action[(h.name, c, rep)] = dsets[(h.src, c)].find(moved)
     return FiniteProfunctor(name or f"{g.name}*{f.name}", C, E, table,
                             c_action, d_action)
 
@@ -257,51 +239,35 @@ def prof_iso(p: FiniteProfunctor, q: FiniteProfunctor) -> Optional[dict]:
     tables whose entries are small; entries are solved in a fixed order
     with naturality pruning against already-solved neighbours.
     """
-    if p.src != q.src and p.src is not q.src:
+    if p.src is not q.src or p.tgt is not q.tgt:
         return None
     cells = sorted(set(p.table) | set(q.table), key=_label_key)
     for cell in cells:
         if len(p.elements(*cell)) != len(q.elements(*cell)):
             return None
+    # the naturality squares of each arrow between two cells, filed under
+    # the later cell: the search solves cells in order, so a cell's
+    # squares are exactly those whose two cells are solved once it is
+    rank = {cell: i for i, cell in enumerate(cells)}
+    squares: dict = {cell: [] for cell in cells}
+    for cell in cells:
+        d, c = cell
+        arrows = [((d, f.tgt), p.act_c, q.act_c, f, d)
+                  for f in p.src.out_of(c)]
+        arrows += [((g.src, c), p.act_d, q.act_d, g, c)
+                   for g in p.tgt.into(d)]
+        for other, act_p, act_q, m, fixed in arrows:
+            if other in rank:
+                later = max(cell, other, key=rank.__getitem__)
+                squares[later].append((cell, other, act_p, act_q, m, fixed))
     assign: dict = {}
 
     def consistent(cell) -> bool:
-        d, c = cell
-        beta = assign[cell]
-        for f in p.src.morphisms:
-            if f.src != c:
-                continue
-            other = (d, f.tgt)
-            if other not in assign:
-                continue
-            for x, qx in beta.items():
-                if assign[other][p.act_c(f, d, x)] != q.act_c(f, d, qx):
+        for src, tgt, act_p, act_q, m, fixed in squares[cell]:
+            beta = assign[tgt]
+            for x, qx in assign[src].items():
+                if beta[act_p(m, fixed, x)] != act_q(m, fixed, qx):
                     return False
-        for f in p.src.morphisms:
-            if f.tgt != c:
-                continue
-            other = (d, f.src)
-            if other in assign:
-                for x, qx in assign[other].items():
-                    if beta.get(p.act_c(f, d, x)) != q.act_c(f, d, qx):
-                        return False
-        for g in p.tgt.morphisms:
-            if g.tgt != d:
-                continue
-            other = (g.src, c)
-            if other not in assign:
-                continue
-            for x, qx in beta.items():
-                if assign[other][p.act_d(g, c, x)] != q.act_d(g, c, qx):
-                    return False
-        for g in p.tgt.morphisms:
-            if g.src != d:
-                continue
-            other = (g.tgt, c)
-            if other in assign:
-                for x, qx in assign[other].items():
-                    if beta.get(p.act_d(g, c, x)) != q.act_d(g, c, qx):
-                        return False
         return True
 
     # depth-first over the cells in order, one permutation iterator per
@@ -351,68 +317,54 @@ class BimoduleMonad:
 
     def _composable(self):
         for (x, y), es in self.module.table.items():
-            for (y2, z), es2 in self.module.table.items():
-                if y != y2:
-                    continue
+            for z in self.base.objects:
                 for e1 in es:
-                    for e2 in es2:
+                    for e2 in self.module.elements(y, z):
                         yield x, y, z, e1, e2
 
     def _validate(self):
+        """The unit and the multiplication land in the module, and both
+        actions are composition with the unit; then ``monad_to_functor``
+        validates the category and the functor from the base, which checks
+        the unit laws, associativity and a unit that preserves composition.
+
+        These are the monad laws.  Balance over the middle action follows
+        from associativity once the actions are composition:
+        mult(act_c(f, e1), e2) = mult(mult(e1, unit f), e2)
+        = mult(e1, mult(unit f, e2)) = mult(e1, act_d(f, e2)).  Conversely
+        the monad laws force the actions to be composition: balance with
+        e1 = unit(id) and a unit compatible with the actions gives
+        mult(unit f, e) = mult(unit id, act_d(f, e)) = act_d(f, e).
+        """
         mod = self.module
         for f in self.base.morphisms:
-            e = self.unit[f.name]
-            if e not in mod.elements(f.src, f.tgt):
+            if self.unit[f.name] not in mod.elements(f.src, f.tgt):
                 raise StructuralError(f"{self.name}: unit escapes the module")
-        # unit is a bimodule map: compatible with both actions
-        for g, f in self.base.composable_pairs():
-            gf = self.base.compose(g, f)
-            if mod.act_d(f, g.tgt, self.unit[g.name]) != self.unit[gf.name]:
-                raise StructuralError(f"{self.name}: unit breaks pre-action")
-            if mod.act_c(g, f.src, self.unit[f.name]) != self.unit[gf.name]:
-                raise StructuralError(f"{self.name}: unit breaks post-action")
         for x, y, z, e1, e2 in self._composable():
-            m = self.mult(e1, e2)
-            if m not in mod.elements(x, z):
+            if self.mult(e1, e2) not in mod.elements(x, z):
                 raise StructuralError(f"{self.name}: mult escapes the module")
-        # unit laws
         for (x, y), es in mod.table.items():
             for e in es:
-                if self.mult(self.unit[self.base.identity(x).name], e) != e:
-                    raise StructuralError(f"{self.name}: left unit fails")
-                if self.mult(e, self.unit[self.base.identity(y).name]) != e:
-                    raise StructuralError(f"{self.name}: right unit fails")
-        # associativity
-        for x, y, z, e1, e2 in self._composable():
-            for (z2, w), es3 in mod.table.items():
-                if z2 != z:
-                    continue
-                for e3 in es3:
-                    if self.mult(self.mult(e1, e2), e3) != \
-                            self.mult(e1, self.mult(e2, e3)):
+                for f in self.base.into(x):
+                    if mod.act_d(f, y, e) != self.mult(self.unit[f.name], e):
                         raise StructuralError(
-                            f"{self.name}: mult not associative")
-        # mult balances over the middle action
-        for (x, y1), es in mod.table.items():
-            for f in self.base.morphisms:
-                if f.src != y1:
-                    continue
-                y2 = f.tgt
-                for (y3, z), es2 in mod.table.items():
-                    if y3 != y2:
-                        continue
-                    for e1 in es:
-                        for e2 in es2:
-                            if self.mult(mod.act_c(f, x, e1), e2) != \
-                                    self.mult(e1, mod.act_d(f, z, e2)):
-                                raise StructuralError(
-                                    f"{self.name}: mult not balanced")
+                            f"{self.name}: pre-action is not composition")
+                for g in self.base.out_of(y):
+                    if mod.act_c(g, x, e) != self.mult(e, self.unit[g.name]):
+                        raise StructuralError(
+                            f"{self.name}: post-action is not composition")
+        try:
+            monad_to_functor(self)
+        except StructuralError as exc:
+            raise StructuralError(f"{self.name}: {exc}") from exc
 
 
 def monad_to_functor(m: BimoduleMonad):
     """Present the monad as a category on the same objects plus the
     identity-on-objects functor from the base; both validated.
 
+    Also returns ``names[(x, y, e)]``, the morphism name of element e of
+    the cell (x, y).
     String element labels are kept as morphism names, so rebuilding the
     monad of an identity-on-objects functor round-trips on the nose.
     """
@@ -422,21 +374,21 @@ def monad_to_functor(m: BimoduleMonad):
     labels = [e for _, _, e in elements]
     keep = all(isinstance(e, str) for e in labels) and \
         len(set(labels)) == len(labels)
-    names: dict = {}
-    morphisms = []
-    for x, y, e in elements:
-        nm = e if keep else f"e{len(names)}"
-        names[e] = nm
-        morphisms.append(Morphism(nm, x, y))
+    names = {(x, y, e): e if keep else f"e{i}"
+             for i, (x, y, e) in enumerate(elements)}
+    morphisms = [Morphism(names[(x, y, e)], x, y) for x, y, e in elements]
     comp = {}
     for x, y, z, e1, e2 in m._composable():
-        comp[(names[e2], names[e1])] = names[m.mult(e1, e2)]
-    idents = {x: names[m.unit[base.identity(x).name]] for x in base.objects}
+        comp[(names[(y, z, e2)], names[(x, y, e1)])] = \
+            names[(x, z, m.mult(e1, e2))]
+    idents = {x: names[(x, x, m.unit[base.identity(x).name])]
+              for x in base.objects}
     cat = FiniteCategory(f"cat({m.name})", base.objects, morphisms, idents,
                          comp)
     functor = FiniteFunctor(
         base, cat, {o: o for o in base.objects},
-        {f.name: names[m.unit[f.name]] for f in base.morphisms})
+        {f.name: names[(f.src, f.tgt, m.unit[f.name])]
+         for f in base.morphisms})
     return cat, functor, names
 
 
@@ -451,13 +403,12 @@ def functor_to_monad(functor: FiniteFunctor, name: str = "") -> BimoduleMonad:
     d_action = {}
     for (x, y), es in table.items():
         for e in es:
-            for f in base.morphisms:
-                if f.tgt == x:
-                    d_action[(f.name, y, e)] = cat.compose(
-                        cat.morphism(e), functor.on_mor(f)).name
-                if f.src == y:
-                    c_action[(f.name, x, e)] = cat.compose(
-                        functor.on_mor(f), cat.morphism(e)).name
+            for f in base.into(x):
+                d_action[(f.name, y, e)] = cat.compose(
+                    cat.morphism(e), functor.on_mor(f)).name
+            for f in base.out_of(y):
+                c_action[(f.name, x, e)] = cat.compose(
+                    functor.on_mor(f), cat.morphism(e)).name
     module = FiniteProfunctor(f"homs({cat.name})", base, base, table,
                               c_action, d_action)
     unit = {f.name: functor.on_mor(f).name for f in base.morphisms}

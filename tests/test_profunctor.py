@@ -12,21 +12,43 @@ from lawvere.fincat import (FiniteCategory, FiniteFunctor, Morphism,
                             constant_functor, discrete_category,
                             identity_functor, monoid_category)
 from lawvere.fragments import IDENTITY_MONAD
-from lawvere.profunctor import (BimoduleMonad, compose_prof,
-                                constant_profunctor, functor_to_monad,
-                                hom_profunctor, monad_to_functor, prof_iso,
+from lawvere.profunctor import (BimoduleMonad, FiniteProfunctor,
+                                compose_prof, constant_profunctor,
+                                functor_to_monad, hom_profunctor,
+                                monad_to_functor, prof_iso,
                                 relabel_profunctor, representable,
                                 _label_key)
 from lawvere.terms import StructuralError, Var
 from lawvere.theory import compose as theory_compose, morphism
 
 
+def z2_category():
+    return monoid_category([0, 1], {(a, b): (a + b) % 2
+                                    for a in (0, 1) for b in (0, 1)}, 0,
+                           name="z2")
+
+
 def category_pool():
-    z2 = monoid_category([0, 1], {(a, b): (a + b) % 2
-                                  for a in (0, 1) for b in (0, 1)}, 0,
-                         name="z2")
     return [discrete_category(["x"]), discrete_category(["x", "y"]),
-            chain_category(2), chain_category(3), z2]
+            chain_category(2), chain_category(3), z2_category()]
+
+
+SWAP = {"a": "b", "b": "a"}
+FIX = {"a": "a", "b": "b"}
+
+
+def z2_module(c_one: dict, d_one: dict, z2=None, name="m"):
+    """An endo-profunctor on Z/2 with one entry, the keys of ``c_one``:
+    the generator "1" acts by ``c_one`` on the C side and by ``d_one`` on
+    the D side, and "0" acts as the identity on both."""
+    z2 = z2 or z2_category()
+    elements = tuple(c_one)
+    c_action = {("0", "*", x): x for x in elements}
+    c_action.update({("1", "*", x): y for x, y in c_one.items()})
+    d_action = {("0", "*", x): x for x in elements}
+    d_action.update({("1", "*", x): y for x, y in d_one.items()})
+    return FiniteProfunctor(name, z2, z2, {("*", "*"): elements},
+                            c_action, d_action)
 
 
 def functor_pool(rng, src, tgt):
@@ -58,12 +80,62 @@ class TestCategories:
         with pytest.raises(StructuralError):
             FiniteCategory("bad", ["x"], ms, {"x": "id_x"}, bad)
 
+    def test_associativity_only_failure_rejected(self):
+        # e is a two-sided unit and every composite stays at the one
+        # object, but (b a) a = a a = b while b (a a) = b b = a
+        ms = [Morphism(n, "x", "x") for n in ("e", "a", "b")]
+        comp = {(g, f): g if f == "e" else f if g == "e" else
+                ("b" if (g, f) == ("a", "a") else "a")
+                for g in "eab" for f in "eab"}
+        with pytest.raises(StructuralError, match="^associativity fails$"):
+            FiniteCategory("non-assoc", ["x"], ms, {"x": "e"}, comp)
+
+    def test_endpoint_index_in_declaration_order(self):
+        cat = chain_category(3)
+        assert [m.name for m in cat.out_of(1)] == ["1->1", "1->2"]
+        assert [m.name for m in cat.into(2)] == ["0->2", "1->2", "2->2"]
+        assert [m.name for m in cat.hom(0, 2)] == ["0->2"]
+        assert cat.hom(2, 0) == () and cat.out_of("nowhere") == ()
+        assert list(cat.composable_pairs()) == [
+            (g, f) for f in cat.morphisms for g in cat.morphisms
+            if f.tgt == g.src]
+
     def test_fop_truncation_matches_basic_morphisms(self):
         cat = phi(IDENTITY_MONAD).truncate([0, 1, 2])
         # arrows k -> m are tables [m] -> [k]
         assert len(cat.hom(2, 2)) == 4
         assert len(cat.hom(2, 0)) == 1
         assert len(cat.hom(0, 1)) == 0
+
+
+class TestProfunctorValidation:
+    def test_mutant_tables_rejected_at_their_check(self):
+        bad_identity = z2_module(SWAP, FIX)
+        cases = {
+            "C-action leaves the table": ({"a": "z", "b": "b"}, FIX),
+            "D-action leaves the table": (FIX, {"a": "z", "b": "b"}),
+            "C-action not functorial": ({"a": "a", "b": "a"}, FIX),
+            "D-action not functorial": (FIX, {"a": "a", "b": "a"}),
+            # two involutions of {a, b, c} that do not commute
+            "actions do not commute": ({"a": "b", "b": "a", "c": "c"},
+                                       {"a": "a", "b": "c", "c": "b"}),
+        }
+        for message, (c_one, d_one) in cases.items():
+            with pytest.raises(StructuralError, match=f"^m: {message}$"):
+                z2_module(c_one, d_one)
+        for side in ("C", "D"):
+            c_action = dict(bad_identity.c_action)
+            d_action = dict(bad_identity.d_action)
+            (c_action if side == "C" else d_action)[("0", "*", "a")] = "b"
+            with pytest.raises(StructuralError,
+                               match=f"^m: {side}-identity acts$"):
+                FiniteProfunctor("m", bad_identity.src, bad_identity.tgt,
+                                 bad_identity.table, c_action, d_action)
+
+    def test_commuting_involutions_accepted(self):
+        for c_one in (SWAP, FIX):
+            for d_one in (SWAP, FIX):
+                assert z2_module(c_one, d_one).total_size() == 2
 
 
 class TestComposeProf:
@@ -148,6 +220,35 @@ class TestProfIso:
         finally:
             gc.enable()
 
+    def test_different_targets_none(self):
+        d2 = discrete_category([0, 1])
+        p = constant_profunctor(d2, d2, ["x"])
+        q = constant_profunctor(d2, chain_category(2), ["x"])
+        assert prof_iso(p, q) is None
+        assert prof_iso(q, p) is None
+
+    def test_search_matches_the_four_loop_search(self):
+        rng = random.Random(1)
+        cats = category_pool()
+        z2 = cats[-1]
+        found = same_sizes_no_iso = 0
+        for src in cats:
+            pool = [p for tgt in cats for p in profunctor_pool(rng, src, tgt)]
+            if src is z2:
+                # with hom(z2) and the constant {u, v}: one cell of size
+                # 2 each, no two of the four isomorphic
+                pool += [z2_module(SWAP, FIX, z2), z2_module(FIX, SWAP, z2)]
+            pool += [relabel_profunctor(p, "w") for p in pool]
+            for a in pool:
+                for b in pool:
+                    got = prof_iso(a, b)
+                    assert got == four_loop_prof_iso(a, b)
+                    found += got is not None
+                    same_sizes_no_iso += got is None and a.tgt is b.tgt and all(
+                        len(a.elements(*k)) == len(b.elements(*k))
+                        for k in set(a.table) | set(b.table))
+        assert found > 500 and same_sizes_no_iso > 100
+
     def test_search_matches_the_recursive_reference(self):
         rng = random.Random(0)
         found = 0
@@ -163,6 +264,82 @@ class TestProfIso:
                         assert list(got) == list(reference_prof_iso(a, b))
                         found += 1
         assert found
+
+
+def four_loop_prof_iso(p, q):
+    """prof_iso with the four scans of its consistency check: every arrow
+    into or out of the cell, on either side, found by filtering the
+    morphisms; the target test is added to it."""
+    if p.src != q.src and p.src is not q.src:
+        return None
+    if p.tgt is not q.tgt:
+        return None
+    cells = sorted(set(p.table) | set(q.table), key=_label_key)
+    for cell in cells:
+        if len(p.elements(*cell)) != len(q.elements(*cell)):
+            return None
+    assign: dict = {}
+
+    def consistent(cell) -> bool:
+        d, c = cell
+        beta = assign[cell]
+        for f in p.src.morphisms:
+            if f.src != c:
+                continue
+            other = (d, f.tgt)
+            if other not in assign:
+                continue
+            for x, qx in beta.items():
+                if assign[other][p.act_c(f, d, x)] != q.act_c(f, d, qx):
+                    return False
+        for f in p.src.morphisms:
+            if f.tgt != c:
+                continue
+            other = (d, f.src)
+            if other in assign:
+                for x, qx in assign[other].items():
+                    if beta.get(p.act_c(f, d, x)) != q.act_c(f, d, qx):
+                        return False
+        for g in p.tgt.morphisms:
+            if g.tgt != d:
+                continue
+            other = (g.src, c)
+            if other not in assign:
+                continue
+            for x, qx in beta.items():
+                if assign[other][p.act_d(g, c, x)] != q.act_d(g, c, qx):
+                    return False
+        for g in p.tgt.morphisms:
+            if g.src != d:
+                continue
+            other = (g.tgt, c)
+            if other in assign:
+                for x, qx in assign[other].items():
+                    if beta.get(p.act_d(g, c, x)) != q.act_d(g, c, qx):
+                        return False
+        return True
+
+    # depth-first over the cells in order, one permutation iterator per
+    # cell on the path; a loop, so no self-referencing closure keeps the
+    # tables alive after the call
+    tries: list = []
+    i = 0
+    while 0 <= i < len(cells):
+        if len(tries) == i:
+            cell = cells[i]
+            tries.append((cell, p.elements(*cell),
+                          itertools.permutations(q.elements(*cell))))
+        cell, pe, perms = tries[i]
+        for perm in perms:
+            assign[cell] = dict(zip(pe, perm))
+            if consistent(cell):
+                i += 1
+                break
+        else:
+            del assign[cell]
+            tries.pop()
+            i -= 1
+    return dict(assign) if i == len(cells) else None
 
 
 def reference_prof_iso(p, q):
@@ -221,7 +398,7 @@ class TestBimodules:
         m = functor_to_monad(identity_functor(cat))
         a, functor, names = monad_to_functor(m)
         assert sorted(x.name for x in a.morphisms) == \
-            sorted(names[e.name] for e in cat.morphisms)
+            sorted(names[(e.src, e.tgt, e.name)] for e in cat.morphisms)
 
     def test_z2_monoid_monad(self):
         one = discrete_category(["*"], name="one")
@@ -279,6 +456,47 @@ class TestBimodules:
             FiniteFunctor(fop, a, functor.obj_map, functor.mor_map))
         assert again.module.table == m.module.table
         assert again.unit == m.unit
+
+    def test_labels_repeated_across_cells(self):
+        base = discrete_category(["a", "b"])
+        action = {("id_a", "a", 0): 0, ("id_b", "b", 0): 0}
+        module = FiniteProfunctor("m", base, base,
+                                  {("a", "a"): (0,), ("b", "b"): (0,)},
+                                  action, action)
+        m = BimoduleMonad("repeat", base, module,
+                          {"id_a": 0, "id_b": 0}, lambda e1, e2: 0)
+        cat, functor, names = monad_to_functor(m)
+        assert names == {("a", "a", 0): "e0", ("b", "b", 0): "e1"}
+        assert [cat.identity(x).name for x in "ab"] == ["e0", "e1"]
+        assert functor.mor_map == {"id_a": "e0", "id_b": "e1"}
+
+    def test_z4_mutants_rejected_naming_the_monad(self):
+        one = discrete_category(["*"], name="one")
+        z4 = monoid_category(range(4), {(a, b): (a + b) % 4
+                                        for a in range(4)
+                                        for b in range(4)}, 0, name="z4")
+        good = functor_to_monad(FiniteFunctor(one, z4, {"*": "*"},
+                                              {"id_*": "0"}))
+
+        def changed(results):
+            return lambda e1, e2: results.get((e1, e2), good.mult(e1, e2))
+
+        mutants = [
+            # 1 1 = 3: (1 1) 2 = 1 but 1 (1 2) = 0
+            ("associativity fails", changed({("1", "1"): "3"})),
+            # 0 1 = 2; over one object the identity acts trivially, so
+            # "act_d is composition with the unit" is the unit law
+            ("pre-action is not composition", changed({("0", "1"): "2"})),
+            ("pre-action is not composition", lambda e1, e2: "0"),
+            # 1 2 = 3 and 1 3 = 0 swapped: (1 1) 2 = 0 but 1 (1 2) = 1
+            ("associativity fails", changed({("1", "2"): "0",
+                                             ("1", "3"): "3"})),
+        ]
+        for message, mult in mutants:
+            with pytest.raises(StructuralError,
+                               match=f"^broken: {message}$"):
+                BimoduleMonad("broken", good.base, good.module, good.unit,
+                              mult)
 
     def test_broken_mult_rejected(self):
         one = discrete_category(["*"], name="one")
