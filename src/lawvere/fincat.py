@@ -13,7 +13,7 @@ object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 from .terms import StructuralError
@@ -67,7 +67,12 @@ class FiniteCategory:
         """g after f; f: x -> y, g: y -> z."""
         if f.tgt != g.src:
             raise StructuralError(f"{g!r} after {f!r} undefined")
-        return self._by_name[self._composition[(g.name, f.name)]]
+        try:
+            return self._by_name[self._composition[(g.name, f.name)]]
+        except KeyError:
+            raise StructuralError(
+                f"{self.name}: the composition table names no morphism "
+                f"for {g!r} after {f!r}") from None
 
     def out_of(self, x) -> tuple:
         """The morphisms with source x, in declaration order."""
@@ -105,10 +110,20 @@ class FiniteCategory:
                 raise StructuralError(f"right identity fails at {m!r}")
             if self.compose(self.identity(m.tgt), m) != m:
                 raise StructuralError(f"left identity fails at {m!r}")
-        for g, f in self.composable_pairs():
-            gf = self.compose(g, f)
-            for h in self.out_of(g.tgt):
-                if self.compose(h, gf) != self.compose(self.compose(h, g), f):
+        # every composite above has the right endpoints, so the
+        # associativity walk reads the table by name, one column per
+        # right factor (after[f][g] names g f): for each g, every h (g f)
+        # against (h g) f, picked in C
+        after: dict = {}
+        for (g, f), gf in self._composition.items():
+            after.setdefault(f, {})[g] = gf
+        for g in self.morphisms:
+            hs = [h.name for h in self.out_of(g.tgt)]
+            pick_h = itemgetter(*hs)
+            pick_hg = itemgetter(*[after[g.name][h] for h in hs])
+            for f in self.into(g.src):
+                col = after[f.name]
+                if pick_h(after[col[g.name]]) != pick_hg(col):
                     raise StructuralError("associativity fails")
 
 

@@ -20,8 +20,10 @@ y: [k] -> [j] of their inputs.  Besides keyprop it serves the round trip
 and ``monad_from_theory`` (n = 1) in ``correspondence`` and both
 quotients of ``istar_composite``.  It keeps no list of elements: it
 numbers them in enumeration order (level by level, then y, then xs, each
-read as a mixed-radix number), runs its union-find on a flat list of
-those numbers and decodes members only when ``classes()`` is called.
+read as a mixed-radix number) and decodes members only when
+``classes()`` is called.  Its union-find is flat: a list holds the root
+of every number's class, so relating two elements compares two list
+entries, and a merge relabels the smaller class.
 Levels are added in place, one at a time, so a stability check extends
 the quotient by one level instead of building it again.  The invariant
 is kept per class, and a new level's values come from one row of
@@ -30,7 +32,11 @@ under ``_label_key``.
 """
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
+import operator
+from array import array
 from typing import Optional, Sequence
 
 from .fincat import FiniteCategory, Morphism
@@ -179,6 +185,10 @@ def _elementary_maps(k_cap: int):
     return gens
 
 
+# the root entry of an element that no relation has reached yet
+_UNREACHED = -1
+
+
 class KeypropComputation:
     """Union-find quotient of sum_k Set([k],[j]) x F[k]^n under the action
     relations, with the canonical invariant into Set(n, F[j]), which must
@@ -191,10 +201,18 @@ class KeypropComputation:
     number: level k starts where level k - 1 ends, and inside it (y, xs)
     sits at rank(y) * |F[k]|^n + rank(xs), where rank(y) reads y in base
     j and rank(xs) reads the carrier positions of xs in base |F[k]|.
-    The union-find is a flat list over these numbers, and a class's root
-    is its least number.  A new level is related along the elementary
-    maps that touch it, each acting through a table of carrier positions
-    built from one ``F.map`` call per carrier element.  The invariant is
+    The union-find is flat: entry i of ``_parent`` is the root of
+    element i's class, so a find is one list read.  A new level's
+    entries are ``_UNREACHED`` until a relation joins them to a class;
+    the elements no relation reaches become their own roots before the
+    level's transpositions run.  A class keeps its members other than
+    the root in an ``array('q')`` under its root, which holds no int
+    object per element, and a merge relabels the smaller class.  A new
+    level is related along the elementary maps that touch it, each
+    acting through a table of carrier positions built from one
+    ``F.map`` call per carrier element; the roots of a y-block's two
+    sides are read and compared in C, and only the relations whose
+    roots differ are visited one by one.  The invariant is
     kept as one value per class root: the old roots are carried to
     their new roots, and each new element's value is read from one row
     of ``F.map`` calls per (level, y).  A carrier that lists an element
@@ -217,6 +235,7 @@ class KeypropComputation:
         self._positions: dict = {}
         self._offsets: list = []
         self._parent: list = []
+        self._members = collections.defaultdict(functools.partial(array, "q"))
         self._values: dict = {}
         self._classes: Optional[dict] = None
         for _ in range(k_cap + 1):
@@ -239,11 +258,24 @@ class KeypropComputation:
         start = len(self._parent)
         self._offsets.append(start)
         self._parent.extend(
-            range(start, start + self.j ** k * len(carrier) ** self.n))
+            itertools.repeat(_UNREACHED, self.j ** k * len(carrier) ** self.n))
         self.k_cap = k
         self._classes = None
-        for (k_from, k_to, g) in _elementary_maps(k):
-            if k in (k_from, k_to):
+        maps = [m for m in _elementary_maps(k) if k in m[:2]]
+        for (k_from, k_to, g) in maps:
+            if k_from != k_to:
+                self._relate(k_from, k_to, g)
+        # the transpositions relate the new level with itself, so every
+        # element they read must have a root first
+        parent, i = self._parent, start
+        try:
+            while True:
+                i = parent.index(_UNREACHED, i)
+                parent[i] = i
+        except ValueError:
+            pass
+        for (k_from, k_to, g) in maps:
+            if k_from == k_to:
                 self._relate(k_from, k_to, g)
         self._check_invariant(k)
 
@@ -272,6 +304,7 @@ class KeypropComputation:
         # (k_from, y o g, zs).  Position p of y lands at every i with
         # g[i] = p in y o g, whose rank is read in base j.
         j, n, parent = self.j, self.n, self._parent
+        members = self._members
         weights = [sum(j ** (k_from - 1 - i) for i in range(k_from)
                        if g[i] == p) for p in range(k_to)]
         yg_ranks = _ranks([d * w for d in range(j)] for w in weights)
@@ -284,57 +317,74 @@ class KeypropComputation:
             positions = self._map_positions(g, k_from, k_to)
             mapped = _ranks([p * m_to ** (n - 1 - t) for p in positions]
                             for t in range(n))
+            if not mapped:
+                return
         to_base, to_size = self._offsets[k_to], m_to ** n
         from_base, from_size = self._offsets[k_from], len(mapped)
+        pick = (operator.itemgetter(*mapped) if from_size > 1
+                else lambda block, r=mapped[0]: (block[r],))
+        relations = range(from_size)
         for rank_y, rank_yg in enumerate(yg_ranks):
             a0 = to_base + rank_y * to_size
-            b = from_base + rank_yg * from_size
-            for r in mapped:
-                a = a0 + r
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                rb = b
-                while parent[rb] != rb:
-                    parent[rb] = parent[parent[rb]]
-                    rb = parent[rb]
-                if a < rb:
-                    parent[rb] = a
-                elif rb < a:
-                    parent[a] = rb
-                b += 1
+            b0 = from_base + rank_yg * from_size
+            # the roots of a y-block's two sides, read in C; only the
+            # relations whose roots differ are looked at one by one
+            left = pick(parent[a0:a0 + to_size])
+            right = tuple(parent[b0:b0 + from_size])
+            if left == right:
+                continue
+            for t in itertools.compress(relations,
+                                        map(operator.ne, left, right)):
+                a, b = a0 + mapped[t], b0 + t
+                ra, rb = parent[a], parent[b]
+                if ra == rb:
+                    continue
+                if ra is _UNREACHED:
+                    new, root = a, rb
+                elif rb is _UNREACHED:
+                    new, root = b, ra
+                else:
+                    self._union(ra, rb)
+                    continue
+                parent[new] = root
+                members[root].append(new)
 
-    def _find(self, i: int) -> int:
-        parent = self._parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def _union(self, ra: int, rb: int):
+        """Merge the classes rooted at ra and rb: the smaller class takes
+        the other's root."""
+        parent, members = self._parent, self._members
+        if len(members.get(ra, ())) < len(members.get(rb, ())):
+            ra, rb = rb, ra
+        mb = members.pop(rb, ())
+        for i in mb:
+            parent[i] = ra
+        parent[rb] = ra
+        ma = members[ra]
+        ma.extend(mb)
+        ma.append(rb)
 
     def _check_invariant(self, k: int):
         # every element of an old class has its class's value, so the
         # invariant holds when merged old classes agree and each new
         # element agrees with its class
-        find, parent = self._find, self._parent
+        parent = self._parent
         values: dict = {}
         for root, value in self._values.items():
-            if values.setdefault(find(root), value) != value:
+            if values.setdefault(parent[root], value) != value:
                 raise StructuralError("coend relation breaks the invariant")
         F, j, n = self.fragment, self.j, self.n
         carrier = self._carriers[k]
         i = self._offsets[k]
+        size = len(carrier) ** n
         for y in self._ys(k):
             # F(y) on F[k] once; the values of (y, xs) in rank order of xs
             row = [F.map(y, j, z) for z in carrier] if n else ()
-            for value in itertools.product(row, repeat=n):
-                root = i
-                while parent[root] != root:
-                    parent[root] = parent[parent[root]]
-                    root = parent[root]
+            for root, value in zip(parent[i:i + size],
+                                   itertools.product(row, repeat=n)):
                 if values.setdefault(root, value) != value:
                     raise StructuralError(
                         "coend relation breaks the invariant")
-                i += 1
+            i += size
         self._values = values
 
     def invariant(self, element) -> tuple:
@@ -368,15 +418,13 @@ class KeypropComputation:
         order, classes in the order of their first members.  The
         members are decoded here, walking the numbering once."""
         if self._classes is None:
-            find = self._find
+            roots = iter(self._parent)
             groups: dict = {}
-            i = 0
             for k in range(self.k_cap + 1):
                 xss = list(self._xs(k))
                 for y in self._ys(k):
                     for xs in xss:
-                        groups.setdefault(find(i), []).append((k, y, xs))
-                        i += 1
+                        groups.setdefault(next(roots), []).append((k, y, xs))
             self._classes = {
                 (min(members, key=_label_key) if len(members) > 1
                  else members[0]): members

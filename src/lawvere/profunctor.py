@@ -77,10 +77,18 @@ class FiniteProfunctor:
         return self.table.get((d, c), ())
 
     def act_c(self, f: Morphism, d, x):
-        return self.c_action[(f.name, d, x)]
+        try:
+            return self.c_action[(f.name, d, x)]
+        except KeyError:
+            raise StructuralError(f"{self.name}: no C-action of {f.name} "
+                                  f"on {x!r} over {d!r}") from None
 
     def act_d(self, g: Morphism, c, x):
-        return self.d_action[(g.name, c, x)]
+        try:
+            return self.d_action[(g.name, c, x)]
+        except KeyError:
+            raise StructuralError(f"{self.name}: no D-action of {g.name} "
+                                  f"on {x!r} over {c!r}") from None
 
     def total_size(self) -> int:
         return sum(len(v) for v in self.table.values())

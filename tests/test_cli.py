@@ -455,10 +455,18 @@ def test_check_coend_bad_file(tmp_path, capsys):
      "\"schemaVersion\" must be 1, got true"),
     (dict(TABLES, schemaVersion=None),
      "\"schemaVersion\" must be 1, got null"),
+    ({"categories": {"C": dict(CHAIN2,
+                               composition=CHAIN2["composition"][:-1])}},
+     "C: the composition table names no morphism for id_y:y->y after "
+     "f:x->y"),
+    ({"categories": {"C": CHAIN2},
+      "profunctors": {"H": dict(HOM, dAction=HOM["dAction"][:-1])}},
+     "H: no D-action of f on 'id_y' over 'y'"),
 ], ids=["top-level-list", "categories-list", "two-entry-row",
         "string-morphism", "three-name-compose", "int-morphisms",
         "int-objects", "int-table-row", "string-elements", "version-2",
-        "version-string", "version-float", "version-true", "version-null"])
+        "version-string", "version-float", "version-true", "version-null",
+        "missing-composite", "missing-action"])
 def test_check_coend_malformed_tables(tmp_path, capsys, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

@@ -5,7 +5,8 @@ import pytest
 from lawvere.correspondence import monad_from_theory, phi
 from lawvere.fincat import chain_category, discrete_category
 from lawvere.fragments import (FRAGMENTS, FREE_MONOID_MONAD,
-                               IDENTITY_MONAD, POINTED_MONAD, PointedMonad)
+                               IDENTITY_MONAD, POINTED_MONAD,
+                               FinitaryMonadFragment, PointedMonad)
 from lawvere.pcompletion import (KeypropComputation, _actions_ok,
                                  _elementary_maps, _pair_strings_ok,
                                  eta_homset, mu_homset, oplus, p_category,
@@ -209,6 +210,52 @@ def test_kernel_matches_dict_union_find(name):
                 (name, bound, j, n, k_cap)
 
 
+@pytest.mark.parametrize("fragment", [POINTED_MONAD, IDENTITY_MONAD],
+                         ids=lambda f: f.name)
+def test_kernel_matches_dict_union_find_at_workload_scale(fragment):
+    # the coend-quotient workload's keyprop sizes: j = 3, n = 2 at
+    # k_cap 4, then the stability level
+    comp = KeypropComputation(fragment, 3, 2, 4)
+    comp.extend()
+    assert list(comp.classes().items()) == list(
+        _reference_classes(fragment, 3, 2, 5, None).items())
+
+
+class Powerset(FinitaryMonadFragment):
+    """Finite subsets: F[k] is every subset of [k], F(g) takes images."""
+    name = "powerset"
+    finite = True
+
+    def carrier(self, n, bound=None):
+        return [frozenset(s) for r in range(n + 1)
+                for s in itertools.combinations(range(n), r)]
+
+    def map(self, table, n_to, e):
+        return frozenset(table[i] for i in e)
+
+
+def test_merges_relabel_either_class(monkeypatch):
+    # at j = 3, n = 1 the level-4 relations join old classes of several
+    # members each, the ``_union`` argument's class larger in some merges
+    # and smaller in others
+    sizes = []
+    union = KeypropComputation._union
+
+    def traced(comp, ra, rb):
+        sizes.append(tuple(len(comp._members.get(r, ())) + 1
+                           for r in (ra, rb)))
+        union(comp, ra, rb)
+
+    monkeypatch.setattr(KeypropComputation, "_union", traced)
+    comp = KeypropComputation(Powerset(), 3, 1, 4)
+    multi = [(a, b) for a, b in sizes if a > 1 and b > 1]
+    assert any(a < b for a, b in multi) and any(a > b for a, b in multi)
+    assert list(comp.classes().items()) == list(
+        _reference_classes(Powerset(), 3, 1, 4, None).items())
+    assert comp.class_count() == 2 ** 3
+    assert verify_keyprop(Powerset(), 2, 2).passed
+
+
 def test_representative_is_least_label_not_first_member():
     # with j = 11 the class of the word (2, 10) has its first member at
     # y = (2, 10) but its least _label_key member at y = (10, 2)
@@ -218,6 +265,17 @@ def test_representative_is_least_label_not_first_member():
     members = next(ms for ms in got.values() if (2, (2, 10), ((0, 1),)) in ms)
     assert members[0] == (2, (2, 10), ((0, 1),))
     assert (2, (10, 2), ((1, 0),)) in got
+
+
+def test_representative_past_level_nine_is_least_label():
+    # "(10, ..." reprs below "(2, ...", so from k_cap 10 on the least
+    # label of a class need not share its first member's (k, y): the
+    # representative is the least label, not read off the numbering
+    classes = KeypropComputation(IDENTITY_MONAD, 2, 2, 10).classes()
+    assert all(rep == min(members, key=_label_key)
+               for rep, members in classes.items())
+    rep = next(r for r, ms in classes.items() if ms[0] == (2, (0, 1), (0, 1)))
+    assert rep == (10, (0,) * 9 + (1,), (0, 9))
 
 
 class TestOplus:

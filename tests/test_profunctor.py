@@ -90,6 +90,18 @@ class TestCategories:
         with pytest.raises(StructuralError, match="^associativity fails$"):
             FiniteCategory("non-assoc", ["x"], ms, {"x": "e"}, comp)
 
+    def test_missing_composite_is_a_structural_error(self):
+        ms = [Morphism("id_x", "x", "x"), Morphism("f", "x", "x")]
+        with pytest.raises(StructuralError,
+                           match="^x: the composition table names no "
+                                 "morphism for f:x->x after id_x:x->x$"):
+            FiniteCategory("x", ["x"], ms, {"x": "id_x"},
+                           {("id_x", "id_x"): "id_x"})
+        # a composite named in the table that is not a morphism
+        with pytest.raises(StructuralError, match="names no morphism"):
+            FiniteCategory("x", ["x"], ms[:1], {"x": "id_x"},
+                           {("id_x", "id_x"): "g"})
+
     def test_endpoint_index_in_declaration_order(self):
         cat = chain_category(3)
         assert [m.name for m in cat.out_of(1)] == ["1->1", "1->2"]
@@ -131,6 +143,18 @@ class TestProfunctorValidation:
                                match=f"^m: {side}-identity acts$"):
                 FiniteProfunctor("m", bad_identity.src, bad_identity.tgt,
                                  bad_identity.table, c_action, d_action)
+
+    def test_missing_action_is_a_structural_error(self):
+        c = chain_category(2)
+        const = constant_profunctor(c, c, ["u"])
+        for side, key in (("D", ("1->1", 0, "u")), ("C", ("0->0", 1, "u"))):
+            actions = {"C": dict(const.c_action), "D": dict(const.d_action)}
+            del actions[side][key]
+            with pytest.raises(StructuralError,
+                               match=f"^const: no {side}-action of {key[0]} "
+                                     f"on 'u' over {key[1]}$"):
+                FiniteProfunctor("const", c, c, const.table, actions["C"],
+                                 actions["D"])
 
     def test_commuting_involutions_accepted(self):
         for c_one in (SWAP, FIX):
