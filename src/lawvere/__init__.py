@@ -29,8 +29,7 @@ from .fragments import (FRAGMENTS, FREE_MONOID_MONAD, FREE_RING_MONAD,
                         FREE_SEMIGROUP_MONAD, FinitaryMonadFragment,
                         IDENTITY_MONAD, POINTED_MONAD)
 from .parser import ParseError, format_term, parse_term
-from .pcompletion import (eta_homset, mu_homset, oplus, p_category,
-                          p_on_profunctor, verify_keyprop)
+from .pcompletion import p_category, p_on_profunctor, verify_keyprop
 from .profunctor import (BimoduleMonad, FiniteProfunctor, compose_prof,
                          functor_to_monad, hom_profunctor, monad_to_functor,
                          prof_iso, representable)

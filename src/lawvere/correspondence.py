@@ -10,7 +10,8 @@ coend over arities, with an explicit stabilization flag.
 
 Every quotient over arities here, in ``monad_from_theory``,
 ``roundtrip_check`` and both halves of ``istar_composite``, is the one
-arity coend ``pcompletion.KeypropComputation`` that keyprop uses.
+arity coend ``pcompletion.KeypropComputation`` that keyprop uses, read
+through its representatives and its class values alone.
 """
 from __future__ import annotations
 
@@ -117,14 +118,15 @@ def reconstruct_map(tableF: LawvereTheory, tableG: LawvereTheory,
 
 @dataclass
 class CoendResult:
-    classes: dict
+    """Each class's representative -> its value in F[x], classes in the
+    order of their first members."""
     invariants: dict
     stable: bool
     truncation: int
 
     @property
     def size(self) -> int:
-        return len(self.classes)
+        return len(self.invariants)
 
 
 def monad_from_theory(table: LawvereTheory, x: int, truncation: int,
@@ -134,16 +136,16 @@ def monad_from_theory(table: LawvereTheory, x: int, truncation: int,
     Elements are classes of an operation e of some arity n <= truncation
     together with an assignment v: [n] -> [x] of its inputs, written
     (n, v, (e,)) and valued in F[x]; the result carries a flag recording
-    whether one more arity level changes the quotient.  The classes and
-    invariants are read at the truncation; the flag comes from extending
-    the same quotient by one level in place and comparing class counts.
+    whether one more arity level changes the quotient.  The
+    representatives and their invariants are read at the truncation; the
+    flag comes from extending the same quotient by one level in place and
+    comparing class counts.
     """
     comp = KeypropComputation(table.fragment, x, 1, truncation, size_bound)
-    classes = comp.classes()
-    invariants = {r: comp.invariant(r)[0] for r in classes}
+    invariants = {r: comp.invariant(r)[0] for r in comp.representatives()}
     comp.extend()
-    return CoendResult(classes=classes, invariants=invariants,
-                       stable=comp.class_count() == len(classes),
+    return CoendResult(invariants=invariants,
+                       stable=comp.class_count() == len(invariants),
                        truncation=truncation)
 
 
@@ -154,7 +156,9 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
 
     For every x <= x_bound the coend classes biject with the carrier F[x]
     through evaluation, and for every function between the tested sets
-    the class-level transport matches the fragment's own action.
+    the class-level transport matches the fragment's own action.  A
+    negative x_bound leaves nothing to check and raises
+    ``StructuralError``.
     """
     table = phi(fragment)
     trunc = truncation if truncation is not None else x_bound + 1
@@ -171,7 +175,7 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
         invs = sorted(set(map(_label_key, res.invariants.values())))
         want = sorted(set(map(_label_key, carrier)))
         stability[f"x={x}"] = res.stable
-        if len(res.classes) == len(carrier) and invs == want and res.stable:
+        if res.size == len(carrier) and invs == want and res.stable:
             rep.pass_count += 1
         else:
             rep.add_failure(x=x, classes=res.size, carrier=len(carrier),
@@ -182,9 +186,8 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
             for h in itertools.product(range(x2), repeat=x):
                 rep.sample_count += 1
                 bad = False
-                for r in results[x].classes:
-                    n, v, (e,) = r
-                    moved_inv = fragment.map(h, x2, results[x].invariants[r])
+                for (n, v, (e,)), inv in results[x].invariants.items():
+                    moved_inv = fragment.map(h, x2, inv)
                     direct = fragment.map(
                         tuple(h[v[i]] for i in range(n)), x2, e)
                     if moved_inv != direct:
@@ -194,6 +197,8 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
                     rep.add_failure(check="naturality", x=x, x2=x2, h=h)
                 else:
                     rep.pass_count += 1
+    if not rep.sample_count:
+        raise StructuralError(f"x bound {x_bound} leaves nothing to check")
     rep.stability = stability
     return rep
 
@@ -305,19 +310,19 @@ def istar_composite(fragment: FinitaryMonadFragment, k_bound: int,
 
     Both quotients are arity coends: the universe one is the identity
     monad's, with b indexing F[n] by position, and the pasting one is the
-    fragment's own.
+    fragment's own.  Each is read through its class values alone.  A
+    negative bound leaves nothing to check and raises ``StructuralError``.
     """
     rep = Report(subject=f"istar:{fragment.name}",
                  bounds={"kBound": k_bound, "nBound": n_bound})
 
     def tally(check: str, comp: KeypropComputation, expected: int, **at):
         rep.sample_count += 1
-        classes = comp.classes()
-        values = {comp.invariant(r) for r in classes}
-        if len(classes) == len(values) == expected:
+        values = comp.class_values()
+        if len(values) == len(set(values)) == expected:
             rep.pass_count += 1
         else:
-            rep.add_failure(check=check, classes=len(classes),
+            rep.add_failure(check=check, classes=len(values),
                             expected=expected, **at)
 
     for n in range(n_bound + 1):
@@ -337,4 +342,7 @@ def istar_composite(fragment: FinitaryMonadFragment, k_bound: int,
             tally("pasting-identity",
                   KeypropComputation(fragment, x, k, x + 2, carrier_bound),
                   size ** k, k=k, x=x)
+    if not rep.sample_count:
+        raise StructuralError(
+            f"k bound {k_bound} and n bound {n_bound} leave nothing to check")
     return rep

@@ -83,10 +83,9 @@ def reference_monad_from_theory(table, x, truncation, size_bound=None):
     frag = table.fragment
     comp = KeypropComputation(frag, x, 1, truncation, size_bound)
     bigger = KeypropComputation(frag, x, 1, truncation + 1, size_bound)
-    classes = comp.classes()
-    return CoendResult(classes=classes,
-                       invariants={r: comp.invariant(r)[0] for r in classes},
-                       stable=bigger.class_count() == len(classes),
+    reps = comp.representatives()
+    return CoendResult(invariants={r: comp.invariant(r)[0] for r in reps},
+                       stable=bigger.class_count() == len(reps),
                        truncation=truncation)
 
 
@@ -105,9 +104,9 @@ def test_monad_from_theory_matches_two_builds(fragment, bound):
         got = monad_from_theory(phi(fragment), x, truncation, bound)
         want = reference_monad_from_theory(phi(fragment), x, truncation,
                                            bound)
-        assert list(got.classes.items()) == list(want.classes.items())
         assert list(got.invariants.items()) == \
             list(want.invariants.items())
+        assert got.size == want.size
         assert (got.stable, got.truncation) == \
             (want.stable, want.truncation)
         unstable += not got.stable
@@ -145,6 +144,10 @@ class TestRoundtrip:
         rep = roundtrip_check(FREE_MONOID_MONAD, 2, truncation=3,
                               size_bound=3)
         assert rep.passed
+
+    def test_negative_bound_raises(self):
+        with pytest.raises(StructuralError, match="leaves nothing to check"):
+            roundtrip_check(POINTED_MONAD, -1)
 
 
 class TestNaturalTransformations:
@@ -243,6 +246,11 @@ class TestIstar:
     def test_pointed_counts(self):
         rep = istar_composite(POINTED_MONAD, 2, 2)
         assert rep.passed
+
+    @pytest.mark.parametrize("k_bound, n_bound", [(-1, -1), (-1, 2), (2, -1)])
+    def test_negative_bounds_raise(self, k_bound, n_bound):
+        with pytest.raises(StructuralError, match="leave nothing to check"):
+            istar_composite(POINTED_MONAD, k_bound, n_bound)
 
     def test_identity_counts(self):
         rep = istar_composite(IDENTITY_MONAD, 3, 2)

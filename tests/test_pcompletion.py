@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -9,8 +10,8 @@ from lawvere.fragments import (FRAGMENTS, FREE_MONOID_MONAD,
                                FinitaryMonadFragment, PointedMonad)
 from lawvere.pcompletion import (KeypropComputation, _actions_ok,
                                  _elementary_maps, _pair_strings_ok,
-                                 eta_homset, mu_homset, oplus, p_category,
-                                 p_on_profunctor, verify_keyprop)
+                                 p_category, p_on_profunctor,
+                                 verify_keyprop)
 from lawvere.profunctor import (_label_key, constant_profunctor,
                                 hom_profunctor)
 from lawvere.report import Report
@@ -70,17 +71,6 @@ class TestPOnProfunctor:
         p_on_profunctor(F, 2)
 
 
-class TestKleisliData:
-    def test_mu_two_singletons(self):
-        assert len(mu_homset(2, (1, 1))) == 4
-
-    def test_mu_empty_string(self):
-        assert len(mu_homset(1, ())) == 1
-
-    def test_eta(self):
-        assert eta_homset(3) == [(0,), (1,), (2,)]
-
-
 class ForgetTwo(PointedMonad):
     """A map that misses two or more of its outputs sends every element
     to the point: the canonical insertions of length-two strings then
@@ -128,6 +118,23 @@ class TestKeyprop:
 
         with pytest.raises(StructuralError, match="breaks the invariant"):
             KeypropComputation(SwapZeroOne(), 2, 1, k_cap=2)
+
+    def test_actions_check_catches_a_non_functorial_map(self):
+        class CollapseTwoToOne(PointedMonad):
+            """Every map [2] -> [1] sends everything to the point, so
+            postcomposing a value in F[2] is not the fiber's action."""
+            name = "pointed-collapse"
+
+            def map(self, table, n_to, e):
+                if len(table) == 2 and n_to == 1:
+                    return self.POINT
+                return super().map(table, n_to, e)
+
+        comp = KeypropComputation(POINTED_MONAD, 2, 1, k_cap=3)
+        reps = comp.representatives()
+        assert _actions_ok(comp, reps)
+        comp.fragment = CollapseTwoToOne()
+        assert not _actions_ok(comp, reps)
 
     def test_pair_strings_catch_a_wrong_insertion(self):
         rep = verify_keyprop(ForgetTwo(), 1, 1)
@@ -199,15 +206,40 @@ def _reference_classes(fragment, j, n, k_cap, bound):
     return out
 
 
+def _elements(comp):
+    """Every element of the quotient, decoded in numbering order."""
+    return [(k, y, xs) for k in range(comp.k_cap + 1)
+            for y in itertools.product(range(comp.j), repeat=k)
+            for xs in itertools.product(comp._carriers[k], repeat=comp.n)]
+
+
+def _kernel_partition(comp, elements):
+    """The kernel's classes of the given elements, grouped by the root of
+    each element's number, in the order the elements come."""
+    out = {}
+    for e in elements:
+        out.setdefault(comp._parent[comp.index(e)], []).append(e)
+    return list(out.values())
+
+
+def assert_matches_reference(comp, want, at=None):
+    """The kernel has the reference's elements, its partition and, in
+    order, its representatives."""
+    elements = [e for members in want.values() for e in members]
+    assert len(comp._parent) == len(elements), at
+    assert _kernel_partition(comp, elements) == list(want.values()), at
+    assert comp.representatives() == list(want), at
+
+
 @pytest.mark.parametrize("name", sorted(FRAGMENTS))
 def test_kernel_matches_dict_union_find(name):
     frag = FRAGMENTS[name]
     for bound in ([None] if frag.finite else [1, 2, 3]):
         for j, n, k_cap in itertools.product(range(3), range(3), range(4)):
-            got = KeypropComputation(frag, j, n, k_cap, bound).classes()
-            want = _reference_classes(frag, j, n, k_cap, bound)
-            assert list(got.items()) == list(want.items()), \
-                (name, bound, j, n, k_cap)
+            assert_matches_reference(
+                KeypropComputation(frag, j, n, k_cap, bound),
+                _reference_classes(frag, j, n, k_cap, bound),
+                (name, bound, j, n, k_cap))
 
 
 @pytest.mark.parametrize("fragment", [POINTED_MONAD, IDENTITY_MONAD],
@@ -217,8 +249,7 @@ def test_kernel_matches_dict_union_find_at_workload_scale(fragment):
     # k_cap 4, then the stability level
     comp = KeypropComputation(fragment, 3, 2, 4)
     comp.extend()
-    assert list(comp.classes().items()) == list(
-        _reference_classes(fragment, 3, 2, 5, None).items())
+    assert_matches_reference(comp, _reference_classes(fragment, 3, 2, 5, None))
 
 
 class Powerset(FinitaryMonadFragment):
@@ -250,8 +281,8 @@ def test_merges_relabel_either_class(monkeypatch):
     comp = KeypropComputation(Powerset(), 3, 1, 4)
     multi = [(a, b) for a, b in sizes if a > 1 and b > 1]
     assert any(a < b for a, b in multi) and any(a > b for a, b in multi)
-    assert list(comp.classes().items()) == list(
-        _reference_classes(Powerset(), 3, 1, 4, None).items())
+    assert_matches_reference(comp, _reference_classes(Powerset(), 3, 1, 4,
+                                                      None))
     assert comp.class_count() == 2 ** 3
     assert verify_keyprop(Powerset(), 2, 2).passed
 
@@ -259,83 +290,42 @@ def test_merges_relabel_either_class(monkeypatch):
 def test_representative_is_least_label_not_first_member():
     # with j = 11 the class of the word (2, 10) has its first member at
     # y = (2, 10) but its least _label_key member at y = (10, 2)
-    got = KeypropComputation(FREE_MONOID_MONAD, 11, 1, 2, 2).classes()
-    assert list(got.items()) == list(
-        _reference_classes(FREE_MONOID_MONAD, 11, 1, 2, 2).items())
-    members = next(ms for ms in got.values() if (2, (2, 10), ((0, 1),)) in ms)
+    comp = KeypropComputation(FREE_MONOID_MONAD, 11, 1, 2, 2)
+    assert_matches_reference(
+        comp, _reference_classes(FREE_MONOID_MONAD, 11, 1, 2, 2))
+    members = next(ms for ms in _kernel_partition(comp, _elements(comp))
+                   if (2, (2, 10), ((0, 1),)) in ms)
     assert members[0] == (2, (2, 10), ((0, 1),))
-    assert (2, (10, 2), ((1, 0),)) in got
+    assert (2, (10, 2), ((1, 0),)) in comp.representatives()
 
 
 def test_representative_past_level_nine_is_least_label():
     # "(10, ..." reprs below "(2, ...", so from k_cap 10 on the least
     # label of a class need not share its first member's (k, y): the
     # representative is the least label, not read off the numbering
-    classes = KeypropComputation(IDENTITY_MONAD, 2, 2, 10).classes()
-    assert all(rep == min(members, key=_label_key)
-               for rep, members in classes.items())
-    rep = next(r for r, ms in classes.items() if ms[0] == (2, (0, 1), (0, 1)))
+    comp = KeypropComputation(IDENTITY_MONAD, 2, 2, 10)
+    classes = _kernel_partition(comp, _elements(comp))
+    reps = comp.representatives()
+    assert reps == [min(members, key=_label_key) for members in classes]
+    rep = next(r for r, ms in zip(reps, classes)
+               if ms[0] == (2, (0, 1), (0, 1)))
     assert rep == (10, (0,) * 9 + (1,), (0, 9))
 
 
-class TestOplus:
-    def test_unit_laws(self):
-        f = [0, "pt", 1]
-        empty = []
-        assert oplus(POINTED_MONAD, f, 2, empty, 0) == f
-        assert oplus(POINTED_MONAD, empty, 0, f, 2) == f
-
-    def test_pointed_table(self):
-        got = oplus(POINTED_MONAD, [PointedMonad.POINT], 1, [0], 1)
-        assert got == ["pt", 1]
-        # oracle: the canonical map F[1] + F[1] -> F[2] sends the first
-        # block's point to the point and the second block's 0 to 1
-        canonical_first = {0: 0, "pt": "pt"}
-        canonical_second = {0: 1, "pt": "pt"}
-        assert got == [canonical_first["pt"], canonical_second[0]]
-
-    def test_associativity_instance(self):
-        fs = [([0], 1), (["pt"], 1), ([1, 0], 2)]
-        (f1, n1), (f2, n2), (f3, n3) = fs
-        left = oplus(POINTED_MONAD,
-                     oplus(POINTED_MONAD, f1, n1, f2, n2), n1 + n2, f3, n3)
-        right = oplus(POINTED_MONAD, f1, n1,
-                      oplus(POINTED_MONAD, f2, n2, f3, n3), n2 + n3)
-        assert left == right
-
-    def test_action_compatibility(self):
-        # precomposition: (g1 (+) g2) o (f1 + f2) = (g1 o f1) (+) (g2 o f2)
-        g1, n1 = [0, "pt"], 1
-        g2, n2 = [1], 2
-        f1 = (1, 0)   # table [2] -> [2] acting on positions of g1
-        f2 = (0,)     # table [1] -> [1]
-        blocks = oplus(POINTED_MONAD, g1, n1, g2, n2)
-        f_sum = [f1[i] for i in range(len(f1))] + \
-                [len(f1) + f2[i] for i in range(len(f2))]
-        lhs = [blocks[f_sum[i]] for i in range(len(f_sum))]
-        rhs = oplus(POINTED_MONAD,
-                    [g1[f1[i]] for i in range(len(f1))], n1,
-                    [g2[f2[i]] for i in range(len(f2))], n2)
-        assert lhs == rhs
-
-    def test_target_action_compatibility(self):
-        # postcomposition with F(h1 + h2) distributes over the blocks
-        F = POINTED_MONAD
-        g1, n1 = [0, "pt"], 2
-        g2, n2 = [0], 1
-        h1 = (1, 0)   # [2] -> [2]
-        h2 = (0,)     # [1] -> [1]
-        h_sum = tuple(h1[i] for i in range(n1)) + \
-            tuple(n1 + h2[i] for i in range(n2))
-        lhs = [F.map(h_sum, n1 + n2, e)
-               for e in oplus(F, g1, n1, g2, n2)]
-        rhs = oplus(F, [F.map(h1, n1, e) for e in g1], n1,
-                    [F.map(h2, n2, e) for e in g2], n2)
-        assert lhs == rhs
-
-    def test_monoid_words_block_sum(self):
-        got = oplus(FREE_MONOID_MONAD, [(0, 1)], 2, [(0,)], 1)
-        assert got == [(0, 1), (2,)]
+def test_representatives_build_no_member_lists():
+    # the read-out keeps one member per class, so its peak stays far
+    # below that of decoding every member into per-class lists
+    comp = KeypropComputation(POINTED_MONAD, 3, 3, 4)
+    peaks = []
+    for read in (comp.representatives,
+                 lambda: _kernel_partition(comp, _elements(comp))):
+        tracemalloc.start()
+        try:
+            read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 10, peaks
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +338,22 @@ def test_extension_matches_a_fresh_build(name):
     for bound in ([None] if frag.finite else [1, 2, 3]):
         for j, n, k_cap in itertools.product(range(3), range(3), range(4)):
             comp = KeypropComputation(frag, j, n, k_cap, bound)
-            before = comp.classes()
+            before = comp.representatives()
             comp.extend()
             fresh = KeypropComputation(frag, j, n, k_cap + 1, bound)
             at = (name, bound, j, n, k_cap)
             assert comp.k_cap == k_cap + 1, at
-            assert list(comp.classes().items()) == \
-                list(fresh.classes().items()), at
+            elements = _elements(fresh)
+            assert _kernel_partition(comp, elements) == \
+                _kernel_partition(fresh, elements), at
+            assert comp.representatives() == fresh.representatives(), at
             assert comp.class_count() == fresh.class_count() == \
-                len(fresh.classes()), at
-            # classes read before the extension are not touched by it
-            assert list(before.items()) == list(KeypropComputation(
-                frag, j, n, k_cap, bound).classes().items()), at
+                len(fresh.representatives()) == \
+                len(fresh.class_values()), at
+            # representatives read before the extension are not
+            # touched by it
+            assert before == KeypropComputation(
+                frag, j, n, k_cap, bound).representatives(), at
 
 
 def reference_verify_keyprop(fragment, j_bound, n_bound, *,
@@ -379,18 +373,18 @@ def reference_verify_keyprop(fragment, j_bound, n_bound, *,
             expected = [tuple(v) for v in itertools.product(
                 fragment.carrier(j, carrier_bound), repeat=n)]
             rep.sample_count += 1
-            classes = comp.classes()
-            invs = sorted(set(comp.invariant(r) for r in classes),
+            reps = comp.representatives()
+            invs = sorted(set(comp.invariant(r) for r in reps),
                           key=_label_key)
-            ok = (len(classes) == len(expected)
-                  and len(invs) == len(classes)
+            ok = (len(reps) == len(expected)
+                  and len(invs) == len(reps)
                   and sorted(expected, key=_label_key) == invs)
-            stable = comp_next.class_count() == len(classes)
+            stable = comp_next.class_count() == len(reps)
             stability[f"j={j},n={n}"] = stable
-            if ok and stable and _actions_ok(comp, list(comp.classes())):
+            if ok and stable and _actions_ok(comp, reps):
                 rep.pass_count += 1
             else:
-                rep.add_failure(j=j, n=n, classes=len(classes),
+                rep.add_failure(j=j, n=n, classes=len(reps),
                                 expected=len(expected), stable=stable)
     rep.sample_count += 1
     pair_ok = _pair_strings_ok(fragment, 2, 2, pair_entry_cap,
