@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from typing import Optional
 
 from .builtin import BASE_THEORIES
 from .correspondence import (composite_correspondence_check,
@@ -80,8 +81,24 @@ def _emit(args, payload: dict, text: str) -> None:
         raise OutputError(f"cannot write {out!r}: {exc.strerror}") from None
 
 
-def _report_exit(rep) -> int:
+def _run_check(args, check, *call, **options) -> int:
+    """Time ``check(*call, **options)``, emit its report and exit by its
+    verdict."""
+    t0 = time.perf_counter()
+    rep = check(*call, **options)
+    rep.wall_time_ms = (time.perf_counter() - t0) * 1000
+    _emit(args, rep.to_json_dict(), rep.summary())
     return EXIT_PASS if rep.passed else EXIT_FAIL
+
+
+def _composite(args):
+    """The composite theory ``--theory`` names and the law behind it, or
+    None after saying on stderr that it names no composite theory."""
+    if args.theory not in _COMPOSITE_LAWS:
+        print(f"theory {args.theory!r} is not a composite theory",
+              file=sys.stderr)
+        return None
+    return _theories()[args.theory], _COMPOSITE_LAWS[args.theory]
 
 
 def cmd_enumerate(args) -> int:
@@ -123,12 +140,10 @@ def cmd_compose(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    if args.theory not in _COMPOSITE_LAWS:
-        print(f"theory {args.theory!r} is not a composite theory",
-              file=sys.stderr)
+    composite = _composite(args)
+    if composite is None:
         return EXIT_USAGE
-    spec = _theories()[args.theory]
-    law = _COMPOSITE_LAWS[args.theory]
+    spec, law = composite
     comps = [parse_term(s, spec, args.arity)
              for s in args.morphism.split(",")]
     f = morphism(spec, args.arity, comps)
@@ -166,12 +181,8 @@ def cmd_check_law(args) -> int:
         return EXIT_USAGE
     if _nothing_to_sample(args):
         return EXIT_USAGE
-    sampler = Sampler(seed=args.seed, samples=args.samples)
-    t0 = time.perf_counter()
-    rep = check_law_axioms(BUILTIN_LAWS[args.law], sampler)
-    rep.wall_time_ms = (time.perf_counter() - t0) * 1000
-    _emit(args, rep.to_json_dict(), rep.summary())
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    return _run_check(args, check_law_axioms, BUILTIN_LAWS[args.law],
+                      Sampler(seed=args.seed, samples=args.samples))
 
 
 def cmd_check_yb(args) -> int:
@@ -180,27 +191,17 @@ def cmd_check_yb(args) -> int:
         return EXIT_USAGE
     if _nothing_to_sample(args):
         return EXIT_USAGE
-    sampler = Sampler(seed=args.seed, samples=args.samples)
-    t0 = time.perf_counter()
-    rep = check_yang_baxter(BUILTIN_SERIES[args.series](), sampler)
-    rep.wall_time_ms = (time.perf_counter() - t0) * 1000
-    _emit(args, rep.to_json_dict(), rep.summary())
-    return _report_exit(rep)
+    return _run_check(args, check_yang_baxter, BUILTIN_SERIES[args.series](),
+                      Sampler(seed=args.seed, samples=args.samples))
 
 
 def cmd_check_fs(args) -> int:
-    if args.theory not in _COMPOSITE_LAWS:
-        print(f"theory {args.theory!r} is not a composite theory",
-              file=sys.stderr)
+    composite = _composite(args)
+    if composite is None:
         return EXIT_USAGE
-    spec = _theories()[args.theory]
-    law = _COMPOSITE_LAWS[args.theory]
-    t0 = time.perf_counter()
-    rep = check_fs_over_base(spec, law.inner, law.outer, args.arity,
-                             args.size)
-    rep.wall_time_ms = (time.perf_counter() - t0) * 1000
-    _emit(args, rep.to_json_dict(), rep.summary())
-    return _report_exit(rep)
+    spec, law = composite
+    return _run_check(args, check_fs_over_base, spec, law.inner, law.outer,
+                      args.arity, args.size)
 
 
 def cmd_check_coend(args) -> int:
@@ -340,11 +341,7 @@ def cmd_roundtrip(args) -> int:
                   f"x <= --bound {args.bound} in {frag.name}: nothing "
                   "would be checked", file=sys.stderr)
             return EXIT_USAGE
-    t0 = time.perf_counter()
-    rep = roundtrip_check(frag, args.bound, **kwargs)
-    rep.wall_time_ms = (time.perf_counter() - t0) * 1000
-    _emit(args, rep.to_json_dict(), rep.summary())
-    return _report_exit(rep)
+    return _run_check(args, roundtrip_check, frag, args.bound, **kwargs)
 
 
 def cmd_correspond(args) -> int:
@@ -358,13 +355,10 @@ def cmd_correspond(args) -> int:
               "to compose; use a larger --size or --samples 0",
               file=sys.stderr)
         return EXIT_USAGE
-    sampler = Sampler(seed=args.seed, samples=args.samples)
-    t0 = time.perf_counter()
-    rep = composite_correspondence_check(
-        law, fragment, size_bound=args.size, sampler=sampler, spec=spec)
-    rep.wall_time_ms = (time.perf_counter() - t0) * 1000
-    _emit(args, rep.to_json_dict(), rep.summary())
-    return _report_exit(rep)
+    return _run_check(
+        args, composite_correspondence_check, law, fragment,
+        size_bound=args.size, spec=spec,
+        sampler=Sampler(seed=args.seed, samples=args.samples))
 
 
 class _SamplesDefault(str):
@@ -403,11 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "scale")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, samples: int = 500):
+    def common(sp, samples: Optional[int] = None):
+        """--json and --out; with a default sample count, --seed and
+        --samples too."""
         sp.add_argument("--json", action="store_true",
                         help="emit a JSON report")
         sp.add_argument("--out", help="write the JSON report to this path "
                                       "instead of stdout")
+        if samples is None:
+            return
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--samples", type=non_negative_int,
                         default=_SamplesDefault(samples),
@@ -418,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theory", required=True)
     sp.add_argument("--arity", type=non_negative_int, required=True)
     sp.add_argument("--size", type=non_negative_int, required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out")
+    common(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("compose", help="compose two tuple morphisms")
@@ -429,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated components of the first morphism")
     sp.add_argument("--second", required=True,
                     help="components of the morphism applied after")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out")
+    common(sp)
     sp.set_defaults(func=cmd_compose)
 
     sp = sub.add_parser("factorize",
@@ -438,13 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theory", required=True)
     sp.add_argument("--morphism", required=True)
     sp.add_argument("--arity", type=non_negative_int, default=3)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out")
+    common(sp)
     sp.set_defaults(func=cmd_factorize)
 
     sp = sub.add_parser("check-law", help="compatibility diagrams of a law")
     sp.add_argument("--law", required=True)
-    common(sp)
+    common(sp, samples=500)
     sp.set_defaults(func=cmd_check_law)
 
     sp = sub.add_parser("check-yb", help="hexagons and bracketing agreement")
@@ -457,16 +452,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theory", required=True)
     sp.add_argument("--arity", type=non_negative_int, default=2)
     sp.add_argument("--size", type=non_negative_int, default=5)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out")
+    common(sp)
     sp.set_defaults(func=cmd_check_fs)
 
     sp = sub.add_parser("check-coend",
                         help="validate category/profunctor tables and "
                              "compose by coend")
     sp.add_argument("--file", required=True)
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out")
+    common(sp)
     sp.set_defaults(func=cmd_check_coend)
 
     sp = sub.add_parser("roundtrip",
@@ -475,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bound", type=non_negative_int, default=3)
     sp.add_argument("--size", type=non_negative_int, default=3,
                     help="enumeration bound for infinite carriers")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--out")
+    common(sp)
     sp.set_defaults(func=cmd_roundtrip)
 
     sp = sub.add_parser("correspond",

@@ -168,35 +168,24 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
     stability = {}
     results = {}
     for x in range(x_bound + 1):
-        rep.sample_count += 1
         res = monad_from_theory(table, x, trunc, size_bound)
         results[x] = res
         carrier = fragment.carrier(x, size_bound)
         invs = sorted(set(map(_label_key, res.invariants.values())))
         want = sorted(set(map(_label_key, carrier)))
         stability[f"x={x}"] = res.stable
-        if res.size == len(carrier) and invs == want and res.stable:
-            rep.pass_count += 1
-        else:
-            rep.add_failure(x=x, classes=res.size, carrier=len(carrier),
-                            stable=res.stable)
+        rep.check(res.size == len(carrier) and invs == want and res.stable,
+                  x=x, classes=res.size, carrier=len(carrier),
+                  stable=res.stable)
     # naturality of the identification under every function [x] -> [x2]
     for x in range(x_bound + 1):
         for x2 in range(x_bound + 1):
             for h in itertools.product(range(x2), repeat=x):
-                rep.sample_count += 1
-                bad = False
-                for (n, v, (e,)), inv in results[x].invariants.items():
-                    moved_inv = fragment.map(h, x2, inv)
-                    direct = fragment.map(
-                        tuple(h[v[i]] for i in range(n)), x2, e)
-                    if moved_inv != direct:
-                        bad = True
-                        break
-                if bad:
-                    rep.add_failure(check="naturality", x=x, x2=x2, h=h)
-                else:
-                    rep.pass_count += 1
+                rep.check(all(
+                    fragment.map(h, x2, inv) ==
+                    fragment.map(tuple(h[v[i]] for i in range(n)), x2, e)
+                    for (n, v, (e,)), inv in results[x].invariants.items()),
+                    check="naturality", x=x, x2=x2, h=h)
     if not rep.sample_count:
         raise StructuralError(f"x bound {x_bound} leaves nothing to check")
     rep.stability = stability
@@ -254,26 +243,19 @@ def composite_correspondence_check(law: DistributiveLawSpec,
     # counted as a pass
     if sampler.samples > 0:
         axioms = check_law_axioms(law, sampler)
-        rep.sample_count += 1
-        if axioms.passed:
-            rep.pass_count += 1
-        else:
-            rep.add_failure(check="law-axioms", witness=axioms.first_failure)
+        if not rep.check(axioms.passed, check="law-axioms",
+                         witness=axioms.first_failure):
             return rep
 
     frag_bound = fragment.bound_for_display_size(size_bound)
     for k in range(arity_bound + 1):
-        rep.sample_count += 1
         terms = theory.enumerate_normal(k, size_bound)
-        encoded = [encode_term(fragment, t) for t in terms]
+        keys = sorted(_label_key(encode_term(fragment, t)) for t in terms)
         carrier = fragment.carrier(k, frag_bound)
-        if len(set(map(_label_key, encoded))) == len(terms) and \
-                sorted(map(_label_key, encoded)) == \
-                sorted(map(_label_key, carrier)):
-            rep.pass_count += 1
-        else:
-            rep.add_failure(check="hom-bijection", arity=k,
-                            terms=len(terms), carrier=len(carrier))
+        rep.check(len(set(keys)) == len(terms)
+                  and keys == sorted(map(_label_key, carrier)),
+                  check="hom-bijection", arity=k, terms=len(terms),
+                  carrier=len(carrier))
 
     # compositions agree along the interpretation
     rng = sampler.rng()
@@ -281,15 +263,12 @@ def composite_correspondence_check(law: DistributiveLawSpec,
     for _ in range(min(sampler.samples, 80)):
         g = rng.choice(pool2)
         f1, f2 = rng.choice(pool1), rng.choice(pool1)
-        rep.sample_count += 1
         composed = theory.normalize(substitute(g, (f1, f2)))
         via_fragment = table.compose(
             (encode_term(fragment, g),),
             tuple(encode_term(fragment, c) for c in (f1, f2)))[0]
-        if encode_term(fragment, composed) == via_fragment:
-            rep.pass_count += 1
-        else:
-            rep.add_failure(check="composition", g=repr(g))
+        rep.check(encode_term(fragment, composed) == via_fragment,
+                  check="composition", g=repr(g))
     return rep
 
 
@@ -317,13 +296,9 @@ def istar_composite(fragment: FinitaryMonadFragment, k_bound: int,
                  bounds={"kBound": k_bound, "nBound": n_bound})
 
     def tally(check: str, comp: KeypropComputation, expected: int, **at):
-        rep.sample_count += 1
         values = comp.class_values()
-        if len(values) == len(set(values)) == expected:
-            rep.pass_count += 1
-        else:
-            rep.add_failure(check=check, classes=len(values),
-                            expected=expected, **at)
+        rep.check(len(values) == len(set(values)) == expected, check=check,
+                  classes=len(values), expected=expected, **at)
 
     for n in range(n_bound + 1):
         size = len(fragment.carrier(n, carrier_bound))

@@ -558,12 +558,8 @@ def check_yang_baxter(series: DistributiveSeries,
 
     for (i, j) in sorted(series.laws):
         axiom = check_law_axioms(series.laws[(i, j)], sampler)
-        rep.sample_count += 1
-        if axiom.passed:
-            rep.pass_count += 1
-        else:
-            rep.add_failure(stage="pairwise-law", law=series.laws[(i, j)].name,
-                            witness=axiom.first_failure)
+        rep.check(axiom.passed, stage="pairwise-law",
+                  law=series.laws[(i, j)].name, witness=axiom.first_failure)
 
     triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                if i > j > k]

@@ -401,12 +401,16 @@ def check_fs_over_base(theory: TheorySpec, inner: TheorySpec,
                        outer: TheorySpec, arity_bound: int, size_bound: int,
                        *, witness_bound: int = 2,
                        witness_sample: int = 24) -> Report:
-    """Existence and zigzag-uniqueness over all bounded morphisms.
+    """Existence, alternatives and zigzag witnesses over all bounded
+    morphisms.
 
-    Every enumerated morphism must factorize and recompose to itself; every
-    alternative factorization found by the bounded neighbour search must be
-    equivalent to the canonical one, and for a deterministic subsample an
-    explicit witness chain is demanded and validated.
+    Every enumerated morphism must factorize and recompose to itself
+    (``existence``); every alternative factorization from
+    ``_bounded_alternatives`` must recompose to it too
+    (``alt-recompose``); and for the first ``witness_sample`` morphisms
+    with alternatives that all recompose, an explicit zigzag chain from
+    the canonical factorization to the first alternative is demanded and
+    validated (``witness``).
     """
     rep = Report(subject=f"fs-over-base:{theory.name}",
                  bounds={"arityBound": arity_bound, "sizeBound": size_bound,
@@ -428,9 +432,6 @@ def check_fs_over_base(theory: TheorySpec, inner: TheorySpec,
                 if pair.recompose() != f:
                     rep.add_failure(check="existence", morphism=repr(f))
                     continue
-                # zigzag_equivalent(pair, alt, bound=-1) decides by these
-                # canonical keys; pair's is computed once
-                canon = canonicalize(pair).key()
                 ok = True
                 alternatives = list(_bounded_alternatives(pair, spares[k]))
                 alt_total += len(alternatives)
@@ -438,11 +439,6 @@ def check_fs_over_base(theory: TheorySpec, inner: TheorySpec,
                     if alt.recompose() != f:
                         rep.add_failure(check="alt-recompose",
                                         alt=repr(alt))
-                        ok = False
-                        continue
-                    if canonicalize(alt).key() != canon:
-                        rep.add_failure(check="zigzag-uniqueness",
-                                        morphism=repr(f), alt=repr(alt))
                         ok = False
                 if ok and alternatives and picked < witness_sample:
                     picked += 1
@@ -518,16 +514,12 @@ def check_strict_fs(cat: FiniteCategory, left: Sequence[Morphism],
             rep.add_failure(check="identities", object=repr(x))
     factor: dict = {}
     for f in cat.morphisms:
-        rep.sample_count += 1
         pairs = [(l, r) for l in left for r in right
                  if l.src == f.src and r.tgt == f.tgt and l.tgt == r.src
                  and cat.compose(r, l) == f]
-        if len(pairs) == 1:
-            rep.pass_count += 1
+        if rep.check(len(pairs) == 1, check="unique-factorization",
+                     morphism=f.name, count=len(pairs)):
             factor[f] = pairs[0]
-        else:
-            rep.add_failure(check="unique-factorization", morphism=f.name,
-                            count=len(pairs))
     if not rep.passed:
         return rep
 
@@ -541,21 +533,14 @@ def check_strict_fs(cat: FiniteCategory, left: Sequence[Morphism],
         f"{r},{l}": (out_l.name, out_r.name)
         for (r, l), (out_l, out_r) in law.items()}
 
-    def check_eq(cond, **info):
-        rep.sample_count += 1
-        if cond:
-            rep.pass_count += 1
-        else:
-            rep.add_failure(**info)
-
     for r in right:
         lid = cat.identity(r.tgt)
-        check_eq(law[(r.name, lid.name)] == (cat.identity(r.src), r),
-                 check="unit-left", r=r.name)
+        rep.check(law[(r.name, lid.name)] == (cat.identity(r.src), r),
+                  check="unit-left", r=r.name)
     for l in left:
         rid = cat.identity(l.src)
-        check_eq(law[(rid.name, l.name)] == (l, cat.identity(l.tgt)),
-                 check="unit-right", l=l.name)
+        rep.check(law[(rid.name, l.name)] == (l, cat.identity(l.tgt)),
+                  check="unit-right", l=l.name)
     for r in right:
         for l1 in left:
             if r.tgt != l1.src:
@@ -566,8 +551,8 @@ def check_strict_fs(cat: FiniteCategory, left: Sequence[Morphism],
                 a1, b1 = law[(r.name, l1.name)]
                 a2, b2 = law[(b1.name, l2.name)]
                 a_direct, b_direct = law[(r.name, cat.compose(l2, l1).name)]
-                check_eq((cat.compose(a2, a1), b2) == (a_direct, b_direct),
-                         check="mult-left", r=r.name, l1=l1.name, l2=l2.name)
+                rep.check((cat.compose(a2, a1), b2) == (a_direct, b_direct),
+                          check="mult-left", r=r.name, l1=l1.name, l2=l2.name)
     for l in left:
         for r1 in right:
             if r1.tgt != l.src:
@@ -578,6 +563,6 @@ def check_strict_fs(cat: FiniteCategory, left: Sequence[Morphism],
                 a1, b1 = law[(r1.name, l.name)]
                 a2, b2 = law[(r2.name, a1.name)]
                 a_direct, b_direct = law[(cat.compose(r1, r2).name, l.name)]
-                check_eq((a2, cat.compose(b1, b2)) == (a_direct, b_direct),
-                         check="mult-right", l=l.name, r1=r1.name, r2=r2.name)
+                rep.check((a2, cat.compose(b1, b2)) == (a_direct, b_direct),
+                          check="mult-right", l=l.name, r1=r1.name, r2=r2.name)
     return rep

@@ -104,7 +104,8 @@ def p_on_profunctor(f: FiniteProfunctor, max_len: int,
     source string a) is an index function from positions of a into
     positions of b together with one element per position."""
     PC = p_category(f.src, max_len)
-    PD = p_category(f.tgt, max_len)
+    # an endo-profunctor's extension must be one too
+    PD = PC if f.tgt is f.src else p_category(f.tgt, max_len)
     table = {}
     for b in PD.objects:
         n = len(b)
@@ -451,8 +452,10 @@ def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
     For every j, n within bounds the singleton-string coend is computed at
     entry cap j + 1 and compared against Set(n, F[j]) through the
     canonical invariant; it is then extended in place to entry cap j + 2
-    (stability: the class count must not change), and the hom actions
-    are verified on the entry-cap j + 1 class representatives.
+    (stability: the class count must not change), and every elementary
+    map out of [j] (the injections into [j + 1], the merges into [j - 1]
+    and the transpositions of [j]) must act on the entry-cap j + 1 class
+    representatives as it acts on Set(n, F[j]).
     Separately, strings of length two are adjoined at a small scale: each
     must reduce through the canonical insertions to a singleton element
     with the same value in Set(n, F[j]), so that gluing them on changes
@@ -468,7 +471,6 @@ def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
             comp = KeypropComputation(fragment, j, n, k_cap, carrier_bound)
             expected = [tuple(v) for v in itertools.product(
                 fragment.carrier(j, carrier_bound), repeat=n)]
-            rep.sample_count += 1
             values = comp.class_values()
             invs = sorted(set(values), key=_label_key)
             ok = (len(values) == len(expected)
@@ -478,31 +480,25 @@ def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
             comp.extend()
             stable = comp.class_count() == len(values)
             stability[f"j={j},n={n}"] = stable
-            if ok and stable and _actions_ok(comp, reps):
-                rep.pass_count += 1
-            else:
-                rep.add_failure(j=j, n=n, classes=len(values),
-                                expected=len(expected), stable=stable)
-    rep.sample_count += 1
+            rep.check(ok and stable and _actions_ok(comp, reps), j=j, n=n,
+                      classes=len(values), expected=len(expected),
+                      stable=stable)
     pair_ok = _pair_strings_ok(fragment, 2, 2, pair_entry_cap,
                                carrier_bound)
     stability["pairStrings"] = pair_ok
-    if pair_ok:
-        rep.pass_count += 1
-    else:
-        rep.add_failure(check="pair-strings")
+    rep.check(pair_ok, check="pair-strings")
     rep.stability = stability
     return rep
 
 
 def _actions_ok(comp: KeypropComputation, reps) -> bool:
     """Both hom actions agree with the Set(n, F[j]) ones through the
-    invariant, on every representative in ``reps`` and elementary map.
-    Neither membership nor the invariant of an element changes when the
-    quotient grows, so ``comp`` may have grown past the representatives'
-    levels."""
+    invariant, on every representative in ``reps`` and every elementary
+    map out of [j].  Neither membership nor the invariant of an element
+    changes when the quotient grows, so ``comp`` may have grown past the
+    representatives' levels."""
     F, j = comp.fragment, comp.j
-    for (a, b, g) in _elementary_maps(max(j, 1)):
+    for (a, b, g) in _elementary_maps(j + 1):
         if a != j:
             continue
         # g: [j] -> [b] acts on the j side by postcomposition

@@ -27,6 +27,15 @@ class Report:
     def add_failure(self, **data):
         self.failures.append(data)
 
+    def check(self, ok: bool, /, **failure) -> bool:
+        """Count one sample: a pass if ``ok``, else ``failure`` recorded."""
+        self.sample_count += 1
+        if ok:
+            self.pass_count += 1
+        else:
+            self.failures.append(failure)
+        return ok
+
     @property
     def passed(self) -> bool:
         return not self.failures and self.pass_count == self.sample_count

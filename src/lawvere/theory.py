@@ -265,13 +265,6 @@ def check_product_structure(theory: LawvereTheory, k: int, m: int,
         if ok:
             rep.pass_count += 1
 
-    def run_surjective(h):
-        rep.sample_count += 1
-        if theory.compose(p1, h) + theory.compose(p2, h) != h:
-            rep.add_failure(check="surjective-pairing", h=repr(h))
-        else:
-            rep.pass_count += 1
-
     for p in ps:
         fs = theory.hom(p, k, size_bound)
         gs = theory.hom(p, m, size_bound)
@@ -287,7 +280,8 @@ def check_product_structure(theory: LawvereTheory, k: int, m: int,
         for f, g in pairs:
             run_pair(f, g, hom_km)
         for h in picks:
-            run_surjective(h)
+            rep.check(theory.compose(p1, h) + theory.compose(p2, h) == h,
+                      check="surjective-pairing", h=repr(h))
     if not rep.sample_count:
         raise StructuralError(
             f"k={k}, m={m}, p in {ps} and size bound {size_bound} leave "

@@ -1,7 +1,9 @@
 import itertools
+import json
 
 import pytest
 
+import lawvere.cli as cli
 import lawvere.correspondence as correspondence
 from lawvere.builtin import IDENTITY_THEORY, MONOID, POINTED, SEMIGROUP
 from lawvere.correspondence import (CoendResult, MonadMap, TheoryFragment,
@@ -10,15 +12,16 @@ from lawvere.correspondence import (CoendResult, MonadMap, TheoryFragment,
                                     monad_from_theory, monad_map_natural,
                                     phi, reconstruct_map, roundtrip_check,
                                     tabulate_map)
-from lawvere.distlaw import PS_LAW, RING_LAW, trivial_law
+from lawvere.distlaw import (BUILTIN_LAWS, PS_LAW, RING_LAW,
+                             ps_monoid_theory, ring_theory, trivial_law)
 from lawvere.fragments import (FREE_MONOID_MONAD, FREE_RING_MONAD,
                                FREE_SEMIGROUP_MONAD, IDENTITY_MONAD,
-                               POINTED_MONAD)
+                               POINTED_MONAD, FreeMonoidMonad, FreeRingMonad)
 from lawvere.parser import parse_term
 from lawvere.pcompletion import KeypropComputation
 from lawvere.terms import StructuralError
 from lawvere.theory import BaseFunction
-from .conftest import words_over
+from .conftest import make_diagram_mutant, words_over
 
 
 class TestPhi:
@@ -262,3 +265,88 @@ class TestIstar:
         for k, n in itertools.product(range(3), repeat=2):
             assert len(table.hom(n, k)) == \
                 len(POINTED_MONAD.carrier(n)) ** k
+
+
+class ZeroConstants(FreeRingMonad):
+    """Along the empty map into [0], every constant goes to zero, so F is
+    not a functor there.  The coend over arities never relates anything
+    at j = 0 (no level above 0 has an element), so only the checks that
+    read the values see it."""
+    name = "free-ring-zero-constants"
+
+    def map(self, table, n_to, e):
+        return () if n_to == 0 else super().map(table, n_to, e)
+
+
+class FirstFactor(FreeMonoidMonad):
+    """Interprets a product as its first factor."""
+    name = "free-monoid-first-factor"
+    interpretation = {**FreeMonoidMonad.interpretation,
+                      "mul": lambda u, v: u}
+
+
+def cli_report(capsys, *argv):
+    code = cli.main([*argv, "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+class TestFailurePaths:
+    """Each mutant fails the checks it targets, with exact records."""
+
+    def test_law_axioms_failure_returns_early(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._CORRESPOND, "ring", lambda: (
+            make_diagram_mutant("unit-inner"), FREE_RING_MONAD,
+            ring_theory()))
+        code, rep = cli_report(capsys, "correspond", "--law", "ring",
+                               "--samples", "20", "--size", "3")
+        assert code == 1
+        # nothing after the law's own diagrams is counted
+        assert (rep["sampleCount"], rep["passCount"]) == (1, 0)
+        assert rep["failures"] == [{"check": "law-axioms", "witness": {
+            "diagram": "unit-inner", "input": "a+a",
+            "leftValue": "-a-a", "rightValue": "a+a"}}]
+
+    def test_wrong_interpretation_fails_bijection_and_composition(
+            self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._CORRESPOND, "pointed-semigroup", lambda: (
+            BUILTIN_LAWS["pointed-semigroup"], FirstFactor(),
+            ps_monoid_theory()))
+        code, rep = cli_report(capsys, "correspond", "--law",
+                               "pointed-semigroup", "--samples", "20",
+                               "--size", "3")
+        assert code == 1
+        assert (rep["sampleCount"], rep["passCount"]) == (24, 21)
+        assert rep["failures"] == [
+            {"check": "hom-bijection", "arity": 1, "terms": 3,
+             "carrier": 3},
+            {"check": "hom-bijection", "arity": 2, "terms": 7,
+             "carrier": 7},
+            {"check": "composition",
+             "g": "App(op=mul/2@semigroup, args=(Var(index=0), "
+                  "Var(index=1)))"}]
+
+    def test_non_functorial_map_fails_roundtrip_naturality(
+            self, capsys, monkeypatch):
+        mutant = ZeroConstants()
+        monkeypatch.setitem(cli.FRAGMENTS, mutant.name, mutant)
+        code, rep = cli_report(capsys, "roundtrip", "--monad", mutant.name,
+                               "--bound", "1", "--size", "3")
+        assert code == 1
+        assert (rep["sampleCount"], rep["passCount"]) == (5, 3)
+        assert rep["failures"] == [
+            {"x": 0, "classes": 4, "carrier": 4, "stable": True},
+            {"check": "naturality", "x": 0, "x2": 1, "h": []}]
+
+    def test_non_functorial_map_fails_pasting_identity(self):
+        rep = istar_composite(ZeroConstants(), 1, 0, carrier_bound=3)
+        assert (rep.sample_count, rep.pass_count) == (4, 3)
+        # four classes, but all of one value
+        assert rep.failures == [{"check": "pasting-identity", "classes": 4,
+                                 "expected": 4, "k": 1, "x": 0}]
+
+    def test_universe_without_room_fails_istar_bijection(self):
+        # one-element universes carry only the constant maps [2] -> F[1]
+        rep = istar_composite(POINTED_MONAD, 2, 1, universe_cap=1)
+        assert (rep.sample_count, rep.pass_count) == (12, 11)
+        assert rep.failures == [{"check": "istar-bijection", "classes": 2,
+                                 "expected": 4, "k": 2, "n": 1}]

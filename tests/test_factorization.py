@@ -952,8 +952,8 @@ def wrong_last_step(real):
 
 class TestCheckFsMutants:
     """Each check-fs mutant must make the default sweep of the CLI fail on
-    the check it targets.  ``zigzag-uniqueness`` has no mutant: it compares
-    canonical forms of equal recompositions, so no mutant reaches it."""
+    the check it targets: ``alt-recompose`` or ``witness``, the two checks
+    the sweep makes on alternatives."""
 
     @pytest.mark.parametrize("theory", ["ring", "ps-monoid"])
     @pytest.mark.parametrize("name, make, check", [

@@ -12,8 +12,9 @@ from lawvere.pcompletion import (KeypropComputation, _actions_ok,
                                  _elementary_maps, _pair_strings_ok,
                                  p_category, p_on_profunctor,
                                  verify_keyprop)
-from lawvere.profunctor import (_label_key, constant_profunctor,
-                                hom_profunctor)
+from lawvere.profunctor import (_label_key, compose_prof,
+                                constant_profunctor, hom_profunctor,
+                                prof_iso)
 from lawvere.report import Report
 from lawvere.terms import StructuralError
 
@@ -69,6 +70,13 @@ class TestPOnProfunctor:
         F = hom_profunctor(c)
         # validation happens in the constructor
         p_on_profunctor(F, 2)
+
+    def test_endo_extension_has_a_unit(self):
+        # one P(C) on both sides, so the extension composes with itself;
+        # the extended hom profunctor is the unit for that composition
+        P = p_on_profunctor(hom_profunctor(discrete_category(["x"])), 2)
+        assert P.src is P.tgt
+        assert prof_iso(compose_prof(P, P), P) is not None
 
 
 class ForgetTwo(PointedMonad):
@@ -134,6 +142,22 @@ class TestKeyprop:
         reps = comp.representatives()
         assert _actions_ok(comp, reps)
         comp.fragment = CollapseTwoToOne()
+        assert not _actions_ok(comp, reps)
+
+    def test_actions_check_reaches_the_injections_out_of_one(self):
+        class PointToZero(PointedMonad):
+            """Every map [1] -> [2] sends the point to 0."""
+            name = "pointed-point-to-zero"
+
+            def map(self, table, n_to, e):
+                if len(table) == 1 and n_to == 2 and e == self.POINT:
+                    return 0
+                return super().map(table, n_to, e)
+
+        comp = KeypropComputation(POINTED_MONAD, 1, 1, k_cap=2)
+        reps = comp.representatives()
+        assert _actions_ok(comp, reps)
+        comp.fragment = PointToZero()
         assert not _actions_ok(comp, reps)
 
     def test_pair_strings_catch_a_wrong_insertion(self):
