@@ -12,7 +12,8 @@ from typing import Optional
 import pytest
 
 from lawvere import distlaw
-from lawvere.builtin import ABELIAN_GROUP, ADD, MONOID
+from lawvere.builtin import (ABELIAN_GROUP, ADD, MONOID, SEMIGROUP,
+                             build_combo, combo_of)
 from lawvere.distlaw import (BUILTIN_LAWS, RING_LAW, DistributiveLawSpec,
                              DistributiveSeries, _draw, check_law_axioms,
                              check_yang_baxter, expansion_estimate,
@@ -266,12 +267,69 @@ def test_law_report_matches_the_reference(law, seed):
     assert got.passed == (law.name != MUTANT.name)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_yang_baxter_report_matches_the_reference(seed):
-    got = check_yang_baxter(ring3_series(), Sampler(samples=15, seed=seed))
-    want = reference_check_yang_baxter(ring3_series(),
+def _ring3_with(pair, law) -> DistributiveSeries:
+    base = ring3_series()
+    return DistributiveSeries(theories=base.theories,
+                              laws={**base.laws, pair: law}, name=base.name)
+
+
+def _negated(law: DistributiveLawSpec) -> DistributiveLawSpec:
+    """The law with every output coefficient negated."""
+    add, neg, zero = (ABELIAN_GROUP.op(o) for o in ("add", "neg", "zero"))
+
+    def rewrite(t):
+        return build_combo({a: -c for a, c in combo_of(
+            law.rewrite(t), add, neg, zero).items()}, add, neg, zero)
+
+    return DistributiveLawSpec("negated", law.inner, law.outer, rewrite)
+
+
+def _identity(law: DistributiveLawSpec) -> DistributiveLawSpec:
+    return DistributiveLawSpec("identity", law.inner, law.outer,
+                               lambda t: t)
+
+
+def yang_baxter_cases():
+    """ring3 at six seeds, then three mutants of it at seed 0, each with
+    the failures it records at 15 samples: (stage prefix, record keys)
+    -> count.  No mutant tried reaches bracketing-agreement's ``error``
+    branch."""
+    for seed in range(6):
+        yield pytest.param(ring3_series, seed, {}, id=str(seed))
+    laws = ring3_series().laws
+    yield pytest.param(
+        lambda: _ring3_with((2, 0), make_dropping_mutant(SEMIGROUP,
+                                                         ABELIAN_GROUP)),
+        0, {("pairwise-law", "law witness"): 1,
+            ("hexagon", "left right"): 1}, id="dropping-2-0")
+    yield pytest.param(
+        lambda: _ring3_with((2, 1), _identity(laws[(2, 1)])),
+        0, {("hexagon", "error"): 6}, id="identity-2-1")
+    yield pytest.param(
+        lambda: _ring3_with((1, 0), _negated(laws[(1, 0)])),
+        0, {("pairwise-law", "law witness"): 1,
+            ("hexagon", "left right"): 2,
+            ("bracketing-agreement", "left right"): 3}, id="negated-1-0")
+
+
+def _failure_kinds(rep: Report) -> dict:
+    kinds: dict = {}
+    for f in rep.failures:
+        key = (f["stage"].split("(")[0],
+               " ".join(sorted(set(f) - {"stage", "input"})))
+        kinds[key] = kinds.get(key, 0) + 1
+    return kinds
+
+
+@pytest.mark.parametrize("make_series,seed,failures", yang_baxter_cases())
+def test_yang_baxter_report_matches_the_reference(make_series, seed,
+                                                  failures):
+    series = make_series()
+    got = check_yang_baxter(series, Sampler(samples=15, seed=seed))
+    want = reference_check_yang_baxter(series,
                                        Sampler(samples=15, seed=seed))
     assert got.to_json_dict() == want.to_json_dict()
+    assert _failure_kinds(got) == failures
 
 
 # one normal form per distinct leg --------------------------------------
