@@ -21,6 +21,7 @@ from typing import Callable, Optional
 
 from .distlaw import DistributiveLawSpec, check_law_axioms, composite_theory
 from .fragments import IDENTITY_MONAD, FinitaryMonadFragment
+from .parser import format_term
 from .pcompletion import KeypropComputation
 from .profunctor import _label_key
 from .report import Report
@@ -176,7 +177,7 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
         stability[f"x={x}"] = res.stable
         rep.check(res.size == len(carrier) and invs == want and res.stable,
                   x=x, classes=res.size, carrier=len(carrier),
-                  stable=res.stable)
+                  valuesMatch=invs == want, stable=res.stable)
     # naturality of the identification under every function [x] -> [x2]
     for x in range(x_bound + 1):
         for x2 in range(x_bound + 1):
@@ -268,7 +269,8 @@ def composite_correspondence_check(law: DistributiveLawSpec,
             (encode_term(fragment, g),),
             tuple(encode_term(fragment, c) for c in (f1, f2)))[0]
         rep.check(encode_term(fragment, composed) == via_fragment,
-                  check="composition", g=repr(g))
+                  check="composition", g=format_term(g),
+                  f1=format_term(f1), f2=format_term(f2))
     return rep
 
 
@@ -297,8 +299,10 @@ def istar_composite(fragment: FinitaryMonadFragment, k_bound: int,
 
     def tally(check: str, comp: KeypropComputation, expected: int, **at):
         values = comp.class_values()
-        rep.check(len(values) == len(set(values)) == expected, check=check,
-                  classes=len(values), expected=expected, **at)
+        distinct = len(set(values))
+        rep.check(len(values) == distinct == expected, check=check,
+                  classes=len(values), distinct=distinct, expected=expected,
+                  **at)
 
     for n in range(n_bound + 1):
         size = len(fragment.carrier(n, carrier_bound))

@@ -46,6 +46,23 @@ def split_layer(t: Term, ops: frozenset) -> tuple:
     return go(t), atoms
 
 
+def whisker(ops: frozenset, rw: Callable[[Term], Term]):
+    """Apply ``rw`` to every atom below a skeleton of ``ops`` operations:
+    split the layer, map its atoms, rebuild the term.
+
+    ``rw`` runs once per distinct atom object (keyed by ``id``), since a
+    canonical form repeats one atom object per copy; it must be pure.
+    """
+    def f(t: Term) -> Term:
+        skel, atoms = split_layer(t, ops)
+        done: dict = {}
+        for a in atoms:
+            if id(a) not in done:
+                done[id(a)] = rw(a)
+        return substitute(skel, [done[id(a)] for a in atoms])
+    return f
+
+
 def check_layer_order(t: Term, layer_ops: Sequence[frozenset]) -> bool:
     """True when layer indices never decrease along root-to-leaf paths."""
     def level(u: Term) -> int:
@@ -88,8 +105,9 @@ def _layered_nf(t: Term, order: Sequence[TheorySpec]) -> Term:
     normalizes each atom as it meets it, once per run of one atom object,
     without ``split_layer`` or ``substitute``; only the calls for deeper
     layers nest, a few frames per layer rather than per level.  Any other
-    head, such as a composite, is split, its atoms normalized, and the
-    term rebuilt with ``substitute``, which all recurse per level.
+    head, such as a composite, goes through ``whisker``: split, each
+    distinct atom object normalized once, rebuilt, all recursing per
+    level.
     """
     head = order[0]
     if len(order) == 1:
@@ -100,8 +118,7 @@ def _layered_nf(t: Term, order: Sequence[TheorySpec]) -> Term:
     read = LAYER_READERS.get(id(head))
     if read is not None:
         return read(t, leaf)
-    skel, atoms = split_layer(t, head.op_set)
-    return head.normalizer(substitute(skel, [leaf(a) for a in atoms]))
+    return head.normalizer(whisker(head.op_set, leaf)(t))
 
 
 @dataclass(frozen=True)
@@ -224,15 +241,14 @@ def trivial_law(inner: TheorySpec, outer: TheorySpec,
 
 
 def composite_theory(law: DistributiveLawSpec, *, name: str = "",
-                     check: bool = True,
-                     sampler: Optional[Sampler] = None) -> TheorySpec:
+                     check: bool = True) -> TheorySpec:
     """The theory whose normal forms are outer-layer forms over inner atoms.
 
-    By default the law's compatibility diagrams are checked first and a
-    failing law is rejected with its counterexample.
+    By default the law's compatibility diagrams are checked first, on 120
+    samples, and a failing law is rejected with its counterexample.
     """
     if check:
-        rep = check_law_axioms(law, sampler or Sampler(samples=120))
+        rep = check_law_axioms(law, Sampler(samples=120))
         if not rep.passed:
             raise StructuralError(
                 f"law {law.name} fails its axioms: {rep.first_failure}")
@@ -313,9 +329,9 @@ def check_law_axioms(law: DistributiveLawSpec,
     renaming is checked as well.  Failures carry the offending input and
     both values, printed.
 
-    Each diagram normalizes its first leg, then its second leg only when
-    that term differs (by ``==``) from the first: a passing law usually
-    gives the same term twice.
+    One helper, ``compare``, counts each sample: it normalizes the first
+    leg, then the second leg only when that term differs (by ``==``) from
+    the first, since a passing law usually gives the same term twice.
     """
     sampler = sampler or Sampler()
     rng = sampler.rng()
@@ -328,11 +344,20 @@ def check_law_axioms(law: DistributiveLawSpec,
     d_nat = rep.diagram("naturality")
     if sampler.samples <= 0:
         return rep
-    nf = lambda t: _layered_nf(t, [T, S])
 
-    def nf_again(t: Term, first: Term, first_nf: Term) -> Term:
-        """The second leg's normal form, reusing the first leg's."""
-        return first_nf if t == first else nf(t)
+    def compare(diagram, shown: Term, first: Term, second: Term,
+                top_first: bool = False):
+        """Count one sample of ``diagram``.  A failure prints ``shown``
+        and both legs' forms, ``second`` (a square's top leg) first when
+        ``top_first``."""
+        diagram.sample_count += 1
+        a = _layered_nf(first, [T, S])
+        b = a if second == first else _layered_nf(second, [T, S])
+        if a != b:
+            if top_first:
+                a, b = b, a
+            diagram.add_failure(format_term(shown), format_term(a),
+                                format_term(b))
 
     def rand(spec: TheorySpec, arity: int, shrink: int) -> Term:
         depth = max(0, sampler.max_depth - shrink)
@@ -348,23 +373,11 @@ def check_law_axioms(law: DistributiveLawSpec,
         # unit triangle on the inner side: pure outer input is fixed
         t_pure = _draw(lambda sh: T.normalizer(rand(T, k, sh)),
                        expansion_estimate)
-        d_unit_s.sample_count += 1
-        moved = law.rewrite(t_pure)
-        got = nf(moved)
-        want = nf_again(t_pure, moved, got)
-        if got != want:
-            d_unit_s.add_failure(format_term(t_pure), format_term(got),
-                                 format_term(want))
+        compare(d_unit_s, t_pure, law.rewrite(t_pure), t_pure)
 
         # unit triangle on the outer side: pure inner input is fixed
         s_pure = _draw(lambda sh: rand(S, k, sh), expansion_estimate)
-        d_unit_t.sample_count += 1
-        moved = law.rewrite(s_pure)
-        got = nf(moved)
-        want = nf_again(s_pure, moved, got)
-        if got != want:
-            d_unit_t.add_failure(format_term(s_pure), format_term(got),
-                                 format_term(want))
+        compare(d_unit_t, s_pure, law.rewrite(s_pure), s_pure)
 
         # multiplication square, inner side: S-over-S-over-T
         def make_mult_s(sh):
@@ -376,43 +389,23 @@ def check_law_axioms(law: DistributiveLawSpec,
 
         sigma, rhos, xis, flat = _draw(make_mult_s,
                                        lambda q: expansion_estimate(q[3]))
-        d_mult_s.sample_count += 1
-        bottom_raw = law.rewrite(flat)
-        bottom = nf(bottom_raw)
         psis = [law.rewrite(substitute(r, tuple(xis))) for r in rhos]
-        top = nf_again(law.rewrite(substitute(sigma, tuple(psis))),
-                       bottom_raw, bottom)
-        if top != bottom:
-            d_mult_s.add_failure(format_term(flat), format_term(top),
-                                 format_term(bottom))
+        compare(d_mult_s, flat, law.rewrite(flat),
+                law.rewrite(substitute(sigma, tuple(psis))), top_first=True)
 
         # multiplication square, outer side: S-over-T-over-T
         def make_mult_t(sh):
             sigma2 = rand(S, j, sh)
             xis2 = [rand(T, m, sh) for _ in range(j)]
-            zetas = [rand(T, k, sh) for _ in range(m)]
-            merged = [T.normalizer(substitute(x, tuple(zetas)))
-                      for x in xis2]
+            zetas = tuple(rand(T, k, sh) for _ in range(m))
+            merged = [T.normalizer(substitute(x, zetas)) for x in xis2]
             return sigma2, xis2, zetas, substitute(sigma2, tuple(merged))
 
         sigma2, xis2, zetas, flat_t = _draw(make_mult_t,
                                             lambda q: expansion_estimate(q[3]))
-        d_mult_t.sample_count += 1
-        bottom_raw = law.rewrite(flat_t)
-        bottom = nf(bottom_raw)
-        v = law.rewrite(substitute(sigma2, tuple(xis2)))
-        skel, atoms = split_layer(v, T.op_set)
-        # a canonical v repeats one atom object per copy: rewrite it once
-        zetas = tuple(zetas)
-        hat: dict = {}
-        for w in atoms:
-            if id(w) not in hat:
-                hat[id(w)] = law.rewrite(substitute(w, zetas))
-        top = nf_again(substitute(skel, [hat[id(w)] for w in atoms]),
-                       bottom_raw, bottom)
-        if top != bottom:
-            d_mult_t.add_failure(format_term(flat_t),
-                                 format_term(top), format_term(bottom))
+        top = whisker(T.op_set, lambda w: law.rewrite(substitute(w, zetas)))(
+            law.rewrite(substitute(sigma2, tuple(xis2))))
+        compare(d_mult_t, flat_t, law.rewrite(flat_t), top, top_first=True)
 
         # naturality under variable renaming
         def make_nat(sh):
@@ -421,16 +414,9 @@ def check_law_axioms(law: DistributiveLawSpec,
             return substitute(s_nat, tuple(x_nat))
 
         t_nat = _draw(make_nat, expansion_estimate)
-        fn = tuple(rng.randrange(k + 1) for _ in range(k))
-        d_nat.sample_count += 1
-        lhs_raw = substitute(law.rewrite(t_nat), tuple(Var(i) for i in fn))
-        lhs = nf(lhs_raw)
-        rhs = nf_again(
-            law.rewrite(substitute(t_nat, tuple(Var(i) for i in fn))),
-            lhs_raw, lhs)
-        if lhs != rhs:
-            d_nat.add_failure(format_term(t_nat), format_term(lhs),
-                              format_term(rhs))
+        rename = tuple(Var(rng.randrange(k + 1)) for _ in range(k))
+        compare(d_nat, t_nat, substitute(law.rewrite(t_nat), rename),
+                law.rewrite(substitute(t_nat, rename)))
     return rep
 
 
@@ -464,35 +450,17 @@ class DistributiveSeries:
         return self.laws[(i, j)]
 
 
-def whisker(context_ops: frozenset, rw: Callable[[Term], Term]):
-    """Apply a rewriter below a skeleton of context operations."""
-    def f(t: Term) -> Term:
-        skel, atoms = split_layer(t, context_ops)
-        return substitute(skel, tuple(rw(a) for a in atoms))
-    return f
-
-
-def _union_ops(theories: Sequence[TheorySpec]) -> frozenset:
-    out: frozenset = frozenset()
-    for s in theories:
-        out |= s.op_set
-    return out
-
-
-def series_composite_left(series: DistributiveSeries, *, check: bool = False,
-                          sampler: Optional[Sampler] = None) -> TheorySpec:
+def series_composite_left(series: DistributiveSeries) -> TheorySpec:
     """Composite built as T1 over (T2 over (... over Tn))."""
-    return _series_composite(series, 0, check=check, sampler=sampler)
+    return _series_composite(series, 0)
 
 
-def _series_composite(series: DistributiveSeries, start: int, *,
-                      check: bool, sampler) -> TheorySpec:
+def _series_composite(series: DistributiveSeries, start: int) -> TheorySpec:
     ths = series.theories
     n = len(ths)
     if start == n - 1:
         return ths[start]
-    inner_spec = _series_composite(series, start + 1, check=check,
-                                   sampler=sampler)
+    inner_spec = _series_composite(series, start + 1)
     outer = ths[start]
 
     def rw(t: Term) -> Term:
@@ -500,19 +468,18 @@ def _series_composite(series: DistributiveSeries, start: int, *,
         # the stacked inner layers, innermost law first
         cur = t
         for c in range(n - 1, start, -1):
-            ctx = _union_ops(ths[start + 1:c])
+            ctx = frozenset().union(*(s.op_set for s in ths[start + 1:c]))
             cur = whisker(ctx, series.law(c, start).rewrite)(cur)
         return _layered_nf(cur, [outer, inner_spec])
 
     law = DistributiveLawSpec(
         name=f"{series.name}:tail-over-{outer.name}",
         inner=inner_spec, outer=outer, rewrite=rw)
-    return composite_theory(law, check=check, sampler=sampler,
+    return composite_theory(law, check=False,
                             name=f"{outer.name}*{inner_spec.name}")
 
 
-def series_composite_right(series: DistributiveSeries, *, check: bool = False,
-                           sampler: Optional[Sampler] = None) -> TheorySpec:
+def series_composite_right(series: DistributiveSeries) -> TheorySpec:
     """Composite built as ((T1 over T2) ... ) over Tn."""
     ths = series.theories
     n = len(ths)
@@ -524,14 +491,14 @@ def series_composite_right(series: DistributiveSeries, *, check: bool = False,
         def rw(t: Term, c=c, prefix=prefix, outer_spec=spec) -> Term:
             cur = t
             for j in range(0, c):
-                ctx = _union_ops(prefix[:j])
+                ctx = frozenset().union(*(s.op_set for s in prefix[:j]))
                 cur = whisker(ctx, series.law(c, j).rewrite)(cur)
             return _layered_nf(cur, [outer_spec, ths[c]])
 
         law = DistributiveLawSpec(
             name=f"{series.name}:{inner.name}-under-prefix",
             inner=inner, outer=spec, rewrite=rw)
-        spec = composite_theory(law, check=check, sampler=sampler,
+        spec = composite_theory(law, check=False,
                                 name=f"{spec.name}*{inner.name}")
     return spec
 
@@ -561,6 +528,21 @@ def check_yang_baxter(series: DistributiveSeries,
         rep.check(axiom.passed, stage="pairwise-law",
                   law=series.laws[(i, j)].name, witness=axiom.first_failure)
 
+    def agree(stage: str, t: Term, legs: Callable[[Term], tuple]):
+        """Count one sample of ``stage``: the two values ``legs(t)`` must
+        be equal.  Terms are printed only on a failure."""
+        try:
+            lv, rv = legs(t)
+        except StructuralError as exc:
+            rep.check(False, stage=stage, input=format_term(t),
+                      error=str(exc))
+            return
+        if lv == rv:
+            rep.check(True)
+        else:
+            rep.check(False, stage=stage, input=format_term(t),
+                      left=format_term(lv), right=format_term(rv))
+
     triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                if i > j > k]
     for (i, j, k) in triples:
@@ -569,6 +551,15 @@ def check_yang_baxter(series: DistributiveSeries,
         lam_ik = series.law(i, k).rewrite
         lam_jk = series.law(j, k).rewrite
         order = [Tk, Tj, Ti]
+
+        def hexagon(t: Term) -> tuple:
+            top = lam_jk(whisker(Tj.op_set, lam_ik)(lam_ij(t)))
+            bot = whisker(Tk.op_set, lam_ij)(
+                lam_ik(whisker(Ti.op_set, lam_jk)(t)))
+            lt = layered_normalize(top, order)
+            # a pure function of its input: an equal leg reuses it
+            return lt, lt if bot == top else layered_normalize(bot, order)
+
         for _ in range(sampler.samples):
             arity = rng.randint(1, sampler.max_arity)
             wj = rng.randint(1, sampler.max_width)
@@ -583,28 +574,8 @@ def check_yang_baxter(series: DistributiveSeries,
                 return substitute(sigma, tuple(substitute(b, tuple(gammas))
                                                for b in betas))
 
-            t = _draw(make_stack, expansion_estimate)
-            rep.sample_count += 1
-            try:
-                top = lam_ij(t)
-                top = whisker(Tj.op_set, lam_ik)(top)
-                top = lam_jk(top)
-                bot = whisker(Ti.op_set, lam_jk)(t)
-                bot = lam_ik(bot)
-                bot = whisker(Tk.op_set, lam_ij)(bot)
-                lt = layered_normalize(top, order)
-                # a pure function of its input: an equal leg reuses it
-                lb = lt if bot == top else layered_normalize(bot, order)
-            except StructuralError as exc:
-                rep.add_failure(stage=f"hexagon({i},{j},{k})",
-                                input=format_term(t), error=str(exc))
-                continue
-            if lt != lb:
-                rep.add_failure(stage=f"hexagon({i},{j},{k})",
-                                input=format_term(t),
-                                left=format_term(lt), right=format_term(lb))
-            else:
-                rep.pass_count += 1
+            agree(f"hexagon({i},{j},{k})", _draw(make_stack,
+                                                 expansion_estimate), hexagon)
 
     left = series_composite_left(series)
     right = series_composite_right(series)
@@ -616,19 +587,8 @@ def check_yang_baxter(series: DistributiveSeries,
         t = _draw(lambda sh: random_term(union, arity, rng,
                                          max(0, sampler.max_depth + 1 - sh)),
                   expansion_estimate)
-        rep.sample_count += 1
-        try:
-            lv, rv = left.normalize(t), right.normalize(t)
-        except StructuralError as exc:
-            rep.add_failure(stage="bracketing-agreement",
-                            input=format_term(t), error=str(exc))
-            continue
-        if lv != rv:
-            rep.add_failure(stage="bracketing-agreement",
-                            input=format_term(t), left=format_term(lv),
-                            right=format_term(rv))
-        else:
-            rep.pass_count += 1
+        agree("bracketing-agreement", t,
+              lambda t: (left.normalize(t), right.normalize(t)))
     return rep
 
 

@@ -525,12 +525,15 @@ def _pair_strings_ok(fragment: FinitaryMonadFragment, j: int, n: int,
     A pair element (("pair", k1, k2), y, (alpha, xs)) is glued to its
     reduction along the canonical insertions ins1, ins2 of [k1] and [k2]
     into [k1 + k2]: the singleton element (k1 + k2, y, F(ins) xs).  The
-    reduction must be an element of the singleton quotient, and the pair
-    element's own value, F(y o ins) x per component, must be the
-    reduction's invariant; otherwise the gluing would merge two classes.
+    reduction must be an element of the singleton quotient (each F(ins) x
+    lies in the bounded carrier F[k1 + k2]), and the pair element's own
+    value, F(y o ins) x per component, must be the reduction's invariant,
+    F(y)(F(ins) x); otherwise the gluing would merge two classes.  No
+    quotient is built: neither test reads one.
     """
-    comp = KeypropComputation(fragment, j, n, 2 * entry_cap, carrier_bound)
     F = fragment
+    members = [set(F.carrier(k, carrier_bound))
+               for k in range(2 * entry_cap + 1)]
     checked = 0
     for k1 in range(entry_cap + 1):
         for k2 in range(entry_cap + 1):
@@ -545,12 +548,11 @@ def _pair_strings_ok(fragment: FinitaryMonadFragment, j: int, n: int,
                     for xs in itertools.product(
                             *(pools[alpha[t]] for t in range(n))):
                         checked += 1
-                        target = (total, y, tuple(reduced[alpha[t]][xs[t]]
-                                                  for t in range(n)))
-                        if target not in comp:
+                        target = [reduced[alpha[t]][xs[t]] for t in range(n)]
+                        if not members[total].issuperset(target):
                             return False
                         value = tuple(F.map(y_ins[alpha[t]], j, xs[t])
                                       for t in range(n))
-                        if value != comp.invariant(target):
+                        if value != tuple(F.map(y, j, z) for z in target):
                             return False
     return checked > 0

@@ -32,17 +32,19 @@ Conventions used throughout the package:
   head's layer through them without ``split_layer`` or ``substitute``:
   its calls nest a few frames per layer, not per level.  Every other
   traversal still recurses: ``substitute`` and ``sort_key`` one frame
-  per level, and ``term_size``, ``distlaw.split_layer``,
-  ``distlaw.check_layer_order`` (so ``layered_normalize``),
-  ``distlaw.expansion_estimate``, ``_layered_nf`` at a composite head,
-  the composite normalizers, ``parser.format_term``, the parser, and
-  hashing and comparing (in C, with ``App.__hash__`` adding a Python
-  frame per level) one to two frames per level.  So term depth is
-  bounded by the recursion limit set below.  The README's ``check-yb
-  --series ring3 --samples 300 --seed 7`` still ends in RecursionError
-  in ``split_layer``, and the benchmark pins that answer
-  (``perfbench/expected.json``) until the traversals are made iterative
-  (ROADMAP item 1).
+  per level, and ``term_size``, ``distlaw.split_layer`` (called only by
+  ``distlaw.whisker``, which serves ``_layered_nf`` at a composite head,
+  the series composites' rewrites, the hexagon paths and the outer
+  multiplication square), ``distlaw.check_layer_order`` (so
+  ``layered_normalize``), ``distlaw.expansion_estimate``, the composite
+  normalizers, ``parser.format_term``, the parser, and hashing and
+  comparing (in C, with ``App.__hash__`` adding a Python frame per
+  level) one to two frames per level.  So term depth is bounded by the
+  recursion limit set below.  The README's ``check-yb --series ring3
+  --samples 300 --seed 7`` still ends in RecursionError in
+  ``split_layer``, reached through ``whisker``, and the benchmark pins
+  that answer (``perfbench/expected.json``) until the traversals are
+  made iterative (ROADMAP item 1).
 
 All values are immutable after construction and safe to share; the one
 exception is the normal-form memo inside each ``TheorySpec``, which only

@@ -321,9 +321,7 @@ class TestFailurePaths:
              "carrier": 3},
             {"check": "hom-bijection", "arity": 2, "terms": 7,
              "carrier": 7},
-            {"check": "composition",
-             "g": "App(op=mul/2@semigroup, args=(Var(index=0), "
-                  "Var(index=1)))"}]
+            {"check": "composition", "g": "ab", "f1": "1", "f2": "aa"}]
 
     def test_non_functorial_map_fails_roundtrip_naturality(
             self, capsys, monkeypatch):
@@ -334,7 +332,8 @@ class TestFailurePaths:
         assert code == 1
         assert (rep["sampleCount"], rep["passCount"]) == (5, 3)
         assert rep["failures"] == [
-            {"x": 0, "classes": 4, "carrier": 4, "stable": True},
+            {"x": 0, "classes": 4, "carrier": 4, "valuesMatch": False,
+             "stable": True},
             {"check": "naturality", "x": 0, "x2": 1, "h": []}]
 
     def test_non_functorial_map_fails_pasting_identity(self):
@@ -342,11 +341,13 @@ class TestFailurePaths:
         assert (rep.sample_count, rep.pass_count) == (4, 3)
         # four classes, but all of one value
         assert rep.failures == [{"check": "pasting-identity", "classes": 4,
-                                 "expected": 4, "k": 1, "x": 0}]
+                                 "distinct": 1, "expected": 4, "k": 1,
+                                 "x": 0}]
 
     def test_universe_without_room_fails_istar_bijection(self):
         # one-element universes carry only the constant maps [2] -> F[1]
         rep = istar_composite(POINTED_MONAD, 2, 1, universe_cap=1)
         assert (rep.sample_count, rep.pass_count) == (12, 11)
         assert rep.failures == [{"check": "istar-bijection", "classes": 2,
-                                 "expected": 4, "k": 2, "n": 1}]
+                                 "distinct": 2, "expected": 4, "k": 2,
+                                 "n": 1}]

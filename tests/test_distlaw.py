@@ -210,7 +210,7 @@ class TestCompositeTheory:
 
     def test_composite_rejects_broken_law(self, ring_mutant):
         with pytest.raises(StructuralError):
-            composite_theory(ring_mutant, sampler=Sampler(samples=120))
+            composite_theory(ring_mutant)
 
     def test_identity_outer_gives_back_inner(self):
         law = trivial_law(MONOID, IDENTITY_THEORY)

@@ -2,8 +2,9 @@
 
 A built-in head (``builtin.LAYER_READERS``) reads its layer in one walk
 and normalizes each atom as it meets it, once per run of one atom
-object; any other head is split by ``split_layer``, its atoms normalized
-and the term rebuilt by ``substitute``.  ``reference_layered_nf`` below
+object; any other head goes through ``whisker``, which splits it with
+``split_layer``, normalizes each distinct atom object once and rebuilds
+the term with ``substitute``.  ``reference_layered_nf`` below
 is the function as it was before: split, normalize every positional
 atom, substitute, then the head's plain normalizer, at every layer.
 The two must agree on every term, layered or not, and the composite
@@ -15,8 +16,9 @@ import random
 import pytest
 
 from lawvere import distlaw
-from lawvere.builtin import (ABELIAN_GROUP, BASE_THEORIES, COMMUTATIVE_MONOID,
-                             IDENTITY_THEORY, MONOID, POINTED, SEMIGROUP)
+from lawvere.builtin import (ABELIAN_GROUP, ADD, BASE_THEORIES,
+                             COMMUTATIVE_MONOID, IDENTITY_THEORY, MONOID, MUL,
+                             NEG, POINTED, SEMIGROUP, ZERO, build_combo)
 from lawvere.distlaw import (BUILTIN_LAWS, DistributiveSeries,
                              composite_theory, layered_normalize,
                              multiplicative_over_additive_law,
@@ -210,3 +212,25 @@ def test_ring3_composites_agree_with_the_three_layer_form():
         t = stack(order, rng.randint(1, 3), rng)
         want = layered_normalize(t, order)
         assert left.normalize(t) == want == right.normalize(t)
+
+
+def test_whisker_rewrites_each_atom_object_once():
+    word = App(MUL, (Var(0), Var(1)))
+    # a canonical 3 * ab repeats the one object ``word``
+    t = build_combo({word: 3}, ADD, NEG, ZERO)
+    seen = []
+
+    def reverse(a):
+        seen.append(a)
+        return App(MUL, (a.args[1], a.args[0]))
+
+    got = whisker(ABELIAN_GROUP.op_set, reverse)(t)
+    assert seen == [word]
+    skel, atoms = split_layer(t, ABELIAN_GROUP.op_set)
+    assert len(atoms) == 3
+    assert got == substitute(skel, [reverse(a) for a in atoms])
+    # objects are told apart by identity, not by ==
+    seen.clear()
+    whisker(ABELIAN_GROUP.op_set, reverse)(
+        App(ADD, (word, App(MUL, (Var(0), Var(1))))))
+    assert seen == [word, word]

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from lawvere import pcompletion
 from lawvere.correspondence import monad_from_theory, phi
 from lawvere.fincat import chain_category, discrete_category
 from lawvere.fragments import (FRAGMENTS, FREE_MONOID_MONAD,
@@ -172,6 +173,23 @@ class TestKeyprop:
         fragment = FRAGMENTS[name]
         bound = None if fragment.finite else 2
         assert _pair_strings_ok(fragment, 2, 2, 2, bound)
+
+    def test_pair_strings_build_no_quotient(self, monkeypatch):
+        def no_quotient(*args, **kwargs):
+            raise AssertionError("a quotient was built")
+
+        monkeypatch.setattr(pcompletion, "KeypropComputation", no_quotient)
+        assert _pair_strings_ok(POINTED_MONAD, 2, 2, 2, None)
+
+    def test_pair_strings_fail_an_insertion_that_leaves_the_carrier(self):
+        class Escape(PointedMonad):
+            name = "pointed-escape"
+
+            def map(self, table, n_to, e):
+                return "far" if n_to >= 2 and e == self.POINT else \
+                    super().map(table, n_to, e)
+
+        assert not _pair_strings_ok(Escape(), 2, 2, 2, None)
 
     def test_map_outside_the_carrier_is_named(self):
         class Escape(PointedMonad):
