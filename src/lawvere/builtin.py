@@ -127,9 +127,20 @@ def combo_of(t: Term, add: OperationSymbol, neg: Optional[OperationSymbol],
 
 def build_combo(combo: dict, add: OperationSymbol,
                 neg: Optional[OperationSymbol], zero: OperationSymbol) -> Term:
-    """Canonical right-nested sum: atoms sorted, |c| copies each, negs per copy."""
+    """Canonical right-nested sum: atoms sorted by ``sort_key``, then
+    ``build_sorted_combo``."""
+    return build_sorted_combo(
+        sorted(combo.items(), key=lambda kv: sort_key(kv[0])), add, neg, zero)
+
+
+def build_sorted_combo(items: Sequence[tuple], add: OperationSymbol,
+                       neg: Optional[OperationSymbol],
+                       zero: OperationSymbol) -> Term:
+    """Canonical right-nested sum of (atom, coefficient) items that are
+    already in ``sort_key`` order: |c| copies each, negs per copy.  It
+    reads no atom, so a caller that knows the order builds no key."""
     parts = []
-    for atom, c in sorted(combo.items(), key=lambda kv: sort_key(kv[0])):
+    for atom, c in items:
         if c > 0:
             parts.extend([atom] * c)
         else:

@@ -15,6 +15,7 @@ through its representatives and its class values alone.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 from .distlaw import DistributiveLawSpec, check_law_axioms, composite_theory
 from .fragments import IDENTITY_MONAD, FinitaryMonadFragment
 from .parser import format_term
-from .pcompletion import KeypropComputation
+from .pcompletion import InvariantBroken, KeypropComputation
 from .profunctor import _label_key
 from .report import Report
 from .sampling import Sampler
@@ -158,7 +159,9 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
     For every x <= x_bound the coend classes biject with the carrier F[x]
     through evaluation, and for every function between the tested sets
     the class-level transport matches the fragment's own action.  A
-    negative x_bound leaves nothing to check and raises
+    coend whose relations break the invariant (a map that is not a
+    functor) is a ``coend`` failure at its x, and that x's naturality is
+    not checked.  A negative x_bound leaves nothing to check and raises
     ``StructuralError``.
     """
     table = phi(fragment)
@@ -169,7 +172,11 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
     stability = {}
     results = {}
     for x in range(x_bound + 1):
-        res = monad_from_theory(table, x, trunc, size_bound)
+        try:
+            res = monad_from_theory(table, x, trunc, size_bound)
+        except InvariantBroken as exc:
+            rep.check(False, check="coend", x=x, error=str(exc))
+            continue
         results[x] = res
         carrier = fragment.carrier(x, size_bound)
         invs = sorted(set(map(_label_key, res.invariants.values())))
@@ -179,13 +186,13 @@ def roundtrip_check(fragment: FinitaryMonadFragment, x_bound: int,
                   x=x, classes=res.size, carrier=len(carrier),
                   valuesMatch=invs == want, stable=res.stable)
     # naturality of the identification under every function [x] -> [x2]
-    for x in range(x_bound + 1):
+    for x, res in results.items():
         for x2 in range(x_bound + 1):
             for h in itertools.product(range(x2), repeat=x):
                 rep.check(all(
                     fragment.map(h, x2, inv) ==
                     fragment.map(tuple(h[v[i]] for i in range(n)), x2, e)
-                    for (n, v, (e,)), inv in results[x].invariants.items()),
+                    for (n, v, (e,)), inv in res.invariants.items()),
                     check="naturality", x=x, x2=x2, h=h)
     if not rep.sample_count:
         raise StructuralError(f"x bound {x_bound} leaves nothing to check")
@@ -291,14 +298,22 @@ def istar_composite(fragment: FinitaryMonadFragment, k_bound: int,
 
     Both quotients are arity coends: the universe one is the identity
     monad's, with b indexing F[n] by position, and the pasting one is the
-    fragment's own.  Each is read through its class values alone.  A
-    negative bound leaves nothing to check and raises ``StructuralError``.
+    fragment's own.  Each is read through its class values alone; a
+    quotient whose relations break the invariant is a failure of its
+    check, with the error.  A negative bound leaves nothing to check and
+    raises ``StructuralError``.
     """
     rep = Report(subject=f"istar:{fragment.name}",
                  bounds={"kBound": k_bound, "nBound": n_bound})
 
-    def tally(check: str, comp: KeypropComputation, expected: int, **at):
-        values = comp.class_values()
+    def tally(check: str, build, expected: int, **at):
+        """Count one check of the quotient ``build()``."""
+        try:
+            values = build().class_values()
+        except InvariantBroken as exc:
+            rep.check(False, check=check, error=str(exc), expected=expected,
+                      **at)
+            return
         distinct = len(set(values))
         rep.check(len(values) == distinct == expected, check=check,
                   classes=len(values), distinct=distinct, expected=expected,
@@ -309,7 +324,8 @@ def istar_composite(fragment: FinitaryMonadFragment, k_bound: int,
         cap = universe_cap if universe_cap is not None else size + 1
         for k in range(k_bound + 1):
             tally("istar-bijection",
-                  KeypropComputation(IDENTITY_MONAD, size, k, cap),
+                  functools.partial(KeypropComputation, IDENTITY_MONAD,
+                                    size, k, cap),
                   size ** k, k=k, n=n)
 
     # inserting the detour after the fragment changes nothing: the coend
@@ -319,7 +335,8 @@ def istar_composite(fragment: FinitaryMonadFragment, k_bound: int,
         size = len(fragment.carrier(x, carrier_bound))
         for k in range(k_bound + 1):
             tally("pasting-identity",
-                  KeypropComputation(fragment, x, k, x + 2, carrier_bound),
+                  functools.partial(KeypropComputation, fragment, x, k,
+                                    x + 2, carrier_bound),
                   size ** k, k=k, x=x)
     if not rep.sample_count:
         raise StructuralError(

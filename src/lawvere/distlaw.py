@@ -20,12 +20,13 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Callable, Optional, Sequence
 
-from .builtin import (LAYER_READERS, build_combo, build_word, combo_of,
-                      word_atoms)
+from .builtin import (LAYER_READERS, build_combo, build_sorted_combo,
+                      build_word, combo_of, word_atoms)
 from .parser import format_term
 from .report import AxiomReport, Report
 from .sampling import Sampler, random_term
-from .terms import App, StructuralError, Term, TheorySpec, Var, substitute
+from .terms import (App, StructuralError, Term, TheorySpec, Var, sort_key,
+                    substitute)
 
 
 def split_layer(t: Term, ops: frozenset) -> tuple:
@@ -162,15 +163,29 @@ def multiplicative_over_additive_law(mult: TheorySpec,
     add = additive.op("add")
     neg = additive.op("neg") if additive.has_op("neg") else None
     zero = additive.op("zero")
+    unit_key = sort_key(App(unit, ())) if unit is not None else None
+
+    def word_key(chain: tuple, keys: list):
+        # sort_key of the right-nested word over the chain's atoms
+        if not chain:
+            return unit_key
+        size, key = keys[chain[-1]]
+        for i in reversed(chain[:-1]):
+            s, k = keys[i]
+            size += 1 + s
+            key = (1, mul.name, mul.theory, (k, key))
+        return size, key
 
     def rw(t: Term) -> Term:
-        # each summand as (its word's atoms, its coefficient), flattened
-        # once here rather than once per choice below
-        combos = [[(word_atoms(a, mul, unit), c)
-                   for a, c in combo_of(leaf, add, neg, zero).items()]
+        # each distinct atom gets a number, in first-occurrence order, and
+        # each summand is (its word's atom numbers, its coefficient),
+        # flattened once here rather than once per choice below
+        number: dict = {}
+        combos = [[(tuple([number.setdefault(a, len(number))
+                           for a in word_atoms(s, mul, unit)]), c)
+                   for s, c in combo_of(leaf, add, neg, zero).items()]
                   for leaf in word_atoms(t, mul, unit)]
-        # keyed by atom chain: equal chains make equal words, so each
-        # surviving monomial is built once, in first-occurrence order
+        # keyed by chain of atom numbers: equal chains make equal words
         acc: dict = {}
         for choice in itertools.product(*combos):
             coeff = prod((c for _, c in choice), start=1)
@@ -179,9 +194,17 @@ def multiplicative_over_additive_law(mult: TheorySpec,
                 chain.extend(w)
             key = tuple(chain)
             acc[key] = acc.get(key, 0) + coeff
-        return build_combo({build_word(k, mul, unit): v
-                            for k, v in acc.items() if v != 0},
-                           add, neg, zero)
+        # the surviving monomials are sorted by keys put together from
+        # their atoms' keys, one sort_key per atom (a single monomial
+        # needs no order), then each is built once
+        atoms = list(number)
+        items = [kv for kv in acc.items() if kv[1] != 0]
+        if len(items) > 1:
+            keys = [sort_key(a) for a in atoms]
+            items.sort(key=lambda kv: word_key(kv[0], keys))
+        return build_sorted_combo(
+            [(build_word([atoms[i] for i in k], mul, unit), v)
+             for k, v in items], add, neg, zero)
 
     return DistributiveLawSpec(
         name=name or f"{mult.name}-over-{additive.name}",
@@ -329,9 +352,11 @@ def check_law_axioms(law: DistributiveLawSpec,
     renaming is checked as well.  Failures carry the offending input and
     both values, printed.
 
-    One helper, ``compare``, counts each sample: it normalizes the first
-    leg, then the second leg only when that term differs (by ``==``) from
-    the first, since a passing law usually gives the same term twice.
+    One helper, ``compare``, counts each sample.  Two legs that are equal
+    (by ``==``) pass at once, with no normal form, since a passing law
+    usually gives the same term twice; only legs that differ are
+    normalized, the first leg first.  So a normalizer that rejects a
+    law's output raises at the first sample whose legs differ.
     """
     sampler = sampler or Sampler()
     rng = sampler.rng()
@@ -351,8 +376,10 @@ def check_law_axioms(law: DistributiveLawSpec,
         and both legs' forms, ``second`` (a square's top leg) first when
         ``top_first``."""
         diagram.sample_count += 1
+        if second == first:
+            return
         a = _layered_nf(first, [T, S])
-        b = a if second == first else _layered_nf(second, [T, S])
+        b = _layered_nf(second, [T, S])
         if a != b:
             if top_first:
                 a, b = b, a

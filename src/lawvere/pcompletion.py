@@ -180,6 +180,11 @@ def _elementary_maps(k_cap: int):
 _UNREACHED = -1
 
 
+class InvariantBroken(StructuralError):
+    """A coend relation joins two elements whose invariant values differ:
+    the fragment's ``map`` is not a functor on the bounded carriers."""
+
+
 class KeypropComputation:
     """Union-find quotient of sum_k Set([k],[j]) x F[k]^n under the action
     relations, with the canonical invariant into Set(n, F[j]), which must
@@ -208,7 +213,8 @@ class KeypropComputation:
     their new roots, and each new element's value is read from one row
     of ``F.map`` calls per (level, y).  A carrier that lists an element
     twice, or a map that leaves the bounded carrier, raises
-    ``StructuralError``.
+    ``StructuralError``; a relation that joins two values raises
+    ``InvariantBroken``, a subclass of it.
 
     A class's representative is its least member under ``_label_key``,
     chosen when ``representatives()`` walks the elements; classes come in
@@ -361,7 +367,7 @@ class KeypropComputation:
         values: dict = {}
         for root, value in self._values.items():
             if values.setdefault(parent[root], value) != value:
-                raise StructuralError("coend relation breaks the invariant")
+                raise InvariantBroken("coend relation breaks the invariant")
         F, j, n = self.fragment, self.j, self.n
         carrier = self._carriers[k]
         i = self._offsets[k]
@@ -372,7 +378,7 @@ class KeypropComputation:
             for root, value in zip(parent[i:i + size],
                                    itertools.product(row, repeat=n)):
                 if values.setdefault(root, value) != value:
-                    raise StructuralError(
+                    raise InvariantBroken(
                         "coend relation breaks the invariant")
             i += size
         self._values = values

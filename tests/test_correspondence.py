@@ -16,9 +16,10 @@ from lawvere.distlaw import (BUILTIN_LAWS, PS_LAW, RING_LAW,
                              ps_monoid_theory, ring_theory, trivial_law)
 from lawvere.fragments import (FREE_MONOID_MONAD, FREE_RING_MONAD,
                                FREE_SEMIGROUP_MONAD, IDENTITY_MONAD,
-                               POINTED_MONAD, FreeMonoidMonad, FreeRingMonad)
+                               POINTED_MONAD, FreeMonoidMonad, FreeRingMonad,
+                               PointedMonad)
 from lawvere.parser import parse_term
-from lawvere.pcompletion import KeypropComputation
+from lawvere.pcompletion import InvariantBroken, KeypropComputation
 from lawvere.terms import StructuralError
 from lawvere.theory import BaseFunction
 from .conftest import make_diagram_mutant, words_over
@@ -285,6 +286,18 @@ class FirstFactor(FreeMonoidMonad):
                       "mul": lambda u, v: u}
 
 
+class PointToZero(PointedMonad):
+    """Along every map [1] -> [2] the point goes to 0, so F is not a
+    functor there, and the coend over arities relates elements whose
+    values differ from x = 1 on."""
+    name = "pointed-point-to-zero"
+
+    def map(self, table, n_to, e):
+        if e == self.POINT and len(table) == 1 and n_to == 2:
+            return 0
+        return super().map(table, n_to, e)
+
+
 def cli_report(capsys, *argv):
     code = cli.main([*argv, "--json"])
     return code, json.loads(capsys.readouterr().out)
@@ -343,6 +356,37 @@ class TestFailurePaths:
         assert rep.failures == [{"check": "pasting-identity", "classes": 4,
                                  "distinct": 1, "expected": 4, "k": 1,
                                  "x": 0}]
+
+    def test_broken_invariant_is_a_roundtrip_failure(self):
+        with pytest.raises(InvariantBroken):
+            monad_from_theory(phi(PointToZero()), 1, 2)
+        rep = roundtrip_check(PointToZero(), 2)
+        # x = 0 passes both its checks; x = 1 and 2 have no coend, so
+        # their naturality is not checked
+        assert (rep.sample_count, rep.pass_count) == (6, 4)
+        assert rep.failures == [
+            {"check": "coend", "x": x,
+             "error": "coend relation breaks the invariant"}
+            for x in (1, 2)]
+        assert rep.stability == {"x=0": True}
+
+    def test_broken_invariant_is_an_istar_failure(self):
+        rep = istar_composite(PointToZero(), 1, 2)
+        assert (rep.sample_count, rep.pass_count) == (12, 10)
+        assert rep.failures == [
+            {"check": "pasting-identity", "k": 1, "x": x,
+             "expected": expected,
+             "error": "coend relation breaks the invariant"}
+            for x, expected in ((1, 2), (2, 3))]
+
+    def test_broken_invariant_exits_one_from_the_cli(self, capsys,
+                                                     monkeypatch):
+        mutant = PointToZero()
+        monkeypatch.setitem(cli.FRAGMENTS, mutant.name, mutant)
+        code, rep = cli_report(capsys, "roundtrip", "--monad", mutant.name,
+                               "--bound", "2")
+        assert code == 1
+        assert [f["check"] for f in rep["failures"]] == ["coend", "coend"]
 
     def test_universe_without_room_fails_istar_bijection(self):
         # one-element universes carry only the constant maps [2] -> F[1]

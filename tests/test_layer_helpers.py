@@ -4,8 +4,9 @@
 makes one walk for both its parts, ``substitute`` and ``sort_key`` build
 no generator or list at a binary node, ``random_term`` recurses through
 an inner function, and the multiplicative laws read a product layer in one
-``word_atoms`` walk, the additive one flattening each summand once and
-building each monomial once.  The ``reference_*`` functions below are
+``word_atoms`` walk, the additive one flattening each summand once,
+ordering monomials by keys put together from one ``sort_key`` per atom
+and building each monomial once.  The ``reference_*`` functions below are
 the straightforward versions; every rewrite must give the same values,
 the same dict order and consume the random stream the same way.
 """
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lawvere.builtin import (ADD, BASE_THEORIES, CM_ADD, CM_ZERO, MUL, NEG,
-                             ONE, SG_MUL, ZERO, build_combo, build_word,
-                             combo_of, word_atoms)
+                             ONE, POINT, SG_MUL, ZERO, build_combo,
+                             build_word, combo_of, word_atoms)
 from lawvere.distlaw import (PS_LAW, RING_LAW, SEMIGROUP_SUM_LAW,
                              _EXPANSION_LIMIT, expansion_estimate,
                              ps_monoid_theory, ring_theory, split_layer)
@@ -314,6 +315,72 @@ def test_multiplicative_law_rewrite_matches_the_reference(law, data):
     assume(expansion_estimate(t) <= _EXPANSION_LIMIT)
     reference = REFERENCE_REWRITES[law.name](law.inner, law.outer)
     assert law.rewrite(t) == reference(t)
+
+
+def _sum(*parts):
+    return build_word(list(parts), ADD)
+
+
+def _minus(t):
+    return App(NEG, (t,))
+
+
+def coefficient_heavy_products(mul, unit):
+    """Products of sums, by name, where the expansion repeats or cancels
+    monomials: the inputs a law check's canonical sums feed the rewrite."""
+    a, b, c = Var(0), Var(1), Var(2)
+    pt = App(POINT, ())
+    word = lambda *letters: build_word(list(letters), mul)
+    cases = {
+        # summands written out as coefficient copies, signs mixed
+        "copies": word(_sum(a, a, a, _minus(b)),
+                       _sum(b, b, _minus(a), _minus(a))),
+        "canonical-copies": word(
+            build_combo({a: 3, b: -2}, ADD, NEG, ZERO),
+            build_combo({word(a, b): 2, c: -1}, ADD, NEG, ZERO), _sum(c, c)),
+        # a factor whose summands cancel makes the product zero
+        "factor-cancels": word(_sum(a, _minus(a)), b),
+        # a·bb and ab·b are one chain, with opposite signs
+        "choices-cancel": word(_sum(a, _minus(word(a, b))),
+                               _sum(word(b, b), b)),
+        # ... and with equal signs
+        "choices-agree": word(_sum(a, word(a, b)), _sum(word(b, b), b)),
+        # atoms headed by a third theory's operation, as in the ring3 stack
+        "third-theory-atoms": word(_sum(pt, a, pt), _sum(_minus(pt), b), pt),
+    }
+    if unit is not None:
+        one = App(unit, ())
+        cases["unit-words"] = word(_sum(one, a), one, _sum(b, _minus(one)))
+        # a·b and ab·1 are one chain
+        cases["unit-same-chain"] = word(_sum(a, word(a, b)), _sum(b, one))
+    return cases
+
+
+def _coefficient_heavy_cases():
+    for law in (RING_LAW, SEMIGROUP_SUM_LAW):
+        mul = law.inner.op("mul")
+        unit = law.inner.op("one") if law.inner.has_op("one") else None
+        for name, t in coefficient_heavy_products(mul, unit).items():
+            yield pytest.param(law, t, id=f"{law.name}-{name}")
+
+
+@pytest.mark.parametrize("law,t", _coefficient_heavy_cases())
+def test_additive_law_rewrite_on_coefficient_heavy_products(law, t):
+    reference = reference_rewrite(law.inner, law.outer)
+    assert law.rewrite(t) == reference(t)
+
+
+def test_additive_law_rewrite_merges_and_drops_equal_chains():
+    a, b = Var(0), Var(1)
+    cases = coefficient_heavy_products(MUL, ONE)
+    combo = lambda name: combo_of(RING_LAW.rewrite(cases[name]),
+                                  ADD, NEG, ZERO)
+    ab, abb = build_word([a, b], MUL), build_word([a, b, b], MUL)
+    assert combo("factor-cancels") == {}
+    assert combo("choices-cancel") == {ab: 1,
+                                       build_word([a, b, b, b], MUL): -1}
+    assert combo("choices-agree")[abb] == 2
+    assert combo("unit-same-chain")[ab] == 2
 
 
 # depth and arity -------------------------------------------------------
