@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .terms import (App, OperationSymbol, StructuralError, Term, TheorySpec,
-                    Var, check_arity, sort_key, term_size)
+                    check_arity, sort_key, term_size)
 
 MUL = OperationSymbol("mul", 2, "monoid")
 ONE = OperationSymbol("one", 0, "monoid")

@@ -4,6 +4,8 @@ Subcommands: enumerate, compose, factorize, check-law, check-yb,
 check-fs, check-coend, roundtrip, correspond.  Exit status 0 means every
 check passed, 1 means a checker reported failures, 2 means the request
 itself was invalid, 141 means the reader closed standard output early.
+An unknown name for --theory, --law, --series or --monad exits 2, and
+argparse's message lists the valid names.
 JSON output is deterministic for a fixed request and seed; the default
 sample count can be set with LAWVERE_SAMPLES, read on every call.
 check-coend accepts tables whose "schemaVersion" is SCHEMA_VERSION or
@@ -91,22 +93,8 @@ def _run_check(args, check, *call, **options) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
-def _composite(args):
-    """The composite theory ``--theory`` names and the law behind it, or
-    None after saying on stderr that it names no composite theory."""
-    if args.theory not in _COMPOSITE_LAWS:
-        print(f"theory {args.theory!r} is not a composite theory",
-              file=sys.stderr)
-        return None
-    return _theories()[args.theory], _COMPOSITE_LAWS[args.theory]
-
-
 def cmd_enumerate(args) -> int:
-    theories = _theories()
-    if args.theory not in theories:
-        print(f"unknown theory {args.theory!r}", file=sys.stderr)
-        return EXIT_USAGE
-    spec = theories[args.theory]
+    spec = _theories()[args.theory]
     terms = spec.enumerate_normal(args.arity, args.size)
     payload = {"schemaVersion": SCHEMA_VERSION, "theory": args.theory,
                "arity": args.arity, "sizeBound": args.size,
@@ -119,11 +107,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    theories = _theories()
-    if args.theory not in theories:
-        print(f"unknown theory {args.theory!r}", file=sys.stderr)
-        return EXIT_USAGE
-    spec = theories[args.theory]
+    spec = _theories()[args.theory]
     first = [parse_term(s, spec, args.source)
              for s in args.first.split(",")]
     f = morphism(spec, args.source, first)
@@ -140,10 +124,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    composite = _composite(args)
-    if composite is None:
-        return EXIT_USAGE
-    spec, law = composite
+    spec, law = _theories()[args.theory], _COMPOSITE_LAWS[args.theory]
     comps = [parse_term(s, spec, args.arity)
              for s in args.morphism.split(",")]
     f = morphism(spec, args.arity, comps)
@@ -176,9 +157,6 @@ def _nothing_to_sample(args) -> bool:
 
 
 def cmd_check_law(args) -> int:
-    if args.law not in BUILTIN_LAWS:
-        print(f"unknown law {args.law!r}", file=sys.stderr)
-        return EXIT_USAGE
     if _nothing_to_sample(args):
         return EXIT_USAGE
     return _run_check(args, check_law_axioms, BUILTIN_LAWS[args.law],
@@ -186,9 +164,6 @@ def cmd_check_law(args) -> int:
 
 
 def cmd_check_yb(args) -> int:
-    if args.series not in BUILTIN_SERIES:
-        print(f"unknown series {args.series!r}", file=sys.stderr)
-        return EXIT_USAGE
     if _nothing_to_sample(args):
         return EXIT_USAGE
     return _run_check(args, check_yang_baxter, BUILTIN_SERIES[args.series](),
@@ -196,10 +171,7 @@ def cmd_check_yb(args) -> int:
 
 
 def cmd_check_fs(args) -> int:
-    composite = _composite(args)
-    if composite is None:
-        return EXIT_USAGE
-    spec, law = composite
+    spec, law = _theories()[args.theory], _COMPOSITE_LAWS[args.theory]
     return _run_check(args, check_fs_over_base, spec, law.inner, law.outer,
                       args.arity, args.size)
 
@@ -328,9 +300,6 @@ def _profunctor_from_json(name: str, data, cats: dict) -> FiniteProfunctor:
 
 
 def cmd_roundtrip(args) -> int:
-    if args.monad not in FRAGMENTS:
-        print(f"unknown monad {args.monad!r}", file=sys.stderr)
-        return EXIT_USAGE
     frag = FRAGMENTS[args.monad]
     kwargs = {}
     if not frag.finite:
@@ -345,10 +314,6 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_correspond(args) -> int:
-    if args.law not in _CORRESPOND:
-        print(f"no correspondence fixture for law {args.law!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
     law, fragment, spec = _CORRESPOND[args.law]()
     if args.samples and not all(composition_pools(spec, args.size)):
         print(f"--size {args.size} leaves no normal forms of arity 1 or 2 "
@@ -413,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "LAWVERE_SAMPLES when set)")
 
     sp = sub.add_parser("enumerate", help="list bounded normal forms")
-    sp.add_argument("--theory", required=True)
+    sp.add_argument("--theory", required=True, choices=_theories())
     sp.add_argument("--arity", type=non_negative_int, required=True)
     sp.add_argument("--size", type=non_negative_int, required=True)
     common(sp)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("compose", help="compose two tuple morphisms")
-    sp.add_argument("--theory", required=True)
+    sp.add_argument("--theory", required=True, choices=_theories())
     sp.add_argument("--source", type=non_negative_int, required=True)
     sp.add_argument("--first", required=True,
                     help="comma-separated components of the first morphism")
@@ -431,25 +396,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("factorize",
                         help="split a composite-theory morphism")
-    sp.add_argument("--theory", required=True)
+    sp.add_argument("--theory", required=True, choices=_COMPOSITE_LAWS)
     sp.add_argument("--morphism", required=True)
     sp.add_argument("--arity", type=non_negative_int, default=3)
     common(sp)
     sp.set_defaults(func=cmd_factorize)
 
     sp = sub.add_parser("check-law", help="compatibility diagrams of a law")
-    sp.add_argument("--law", required=True)
+    sp.add_argument("--law", required=True, choices=BUILTIN_LAWS)
     common(sp, samples=500)
     sp.set_defaults(func=cmd_check_law)
 
     sp = sub.add_parser("check-yb", help="hexagons and bracketing agreement")
-    sp.add_argument("--series", required=True)
+    sp.add_argument("--series", required=True, choices=BUILTIN_SERIES)
     common(sp, samples=300)
     sp.set_defaults(func=cmd_check_yb)
 
     sp = sub.add_parser("check-fs",
                         help="factorization sweep over a composite theory")
-    sp.add_argument("--theory", required=True)
+    sp.add_argument("--theory", required=True, choices=_COMPOSITE_LAWS)
     sp.add_argument("--arity", type=non_negative_int, default=2)
     sp.add_argument("--size", type=non_negative_int, default=5)
     common(sp)
@@ -464,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("roundtrip",
                         help="rebuild a monad from its theory of arities")
-    sp.add_argument("--monad", required=True)
+    sp.add_argument("--monad", required=True, choices=FRAGMENTS)
     sp.add_argument("--bound", type=non_negative_int, default=3)
     sp.add_argument("--size", type=non_negative_int, default=3,
                     help="enumeration bound for infinite carriers")
@@ -473,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("correspond",
                         help="composite theory against the composite monad")
-    sp.add_argument("--law", required=True)
+    sp.add_argument("--law", required=True, choices=_CORRESPOND)
     sp.add_argument("--size", type=non_negative_int, default=5)
     common(sp, samples=150)
     sp.set_defaults(func=cmd_correspond)

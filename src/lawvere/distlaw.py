@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Callable, Optional, Sequence
 
-from .builtin import (LAYER_READERS, build_combo, build_sorted_combo,
-                      build_word, combo_of, word_atoms)
+from .builtin import (LAYER_READERS, build_sorted_combo, build_word,
+                      combo_of, word_atoms)
 from .parser import format_term
 from .report import AxiomReport, Report
 from .sampling import Sampler, random_term
@@ -237,17 +237,11 @@ def multiplicative_over_pointed_law(mult: TheorySpec, pointed: TheorySpec,
 
 def pointed_over_additive_law(pointed: TheorySpec, additive: TheorySpec,
                               name: str = "") -> DistributiveLawSpec:
-    """Relayering only: a sum stays a sum, the point becomes a basis atom."""
-    add = additive.op("add")
-    neg = additive.op("neg") if additive.has_op("neg") else None
-    zero = additive.op("zero")
-
-    def rw(t: Term) -> Term:
-        return build_combo(combo_of(t, add, neg, zero), add, neg, zero)
-
+    """Relayering only: a sum stays a sum, the point becomes a basis atom,
+    so the rewrite is the additive normal form."""
     return DistributiveLawSpec(
         name=name or f"{pointed.name}-over-{additive.name}",
-        inner=pointed, outer=additive, rewrite=rw,
+        inner=pointed, outer=additive, rewrite=additive.normalizer,
         description="the point is already a normal-form atom")
 
 

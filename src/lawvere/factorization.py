@@ -550,9 +550,12 @@ def check_strict_fs(cat: FiniteCategory, left: Sequence[Morphism],
                     continue
                 a1, b1 = law[(r.name, l1.name)]
                 a2, b2 = law[(b1.name, l2.name)]
-                a_direct, b_direct = law[(r.name, cat.compose(l2, l1).name)]
-                rep.check((cat.compose(a2, a1), b2) == (a_direct, b_direct),
-                          check="mult-left", r=r.name, l1=l1.name, l2=l2.name)
+                l21 = cat.compose(l2, l1)
+                direct = law.get((r.name, l21.name))
+                outside = {} if direct else {"outsideLeft": l21.name}
+                rep.check((cat.compose(a2, a1), b2) == direct,
+                          check="mult-left", r=r.name, l1=l1.name, l2=l2.name,
+                          **outside)
     for l in left:
         for r1 in right:
             if r1.tgt != l.src:
@@ -562,7 +565,10 @@ def check_strict_fs(cat: FiniteCategory, left: Sequence[Morphism],
                     continue
                 a1, b1 = law[(r1.name, l.name)]
                 a2, b2 = law[(r2.name, a1.name)]
-                a_direct, b_direct = law[(cat.compose(r1, r2).name, l.name)]
-                rep.check((a2, cat.compose(b1, b2)) == (a_direct, b_direct),
-                          check="mult-right", l=l.name, r1=r1.name, r2=r2.name)
+                r12 = cat.compose(r1, r2)
+                direct = law.get((r12.name, l.name))
+                outside = {} if direct else {"outsideRight": r12.name}
+                rep.check((a2, cat.compose(b1, b2)) == direct,
+                          check="mult-right", l=l.name, r1=r1.name, r2=r2.name,
+                          **outside)
     return rep

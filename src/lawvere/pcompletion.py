@@ -387,28 +387,6 @@ class KeypropComputation:
         k, y, xs = element
         return tuple(self.fragment.map(y, self.j, x) for x in xs)
 
-    def index(self, element) -> Optional[int]:
-        """The element's number, or None when it is not an element."""
-        k, y, xs = element
-        positions = self._positions.get(k)
-        if positions is None or len(y) != k or len(xs) != self.n:
-            return None
-        # rank(y) * |F[k]|^n + rank(xs) is one mixed-radix number
-        rank = 0
-        for v in y:
-            if not 0 <= v < self.j:
-                return None
-            rank = rank * self.j + v
-        for x in xs:
-            p = positions.get(x)
-            if p is None:
-                return None
-            rank = rank * len(positions) + p
-        return self._offsets[k] + rank
-
-    def __contains__(self, element) -> bool:
-        return self.index(element) is not None
-
     def representatives(self) -> list:
         """Each class's least ``_label_key`` member, classes in the
         order of their first members.  One walk of the numbering keeps
@@ -461,7 +439,8 @@ def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
     (stability: the class count must not change), and every elementary
     map out of [j] (the injections into [j + 1], the merges into [j - 1]
     and the transpositions of [j]) must act on the entry-cap j + 1 class
-    representatives as it acts on Set(n, F[j]).
+    representatives as it acts on Set(n, F[j]).  A relation that breaks
+    the invariant fails that (j, n) and records the error.
     Separately, strings of length two are adjoined at a small scale: each
     must reduce through the canonical insertions to a singleton element
     with the same value in Set(n, F[j]), so that gluing them on changes
@@ -473,17 +452,21 @@ def verify_keyprop(fragment: FinitaryMonadFragment, j_bound: int,
     stability = {}
     for j in range(j_bound + 1):
         for n in range(n_bound + 1):
-            k_cap = j + 1
-            comp = KeypropComputation(fragment, j, n, k_cap, carrier_bound)
+            try:
+                comp = KeypropComputation(fragment, j, n, j + 1,
+                                          carrier_bound)
+                values = comp.class_values()
+                reps = comp.representatives()
+                comp.extend()
+            except InvariantBroken as exc:
+                rep.check(False, j=j, n=n, error=str(exc))
+                continue
             expected = [tuple(v) for v in itertools.product(
                 fragment.carrier(j, carrier_bound), repeat=n)]
-            values = comp.class_values()
             invs = sorted(set(values), key=_label_key)
             ok = (len(values) == len(expected)
                   and len(invs) == len(values)
                   and sorted(expected, key=_label_key) == invs)
-            reps = comp.representatives()
-            comp.extend()
             stable = comp.class_count() == len(values)
             stability[f"j={j},n={n}"] = stable
             rep.check(ok and stable and _actions_ok(comp, reps), j=j, n=n,

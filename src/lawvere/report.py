@@ -6,7 +6,6 @@ the object for human-facing printing only).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,9 +50,6 @@ class Report:
             "failures": self.failures,
             "stability": self.stability,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def summary(self) -> str:
         state = "PASS" if self.passed else "FAIL"
@@ -117,9 +113,6 @@ class AxiomReport:
                  "failures": d.failures} for d in self.diagrams
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
     def summary(self) -> str:
         state = "PASS" if self.passed else "FAIL"

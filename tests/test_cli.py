@@ -198,11 +198,21 @@ def test_roundtrip_over_empty_carriers_exits_two(capsys, monad, bound):
 
 
 def test_unknown_names_exit_two(capsys):
-    assert run(capsys, "check-law", "--law", "nope")[0] == 2
-    assert run(capsys, "enumerate", "--theory", "nope", "--arity", "1",
-               "--size", "1")[0] == 2
-    assert run(capsys, "factorize", "--theory", "monoid",
-               "--morphism", "ab")[0] == 2
+    # "monoid" is a theory but not a composite one, and "semigroup-sum" a
+    # law with no correspondence fixture
+    for argv in (["check-law", "--law", "nope"],
+                 ["enumerate", "--theory", "nope", "--arity", "1",
+                  "--size", "1"],
+                 ["compose", "--theory", "nope", "--source", "1",
+                  "--first", "x0", "--second", "x0"],
+                 ["factorize", "--theory", "monoid", "--morphism", "ab"],
+                 ["check-fs", "--theory", "monoid"],
+                 ["check-yb", "--series", "nope"],
+                 ["roundtrip", "--monad", "nope"],
+                 ["correspond", "--law", "semigroup-sum"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"invalid choice: {argv[2]!r}" in err, (argv, err)
 
 
 def test_parse_error_exit_two(capsys):

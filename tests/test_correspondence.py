@@ -19,7 +19,8 @@ from lawvere.fragments import (FREE_MONOID_MONAD, FREE_RING_MONAD,
                                POINTED_MONAD, FreeMonoidMonad, FreeRingMonad,
                                PointedMonad)
 from lawvere.parser import parse_term
-from lawvere.pcompletion import InvariantBroken, KeypropComputation
+from lawvere.pcompletion import (InvariantBroken, KeypropComputation,
+                                 verify_keyprop)
 from lawvere.terms import StructuralError
 from lawvere.theory import BaseFunction
 from .conftest import make_diagram_mutant, words_over
@@ -395,3 +396,14 @@ class TestFailurePaths:
         assert rep.failures == [{"check": "istar-bijection", "classes": 2,
                                  "distinct": 2, "expected": 4, "k": 2,
                                  "n": 1}]
+
+
+def test_broken_invariant_is_a_keyprop_failure():
+    # x = 1 on breaks the invariant: each such (j, n) fails with the
+    # error, and the others are still checked
+    rep = verify_keyprop(PointToZero(), 2, 2)
+    assert (rep.sample_count, rep.pass_count) == (10, 5)
+    assert rep.failures == [
+        {"j": j, "n": n, "error": "coend relation breaks the invariant"}
+        for j in (1, 2) for n in (1, 2)] + [{"check": "pair-strings"}]
+    assert "j=1,n=1" not in rep.stability

@@ -1004,3 +1004,18 @@ class TestStrictFS:
                               for a in (0, 1) for b in (0, 1)}, 0)
         rep = check_strict_fs(z2, list(z2.morphisms), list(z2.morphisms))
         assert not rep.passed
+
+    @pytest.mark.parametrize("left, right, check, outside", [
+        ("01", "02", "mult-left", "outsideLeft"),
+        ("02", "01", "mult-right", "outsideRight")])
+    def test_class_not_closed_under_composition(self, left, right, check,
+                                                outside):
+        # in Z/4 each element is uniquely a sum of one element of {0, 1}
+        # and one of {0, 2}, but 1 + 1 = 2 is not in {0, 1}
+        z4 = monoid_category(range(4), {(a, b): (a + b) % 4 for a in range(4)
+                                        for b in range(4)}, 0)
+        rep = check_strict_fs(z4, [z4.morphism(c) for c in left],
+                              [z4.morphism(c) for c in right])
+        assert (rep.sample_count, rep.pass_count) == (24, 22)
+        assert {(f["check"], f[outside]) for f in rep.failures} == \
+            {(check, "2")}

@@ -258,9 +258,10 @@ def _elements(comp):
 def _kernel_partition(comp, elements):
     """The kernel's classes of the given elements, grouped by the root of
     each element's number, in the order the elements come."""
+    roots = dict(zip(_elements(comp), comp._parent))
     out = {}
     for e in elements:
-        out.setdefault(comp._parent[comp.index(e)], []).append(e)
+        out.setdefault(roots[e], []).append(e)
     return list(out.values())
 
 

@@ -21,3 +21,26 @@ def test_runtime_imports_only_the_standard_library():
                for name in top_level_imports(path)
                if name != "lawvere" and name not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+def unread_imports(path):
+    """The names a module's imports bind that the module never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            bound.update(alias.asname or alias.name.partition(".")[0]
+                         for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - read
+
+
+def test_every_import_is_read():
+    # __init__.py imports names to re-export them
+    unread = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              for name in unread_imports(path)}
+    assert unread == set()
