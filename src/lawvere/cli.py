@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from .builtin import BASE_THEORIES
 from .correspondence import (composite_correspondence_check,
@@ -65,12 +65,13 @@ class OutputError(Exception):
     """The report cannot be written where ``--out`` asks."""
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    """Print the text, or the JSON report with --json; --out writes the
-    JSON report to its path instead, with or without --json."""
+def _emit(args, payload: dict, text: Callable[[dict], str]) -> None:
+    """Print ``text(payload)``, or the JSON report with --json; --out
+    writes the JSON report to its path instead, with or without --json.
+    The text is built only when it is printed."""
     out = getattr(args, "out", None)
     if out is None and not getattr(args, "json", False):
-        print(text)
+        print(text(payload))
         return
     rendered = json.dumps(payload, sort_keys=True, indent=2)
     if out is None:
@@ -89,7 +90,7 @@ def _run_check(args, check, *call, **options) -> int:
     t0 = time.perf_counter()
     rep = check(*call, **options)
     rep.wall_time_ms = (time.perf_counter() - t0) * 1000
-    _emit(args, rep.to_json_dict(), rep.summary())
+    _emit(args, rep.to_json_dict(), lambda _: rep.summary())
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
@@ -101,8 +102,7 @@ def cmd_enumerate(args) -> int:
                "count": len(terms),
                "terms": [format_term(t) for t in terms]}
     _emit(args, payload,
-          f"{len(terms)} normal forms: " +
-          ", ".join(format_term(t) for t in terms))
+          lambda p: f"{p['count']} normal forms: " + ", ".join(p["terms"]))
     return EXIT_PASS
 
 
@@ -118,8 +118,8 @@ def cmd_compose(args) -> int:
     payload = {"schemaVersion": SCHEMA_VERSION,
                "composite": morphism_to_json(composite)}
     _emit(args, payload,
-          f"{composite.source} -> {composite.target}: " +
-          ", ".join(format_term(c) for c in composite.components))
+          lambda p: f"{composite.source} -> {composite.target}: " +
+                    ", ".join(p["composite"]["components"]))
     return EXIT_PASS
 
 
@@ -137,10 +137,9 @@ def cmd_factorize(args) -> int:
         "right": morphism_to_json(pair.right),
     }
     _emit(args, payload,
-          f"middle {pair.middle}; left [" +
-          ",".join(format_term(c) for c in pair.left.components) +
-          "]; right [" +
-          ",".join(format_term(c) for c in pair.right.components) + "]")
+          lambda p: f"middle {p['middle']}; left "
+                    f"[{','.join(p['left']['components'])}]; right "
+                    f"[{','.join(p['right']['components'])}]")
     return EXIT_PASS
 
 
@@ -225,7 +224,7 @@ def cmd_check_coend(args) -> int:
     except (KeyError, StructuralError) as exc:
         print(f"invalid tables: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, payload, json.dumps(payload, sort_keys=True))
+    _emit(args, payload, functools.partial(json.dumps, sort_keys=True))
     return EXIT_PASS
 
 

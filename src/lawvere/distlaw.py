@@ -343,8 +343,11 @@ def check_law_axioms(law: DistributiveLawSpec,
     Diagrams: the two unit triangles (a pure layer passes through
     unchanged) and the two multiplication squares (rewriting commutes with
     flattening a repeated layer).  A naturality square under variable
-    renaming is checked as well.  Failures carry the offending input and
-    both values, printed.
+    renaming is checked as well, after the rewrite of its S-over-T input
+    is checked to be layered T over S: a rewrite that is not fails the
+    sample with "not layered" as its second value, so a rewrite that swaps
+    no layers fails.  Failures carry the offending input and both values,
+    printed.
 
     One helper, ``compare``, counts each sample.  Two legs that are equal
     (by ``==``) pass at once, with no normal form, since a passing law
@@ -363,6 +366,7 @@ def check_law_axioms(law: DistributiveLawSpec,
     d_nat = rep.diagram("naturality")
     if sampler.samples <= 0:
         return rep
+    layers = [T.op_set, S.op_set]
 
     def compare(diagram, shown: Term, first: Term, second: Term,
                 top_first: bool = False):
@@ -436,7 +440,13 @@ def check_law_axioms(law: DistributiveLawSpec,
 
         t_nat = _draw(make_nat, expansion_estimate)
         rename = tuple(Var(rng.randrange(k + 1)) for _ in range(k))
-        compare(d_nat, t_nat, substitute(law.rewrite(t_nat), rename),
+        swapped = law.rewrite(t_nat)
+        if not check_layer_order(swapped, layers):
+            d_nat.sample_count += 1
+            d_nat.add_failure(format_term(t_nat), format_term(swapped),
+                              "not layered")
+            continue
+        compare(d_nat, t_nat, substitute(swapped, rename),
                 law.rewrite(substitute(t_nat, rename)))
     return rep
 

@@ -16,6 +16,13 @@ morphisms through ``theory._trusted``, skipping checks that hold by
 construction; every check that can fail runs once, where its input
 enters.  The construction sites and the contract each rests on are
 listed in the ``theory`` module docstring.
+
+A pair never changes after construction, so ``recompose()`` and
+``canonicalize`` compute their result once per pair and keep it in the
+pair's ``__dict__``, beside the fields, where neither equality nor
+hashing reads it.  Nothing seeds them: a pair from ``factorize`` is
+recomposed from its own parts, never handed its input, so the sweep's
+``existence`` check still composes them.
 """
 from __future__ import annotations
 
@@ -72,7 +79,12 @@ class FactorizationPair:
         return self.right.target
 
     def recompose(self) -> TheoryMorphism:
-        return compose(self.right, self.left)
+        """``right`` after ``left``, composed on the first call and kept
+        on the pair (see the module docstring)."""
+        got = self.__dict__.get("_composite")
+        if got is None:
+            got = self.__dict__["_composite"] = compose(self.right, self.left)
+        return got
 
     def key(self):
         return (self.left.components, self.right.components)
@@ -142,8 +154,13 @@ def factorize(theory: TheorySpec, inner: TheorySpec, outer: TheorySpec,
 
 def canonicalize(pair: FactorizationPair) -> FactorizationPair:
     """Delete unused middles, merge duplicate left entries, sort by first
-    use: one ``factorize`` of the recomposition, whose output is canonical."""
-    return factorize(pair.theory, pair.inner, pair.outer, pair.recompose())
+    use: one ``factorize`` of the recomposition, whose output is canonical.
+    Made on the first call for a pair and kept on it."""
+    got = pair.__dict__.get("_canonical")
+    if got is None:
+        got = pair.__dict__["_canonical"] = factorize(
+            pair.theory, pair.inner, pair.outer, pair.recompose())
+    return got
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,8 @@ class _Parser:
         self.sc = _Scanner(text)
         self.theory = theory
         self.arity = arity
+        # operations by the name ``need`` was asked for
+        self.ops: dict = {}
         self.depth = 0
         # factors of the longest power chain in the innermost open
         # parentheses so far
@@ -83,9 +85,15 @@ class _Parser:
                 pos)
 
     def need(self, name: str, names=None):
+        """The operation for ``name``, the first of ``names`` (default
+        ``name`` alone) that the theory has; looked up once per parse."""
+        op = self.ops.get(name)
+        if op is not None:
+            return op
         for cand in names or (name,):
             if self.theory.has_op(cand):
-                return self.theory.op(cand)
+                op = self.ops[name] = self.theory.op(cand)
+                return op
         raise ParseError(
             f"theory {self.theory.name!r} has no {name!r} operation",
             self.sc.pos)

@@ -205,6 +205,9 @@ def compose_prof(g: FiniteProfunctor, f: FiniteProfunctor,
     if f.tgt is not g.src and f.tgt != g.src:
         raise StructuralError("middle categories differ")
     C, D, E = f.src, f.tgt, g.tgt
+    # both factors were validated to let identities act trivially, so an
+    # identity's union would join each pair to itself
+    arrows = [h for h in D.morphisms if h != D.identity(h.src)]
     dsets: dict = {}
     for e in E.objects:
         for c in C.objects:
@@ -213,7 +216,7 @@ def compose_prof(g: FiniteProfunctor, f: FiniteProfunctor,
                 for y in g.elements(e, d):
                     for x in f.elements(d, c):
                         ds.add((d, y, x))
-            for h in D.morphisms:
+            for h in arrows:
                 # h: d -> d'; (h acting into g) vs (h acting into f)
                 d, d2 = h.src, h.tgt
                 for y in g.elements(e, d):

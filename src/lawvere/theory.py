@@ -20,10 +20,13 @@ source by construction go through the internal ``_trusted`` instead,
 which skips the checks.  Each site rests on one ``TheorySpec`` contract:
 
 * idempotent normalizers that fix variables: ``compose`` (normal forms of
-  substitutions of in-range components), ``basic_morphism`` (variables
-  only) and ``factorization.factorize`` (normal forms of subterms of the
-  input, each checked pure in the inner layer, and of outer skeletons
-  over the middle variables);
+  substitutions of in-range components; after an inclusion, whose
+  component i is ``Var(i)``, the composite's components are g's own,
+  neither substituted nor normalized, which is exact only because every
+  morphism's components, trusted ones included, are normal),
+  ``basic_morphism`` (variables only) and ``factorization.factorize``
+  (normal forms of subterms of the input, each checked pure in the inner
+  layer, and of outer skeletons over the middle variables);
 * normal enumerators (``atom_enumerator`` lists only normal forms over
   the atoms it is given): the hom-set morphisms of
   ``factorization.check_fs_over_base``;
@@ -41,6 +44,7 @@ morphism is built from outside.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -129,7 +133,7 @@ def morphism(theory: TheorySpec, source: int,
 
 
 def identity_morphism(theory: TheorySpec, k: int) -> TheoryMorphism:
-    return TheoryMorphism(theory, k, k, tuple(Var(i) for i in range(k)))
+    return TheoryMorphism(theory, k, k, _variables(k))
 
 
 def compose(g: TheoryMorphism, f: TheoryMorphism) -> TheoryMorphism:
@@ -139,10 +143,21 @@ def compose(g: TheoryMorphism, f: TheoryMorphism) -> TheoryMorphism:
     if f.target != g.source:
         raise StructuralError(
             f"objects do not match: {f.target} vs {g.source}")
+    if f.components == _variables(f.target):
+        # f includes f.target into f.source: g's normal components, over
+        # variables below f.target, are the composite's
+        return _trusted(g.theory, f.source, g.components)
     # f's components use variables below f.source, so these do too
     comps = tuple(g.theory.normalize(substitute(c, f.components))
                   for c in g.components)
     return _trusted(g.theory, f.source, comps)
+
+
+@functools.cache
+def _variables(n: int) -> tuple:
+    """``(Var(0), ..., Var(n - 1))``.  A component equals ``Var(i)`` only
+    if it is one: an ``App`` is a pair, a ``Var`` a one-tuple."""
+    return tuple(map(Var, range(n)))
 
 
 def basic_morphism(theory: TheorySpec, alpha: BaseFunction) -> TheoryMorphism:

@@ -7,7 +7,8 @@ import pytest
 from lawvere.builtin import (ABELIAN_GROUP, IDENTITY_THEORY, MONOID, POINTED,
                              SEMIGROUP, build_combo, build_word, combo_of,
                              word_atoms)
-from lawvere.distlaw import (BUILTIN_LAWS, DistributiveSeries, PS_LAW,
+from lawvere.distlaw import (BUILTIN_LAWS, DistributiveLawSpec,
+                             DistributiveSeries, PS_LAW,
                              POINTED_SUM_LAW, RING_LAW, SEMIGROUP_SUM_LAW,
                              apply_law, check_law_axioms, check_layer_order,
                              check_yang_baxter, composite_theory,
@@ -190,6 +191,23 @@ class TestAxioms:
         assert witness["leftValue"] != witness["rightValue"]
         if diagram == "mult-inner":
             assert failed == {"mult-inner"}
+
+    @pytest.mark.parametrize("name, not_layered", [
+        ("pointed-semigroup", 260), ("ring", 309)])
+    def test_a_rewrite_that_swaps_nothing_fails(self, name, not_layered):
+        # the identity leaves an S-over-T input as it is, so both legs of
+        # the naturality square agree; only the layering check sees that
+        # nothing was swapped (the ring's mult-outer square fails too)
+        law = BUILTIN_LAWS[name]
+        identity = DistributiveLawSpec("identity", law.inner, law.outer,
+                                       lambda t: t)
+        rep = check_law_axioms(identity)
+        assert not rep.passed
+        nat = rep.diagram("naturality")
+        assert nat.sample_count == 500
+        assert len(nat.failures) == not_layered
+        assert {f["rightValue"] for f in nat.failures} == {"not layered"}
+        assert all(f["leftValue"] == f["input"] for f in nat.failures)
 
     def test_identity_inner_law_vacuous(self):
         law = trivial_law(IDENTITY_THEORY, ABELIAN_GROUP)

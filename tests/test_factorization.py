@@ -464,6 +464,71 @@ class TestFactorize:
             assert canonicalize(pair).key() == pair.key()
 
 
+def sample_pairs(ring):
+    """Canonical pairs of a spread of ring morphisms, with the three
+    raw alternatives of each."""
+    out = []
+    for comps in itertools.product(ring.enumerate_normal(2, 4)[:8],
+                                   repeat=2):
+        pair = factorize(ring, MONOID, ABELIAN_GROUP,
+                         TheoryMorphism(ring, 2, 2, comps))
+        out.append(pair)
+        out.extend(alternatives(pair))
+    return out
+
+
+def negated_first_right_part(real):
+    """``_trusted_pair`` with the right part's first component negated:
+    every pair built through it, ``factorize``'s included, recomposes to
+    another morphism unless that component is 0."""
+    def mutant(theory, inner, outer, left, right):
+        comps = right.components
+        if comps:
+            comps = (theory.normalize(App(NEG, (comps[0],))),) + comps[1:]
+            right = TheoryMorphism(theory, right.source, right.target, comps)
+        return real(theory, inner, outer, left, right)
+    return mutant
+
+
+class TestStoredResults:
+    """A pair keeps its recomposition and its canonical form once asked
+    for; neither may change an answer."""
+
+    def test_recompose_is_composed_once(self, ring):
+        for pair in sample_pairs(ring):
+            got = pair.recompose()
+            assert got == compose(pair.right, pair.left)
+            assert pair.recompose() is got
+            # the stored composite is not a field: equality and hashing
+            # ignore it
+            twin = FactorizationPair(ring, MONOID, ABELIAN_GROUP, pair.left,
+                                     pair.right)
+            assert twin == pair and hash(twin) == hash(pair)
+
+    def test_canonicalize_is_idempotent(self, ring):
+        for pair in sample_pairs(ring):
+            canon = canonicalize(pair)
+            assert canonicalize(pair) is canon
+            assert canonicalize(canon).key() == canon.key()
+            assert canon.recompose() == pair.recompose()
+            assert canon.key() == factorize(
+                ring, MONOID, ABELIAN_GROUP, pair.recompose()).key()
+
+    def test_a_pair_that_does_not_recompose_fails_existence(
+            self, ring, monkeypatch):
+        monkeypatch.setattr(
+            factorization, "_trusted_pair",
+            negated_first_right_part(factorization._trusted_pair))
+        rep = check_fs_over_base(ring, MONOID, ABELIAN_GROUP, 1, 4,
+                                 witness_sample=6)
+        assert not rep.passed
+        assert {f["check"] for f in rep.failures} == {"existence"}
+        # one failure per morphism whose first component is not 0; the
+        # others still pass
+        assert rep.pass_count + len(rep.failures) == rep.sample_count
+        assert rep.pass_count > 0
+
+
 class TestZigzag:
     def test_spurious_entry_is_one_projection_away(self, ring):
         p = ring_pair(ring, ["ab", "c"], ["a+b"], 3)

@@ -12,7 +12,7 @@ from lawvere.fragments import (FRAGMENTS, FREE_MONOID_MONAD, IDENTITY_MONAD,
 from lawvere.distlaw import (ps_monoid_theory, ring3_series, ring_theory,
                              series_composite_left, series_composite_right)
 from lawvere.parser import parse_term
-from lawvere.terms import StructuralError, Var
+from lawvere.terms import StructuralError, Var, substitute
 from lawvere.theory import (BaseFunction, LawvereTheory, NoDiagonalsTheory,
                             TheoryMorphism, all_base_functions,
                             basic_morphism, check_product_structure, compose,
@@ -92,6 +92,62 @@ class TestCompose:
                 assert got == TheoryMorphism(spec, got.source, got.target,
                                              got.components)
                 assert (got.source, got.target) == (2, 1)
+
+
+def reference_compose(g, f):
+    """g after f with every component substituted and normalized, built
+    through the checked constructor."""
+    return TheoryMorphism(g.theory, f.source, g.target, tuple(
+        g.theory.normalize(substitute(c, f.components))
+        for c in g.components))
+
+
+def morphisms_out_of(spec, n):
+    """A spread of checked morphisms n -> m for m = 0, 1, 2 from the
+    normal forms of size <= 3."""
+    pool = spec.enumerate_normal(n, 3)[:5]
+    return [morphism(spec, n, comps) for m in range(3)
+            for comps in itertools.product(pool, repeat=m)]
+
+
+class TestInclusionComposite:
+    """After an inclusion, whose component i is Var(i), ``compose`` hands
+    back g's components; it must agree with substituting and normalizing
+    them, and every other table must still be substituted."""
+
+    @pytest.mark.parametrize("spec", every_builtin_theory())
+    @pytest.mark.parametrize("n", range(5))
+    def test_inclusions_agree_with_the_reference(self, spec, n):
+        gs = morphisms_out_of(spec, n)
+        for source in (n, n + 1, n + 3):
+            incl = morphism(spec, source, [Var(i) for i in range(n)])
+            for g in gs:
+                got = compose(g, incl)
+                assert got == reference_compose(g, incl)
+                assert got.source == source
+                assert got.components is g.components
+
+    @pytest.mark.parametrize("spec", every_builtin_theory())
+    @pytest.mark.parametrize("table, source", [
+        ((1, 0), 2), ((2, 0, 1), 3), ((0, 0), 1), ((0, 0), 2),
+        ((1, 1), 2), ((0, 2), 3), ((1,), 2), ((0, 1, 1), 3)],
+        ids=["swap", "rotate", "merge", "merge-in-2", "both-1",
+             "wrong-slot", "shifted", "last-repeated"])
+    def test_variable_tables_agree_with_the_reference(self, spec, table,
+                                                      source):
+        f = morphism(spec, source, [Var(i) for i in table])
+        for g in morphisms_out_of(spec, len(table)):
+            assert compose(g, f) == reference_compose(g, f)
+
+    @pytest.mark.parametrize("spec", [p for p in every_builtin_theory()
+                                      if p.values[0].signature])
+    def test_a_term_among_variables_is_substituted(self, spec):
+        # the first two slots read as an inclusion, the third does not
+        term = [t for t in spec.enumerate_normal(3, 3)
+                if not isinstance(t, Var)][-1]
+        f = morphism(spec, 3, [Var(0), Var(1), term])
+        for g in morphisms_out_of(spec, 3):
+            assert compose(g, f) == reference_compose(g, f)
 
 
 class TestBasicMorphism:
