@@ -9,12 +9,21 @@ A category indexes its morphisms by endpoint once, in declaration order:
 ``out_of(x)``, ``into(x)`` and ``hom(x, y)`` read that index, so no other
 module scans ``morphisms`` to find the arrows that leave or enter an
 object.
+
+``arrows[x]`` is a second, name-level index, built once per category on
+first use.  For each object x it holds the identity's name, the arrows
+out of x as (name, target) and into x as (name, source), the same two
+lists without the identity, and the composable triples (g, f, g f) of
+non-identity arrows, filed by f's source (``after_from``) and by g's
+target (``after_into``).  The profunctor checks read it instead of
+building ``Morphism`` lists per element.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .terms import StructuralError
 
@@ -36,12 +45,25 @@ def _index(morphisms, key) -> dict:
     return {k: tuple(ms) for k, ms in out.items()}
 
 
+class Arrows(NamedTuple):
+    """The arrows at one object, by name; see the module docstring."""
+    identity: str
+    out: tuple
+    into: tuple
+    out_ni: tuple
+    into_ni: tuple
+    after_from: tuple
+    after_into: tuple
+
+
 class FiniteCategory:
     def __init__(self, name: str, objects: Sequence, morphisms: Sequence[Morphism],
                  identities: dict, composition: dict):
         """``composition[(g.name, f.name)]`` is the name of g after f."""
         self.name = name
         self.objects = tuple(objects)
+        if len(set(self.objects)) != len(self.objects):
+            raise StructuralError("duplicate objects")
         self.morphisms = tuple(morphisms)
         self._by_name = {m.name: m for m in morphisms}
         if len(self._by_name) != len(morphisms):
@@ -84,6 +106,27 @@ class FiniteCategory:
 
     def hom(self, x, y) -> tuple:
         return self._hom.get((x, y), ())
+
+    @cached_property
+    def arrows(self) -> dict:
+        """Object -> its ``Arrows``, in declaration order."""
+        ids = {self._identities[x] for x in self.objects}
+        after_from: dict = {x: [] for x in self.objects}
+        after_into: dict = {x: [] for x in self.objects}
+        for g, f in self.composable_pairs():
+            if f.name not in ids and g.name not in ids:
+                triple = (g.name, f.name, self._composition[(g.name, f.name)])
+                after_from[f.src].append(triple)
+                after_into[g.tgt].append(triple)
+        out = {}
+        for x in self.objects:
+            outs = [(m.name, m.tgt) for m in self.out_of(x)]
+            ins = [(m.name, m.src) for m in self.into(x)]
+            out[x] = Arrows(self._identities[x], tuple(outs), tuple(ins),
+                            tuple(a for a in outs if a[0] not in ids),
+                            tuple(a for a in ins if a[0] not in ids),
+                            tuple(after_from[x]), tuple(after_into[x]))
+        return out
 
     def composable_pairs(self):
         for f in self.morphisms:

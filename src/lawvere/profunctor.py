@@ -14,6 +14,24 @@ F(x, y) is an arrow x -> y, ``act_d`` by f: x' -> x precomposes and
 ``act_c`` by g: y -> y' postcomposes.  With a unit and a multiplication
 that composes arrows, that is exactly an identity-on-objects functor out
 of the base (``monad_to_functor`` and ``functor_to_monad``).
+
+Validation.  ``FiniteProfunctor`` checks its tables in this order, and
+raises at the first failure:
+
+1. one walk over the non-empty cells, d over the target's objects and c
+   over the source's: the cell lists no element twice; then, element by
+   element, every arrow out of c acts (a missing entry raises "no
+   C-action") into the table, every arrow into d likewise, and the two
+   identities act trivially;
+2. every cell is over an object of each category;
+3. the C-action is functorial, then the D-action, then the two actions
+   commute.
+
+Step 3 skips identity arrows.  That is exact: step 1 has shown that
+identities fix every element of every cell, so a square with an identity
+side commutes.  Every check reads ``table``, ``c_action``, ``d_action``
+and the categories' ``arrows`` index directly; so do ``compose_prof`` and
+``prof_iso``, which rely on the same facts about their validated inputs.
 """
 from __future__ import annotations
 
@@ -76,19 +94,21 @@ class FiniteProfunctor:
     def elements(self, d, c) -> tuple:
         return self.table.get((d, c), ())
 
+    def _missing(self, side: str, name, over, x) -> StructuralError:
+        return StructuralError(f"{self.name}: no {side}-action of {name} "
+                               f"on {x!r} over {over!r}")
+
     def act_c(self, f: Morphism, d, x):
         try:
             return self.c_action[(f.name, d, x)]
         except KeyError:
-            raise StructuralError(f"{self.name}: no C-action of {f.name} "
-                                  f"on {x!r} over {d!r}") from None
+            raise self._missing("C", f.name, d, x) from None
 
     def act_d(self, g: Morphism, c, x):
         try:
             return self.d_action[(g.name, c, x)]
         except KeyError:
-            raise StructuralError(f"{self.name}: no D-action of {g.name} "
-                                  f"on {x!r} over {c!r}") from None
+            raise self._missing("D", g.name, c, x) from None
 
     def total_size(self) -> int:
         return sum(len(v) for v in self.table.values())
@@ -98,50 +118,80 @@ class FiniteProfunctor:
                 f"{self.tgt.name}, {self.total_size()} elements)")
 
     def _validate(self):
+        """The checks of the module docstring, in its order."""
+        name, table = self.name, self.table
+        cact, dact = self.c_action, self.d_action
+        C, D = self.src.arrows, self.tgt.arrows
+        met = 0
+        cells = []
         for d in self.tgt.objects:
+            at_d = D[d]
             for c in self.src.objects:
-                for x in self.elements(d, c):
-                    for f in self.src.out_of(c):
-                        y = self.act_c(f, d, x)
-                        if y not in self.elements(d, f.tgt):
+                xs = table.get((d, c))
+                if xs is None:
+                    continue
+                met += 1
+                if not xs:
+                    continue
+                if len(xs) > 1 and len(set(xs)) != len(xs):
+                    twice = next(x for i, x in enumerate(xs)
+                                 if x in xs[:i])
+                    raise StructuralError(
+                        f"{name}: cell ({d!r}, {c!r}) lists {twice!r} twice")
+                at_c = C[c]
+                cells.append((d, c, xs, at_c, at_d))
+                for x in xs:
+                    for f, c2 in at_c.out:
+                        try:
+                            y = cact[(f, d, x)]
+                        except KeyError:
+                            raise self._missing("C", f, d, x) from None
+                        if y not in table.get((d, c2), ()):
                             raise StructuralError(
-                                f"{self.name}: C-action leaves the table")
-                    for g in self.tgt.into(d):
-                        y = self.act_d(g, c, x)
-                        if y not in self.elements(g.src, c):
+                                f"{name}: C-action leaves the table")
+                    for g, d2 in at_d.into:
+                        try:
+                            y = dact[(g, c, x)]
+                        except KeyError:
+                            raise self._missing("D", g, c, x) from None
+                        if y not in table.get((d2, c), ()):
                             raise StructuralError(
-                                f"{self.name}: D-action leaves the table")
-                    idc = self.src.identity(c)
-                    if self.act_c(idc, d, x) != x:
-                        raise StructuralError(f"{self.name}: C-identity acts")
-                    idd = self.tgt.identity(d)
-                    if self.act_d(idd, c, x) != x:
-                        raise StructuralError(f"{self.name}: D-identity acts")
-        for g2, g1 in self.src.composable_pairs():
-            gf = self.src.compose(g2, g1)
-            for d in self.tgt.objects:
-                for x in self.elements(d, g1.src):
-                    if self.act_c(g2, d, self.act_c(g1, d, x)) != \
-                            self.act_c(gf, d, x):
+                                f"{name}: D-action leaves the table")
+                    if cact[(at_c.identity, d, x)] != x:
+                        raise StructuralError(f"{name}: C-identity acts")
+                    if dact[(at_d.identity, c, x)] != x:
+                        raise StructuralError(f"{name}: D-identity acts")
+        if met != len(table):
+            # objects are distinct, so some key is over no pair of them
+            ghost = next(k for k in table if not (
+                isinstance(k, tuple) and len(k) == 2
+                and k[0] in D and k[1] in C))
+            raise StructuralError(
+                f"{name}: cell {ghost!r} is not over an object of "
+                f"{self.tgt.name} and an object of {self.src.name}")
+        # every action of every walked element is in the dicts and lands
+        # in a walked cell, so the lookups below cannot miss
+        for d, c, xs, at_c, _ in cells:
+            for g2, g1, gf in at_c.after_from:
+                for x in xs:
+                    if cact[(g2, d, cact[(g1, d, x)])] != cact[(gf, d, x)]:
                         raise StructuralError(
-                            f"{self.name}: C-action not functorial")
-        for g2, g1 in self.tgt.composable_pairs():
-            gf = self.tgt.compose(g2, g1)
-            for c in self.src.objects:
-                for x in self.elements(gf.tgt, c):
-                    if self.act_d(g1, c, self.act_d(g2, c, x)) != \
-                            self.act_d(gf, c, x):
+                            f"{name}: C-action not functorial")
+        for d, c, xs, _, at_d in cells:
+            for g2, g1, gf in at_d.after_into:
+                for x in xs:
+                    if dact[(g1, c, dact[(g2, c, x)])] != dact[(gf, c, x)]:
                         raise StructuralError(
-                            f"{self.name}: D-action not functorial")
+                            f"{name}: D-action not functorial")
         # the two actions commute
-        for f in self.src.morphisms:
-            for g in self.tgt.morphisms:
-                for x in self.elements(g.tgt, f.src):
-                    a = self.act_d(g, f.tgt, self.act_c(f, g.tgt, x))
-                    b = self.act_c(f, g.src, self.act_d(g, f.src, x))
-                    if a != b:
-                        raise StructuralError(
-                            f"{self.name}: actions do not commute")
+        for d, c, xs, at_c, at_d in cells:
+            for f, c2 in at_c.out_ni:
+                fxs = [cact[(f, d, x)] for x in xs]
+                for g, d2 in at_d.into_ni:
+                    for x, fx in zip(xs, fxs):
+                        if dact[(g, c2, fx)] != cact[(f, d2, dact[(g, c, x)])]:
+                            raise StructuralError(
+                                f"{name}: actions do not commute")
 
 
 def hom_profunctor(cat: FiniteCategory) -> FiniteProfunctor:
@@ -207,38 +257,48 @@ def compose_prof(g: FiniteProfunctor, f: FiniteProfunctor,
     C, D, E = f.src, f.tgt, g.tgt
     # both factors were validated to let identities act trivially, so an
     # identity's union would join each pair to itself
-    arrows = [h for h in D.morphisms if h != D.identity(h.src)]
+    arrows = [(h.name, h.src, h.tgt) for h in D.morphisms
+              if h.name != D.arrows[h.src].identity]
+    gt, gc = g.table, g.c_action
+    ft, fd = f.table, f.d_action
     dsets: dict = {}
     for e in E.objects:
         for c in C.objects:
             ds = DisjointSet()
             for d in D.objects:
-                for y in g.elements(e, d):
-                    for x in f.elements(d, c):
-                        ds.add((d, y, x))
-            for h in arrows:
+                ys = gt.get((e, d))
+                xs = ft.get((d, c)) if ys else None
+                if xs:
+                    for y in ys:
+                        for x in xs:
+                            ds.add((d, y, x))
+            for h, d, d2 in arrows:
                 # h: d -> d'; (h acting into g) vs (h acting into f)
-                d, d2 = h.src, h.tgt
-                for y in g.elements(e, d):
-                    for x in f.elements(d2, c):
-                        ds.union((d2, g.act_c(h, e, y), x),
-                                 (d, y, f.act_d(h, c, x)))
+                ys = gt.get((e, d))
+                xs = ft.get((d2, c)) if ys else None
+                if xs:
+                    for y in ys:
+                        hy = gc[(h, e, y)]
+                        for x in xs:
+                            ds.union((d2, hy, x), (d, y, fd[(h, c, x)]))
             dsets[(e, c)] = ds
 
     table = {k: tuple(sorted(ds.classes(), key=_label_key))
              for k, ds in dsets.items()}
 
+    fc, gd = f.c_action, g.d_action
     c_action = {}
     d_action = {}
     for (e, c), reps in table.items():
+        outs, ins = C.arrows[c].out, E.arrows[e].into
         for rep in reps:
             d, y, x = rep
-            for h in C.out_of(c):
-                moved = (d, y, f.act_c(h, d, x))
-                c_action[(h.name, e, rep)] = dsets[(e, h.tgt)].find(moved)
-            for h in E.into(e):
-                moved = (d, g.act_d(h, d, y), x)
-                d_action[(h.name, c, rep)] = dsets[(h.src, c)].find(moved)
+            for h, c2 in outs:
+                c_action[(h, e, rep)] = dsets[(e, c2)].find(
+                    (d, y, fc[(h, d, x)]))
+            for h, e2 in ins:
+                d_action[(h, c, rep)] = dsets[(e2, c)].find(
+                    (d, gd[(h, d, y)], x))
     return FiniteProfunctor(name or f"{g.name}*{f.name}", C, E, table,
                             c_action, d_action)
 
@@ -253,20 +313,24 @@ def prof_iso(p: FiniteProfunctor, q: FiniteProfunctor) -> Optional[dict]:
     if p.src is not q.src or p.tgt is not q.tgt:
         return None
     cells = sorted(set(p.table) | set(q.table), key=_label_key)
+    pt, qt = p.table, q.table
     for cell in cells:
-        if len(p.elements(*cell)) != len(q.elements(*cell)):
+        if len(pt.get(cell, ())) != len(qt.get(cell, ())):
             return None
     # the naturality squares of each arrow between two cells, filed under
     # the later cell: the search solves cells in order, so a cell's
-    # squares are exactly those whose two cells are solved once it is
+    # squares are exactly those whose two cells are solved once it is.
+    # Identity arrows act trivially on both tables, so their squares
+    # always commute and are left out
+    C, D = p.src.arrows, p.tgt.arrows
     rank = {cell: i for i, cell in enumerate(cells)}
     squares: dict = {cell: [] for cell in cells}
     for cell in cells:
         d, c = cell
-        arrows = [((d, f.tgt), p.act_c, q.act_c, f, d)
-                  for f in p.src.out_of(c)]
-        arrows += [((g.src, c), p.act_d, q.act_d, g, c)
-                   for g in p.tgt.into(d)]
+        arrows = [((d, c2), p.c_action, q.c_action, f, d)
+                  for f, c2 in C[c].out_ni]
+        arrows += [((d2, c), p.d_action, q.d_action, g, c)
+                   for g, d2 in D[d].into_ni]
         for other, act_p, act_q, m, fixed in arrows:
             if other in rank:
                 later = max(cell, other, key=rank.__getitem__)
@@ -277,7 +341,7 @@ def prof_iso(p: FiniteProfunctor, q: FiniteProfunctor) -> Optional[dict]:
         for src, tgt, act_p, act_q, m, fixed in squares[cell]:
             beta = assign[tgt]
             for x, qx in assign[src].items():
-                if beta[act_p(m, fixed, x)] != act_q(m, fixed, qx):
+                if beta[act_p[(m, fixed, x)]] != act_q[(m, fixed, qx)]:
                     return False
         return True
 
@@ -289,8 +353,8 @@ def prof_iso(p: FiniteProfunctor, q: FiniteProfunctor) -> Optional[dict]:
     while 0 <= i < len(cells):
         if len(tries) == i:
             cell = cells[i]
-            tries.append((cell, p.elements(*cell),
-                          itertools.permutations(q.elements(*cell))))
+            tries.append((cell, pt.get(cell, ()),
+                          itertools.permutations(qt.get(cell, ()))))
         cell, pe, perms = tries[i]
         for perm in perms:
             assign[cell] = dict(zip(pe, perm))

@@ -486,6 +486,51 @@ def test_check_coend_malformed_tables(tmp_path, capsys, data, message):
     assert message in err
 
 
+POINT = {"objects": ["x"],
+         "morphisms": [{"name": "id_x", "src": "x", "tgt": "x"}],
+         "identities": {"x": "id_x"},
+         "composition": [["id_x", "id_x", "id_x"]]}
+
+
+def point_tables(cells: list) -> dict:
+    """One-object C and an endo-profunctor H on it whose cells are
+    ``cells``, each element fixed by the identity; H composed with H."""
+    elements = sorted({x for cell in cells for x in cell["elements"]
+                       if cell["d"] == cell["c"] == "x"})
+    fixed = lambda side: [{"morphism": "id_x", side: "x", "element": x,
+                           "to": x} for x in elements]
+    return {"schemaVersion": 1, "categories": {"C": POINT},
+            "profunctors": {"H": {"src": "C", "tgt": "C", "table": cells,
+                                  "cAction": fixed("d"),
+                                  "dAction": fixed("c")}},
+            "compose": ["H", "H"]}
+
+
+@pytest.mark.parametrize("data, message", [
+    (point_tables([{"d": "x", "c": "x", "elements": ["e"]},
+                   {"d": "ghost", "c": "x", "elements": ["g1", "g2"]}]),
+     "H: cell ('ghost', 'x') is not over an object of C and an object "
+     "of C"),
+    (point_tables([{"d": "x", "c": "x", "elements": ["e", "e"]}]),
+     "H: cell ('x', 'x') lists 'e' twice"),
+    ({"categories": {"C": dict(POINT, objects=["x", "x"])}},
+     "duplicate objects"),
+], ids=["unknown-object", "repeated-element", "repeated-object"])
+def test_check_coend_rejects_cells_that_miscount(tmp_path, capsys, data,
+                                                 message):
+    # each would otherwise be counted into the sizes that check-coend
+    # reports
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check-coend", "--file", str(path))
+    assert (code, out, err) == (2, "", f"invalid tables: {message}\n")
+    fine = point_tables([{"d": "x", "c": "x", "elements": ["e", "f"]}])
+    path.write_text(json.dumps(fine))
+    code, out, _ = run(capsys, "check-coend", "--file", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["profunctors"]["H"] == 2
+
+
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4)

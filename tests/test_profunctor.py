@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import weakref
 
 import pytest
@@ -10,8 +11,10 @@ from lawvere.correspondence import phi
 from lawvere.fincat import (FiniteCategory, FiniteFunctor, Morphism,
                             chain_category, compose_functors,
                             constant_functor, discrete_category,
-                            identity_functor, monoid_category)
-from lawvere.fragments import IDENTITY_MONAD
+                            identity_functor, iso_pair_category,
+                            monoid_category)
+from lawvere.fragments import IDENTITY_MONAD, POINTED_MONAD
+from lawvere.pcompletion import p_category
 from lawvere.profunctor import (BimoduleMonad, FiniteProfunctor,
                                 compose_prof, constant_profunctor,
                                 functor_to_monad, hom_profunctor,
@@ -69,6 +72,11 @@ def profunctor_pool(rng, src, tgt):
 
 
 class TestCategories:
+    def test_duplicate_objects_rejected(self):
+        with pytest.raises(StructuralError, match="^duplicate objects$"):
+            FiniteCategory("c", ["x", "x"], [Morphism("id", "x", "x")],
+                           {"x": "id"}, {("id", "id"): "id"})
+
     def test_bad_composition_rejected(self):
         ms = [Morphism("id_x", "x", "x"), Morphism("f", "x", "x")]
         comp = {("id_x", "id_x"): "id_x", ("f", "id_x"): "f",
@@ -120,6 +128,124 @@ class TestCategories:
         assert len(cat.hom(0, 1)) == 0
 
 
+def coend_category_pool():
+    """The categories the coend-quotient benchmark composes over."""
+    return category_pool() + [iso_pair_category()]
+
+
+def reference_validate(p):
+    """The reference for ``FiniteProfunctor._validate``'s first failure:
+    the same checks read through ``elements``/``act_c``/``act_d`` one
+    lookup at a time, over every (morphism, morphism) pair, identities
+    included."""
+    for d in p.tgt.objects:
+        for c in p.src.objects:
+            for x in p.elements(d, c):
+                for f in p.src.out_of(c):
+                    y = p.act_c(f, d, x)
+                    if y not in p.elements(d, f.tgt):
+                        raise StructuralError(
+                            f"{p.name}: C-action leaves the table")
+                for g in p.tgt.into(d):
+                    y = p.act_d(g, c, x)
+                    if y not in p.elements(g.src, c):
+                        raise StructuralError(
+                            f"{p.name}: D-action leaves the table")
+                idc = p.src.identity(c)
+                if p.act_c(idc, d, x) != x:
+                    raise StructuralError(f"{p.name}: C-identity acts")
+                idd = p.tgt.identity(d)
+                if p.act_d(idd, c, x) != x:
+                    raise StructuralError(f"{p.name}: D-identity acts")
+    for g2, g1 in p.src.composable_pairs():
+        gf = p.src.compose(g2, g1)
+        for d in p.tgt.objects:
+            for x in p.elements(d, g1.src):
+                if p.act_c(g2, d, p.act_c(g1, d, x)) != p.act_c(gf, d, x):
+                    raise StructuralError(
+                        f"{p.name}: C-action not functorial")
+    for g2, g1 in p.tgt.composable_pairs():
+        gf = p.tgt.compose(g2, g1)
+        for c in p.src.objects:
+            for x in p.elements(gf.tgt, c):
+                if p.act_d(g1, c, p.act_d(g2, c, x)) != p.act_d(gf, c, x):
+                    raise StructuralError(
+                        f"{p.name}: D-action not functorial")
+    for f in p.src.morphisms:
+        for g in p.tgt.morphisms:
+            for x in p.elements(g.tgt, f.src):
+                a = p.act_d(g, f.tgt, p.act_c(f, g.tgt, x))
+                b = p.act_c(f, g.src, p.act_d(g, f.src, x))
+                if a != b:
+                    raise StructuralError(
+                        f"{p.name}: actions do not commute")
+
+
+def validation_corpus(seed: int) -> list:
+    """Const, rep and hom tables over every pair of pool categories, and
+    seeded coend composites of them."""
+    rng = random.Random(seed)
+    cats = coend_category_pool()
+    pools = {(s, t): profunctor_pool(rng, cats[s], cats[t])
+             for s in range(len(cats)) for t in range(len(cats))}
+    corpus = [p for pool in pools.values() for p in pool]
+    for _ in range(40):
+        b, c, d = (rng.randrange(len(cats)) for _ in range(3))
+        corpus.append(compose_prof(rng.choice(pools[(c, d)]),
+                                   rng.choice(pools[(b, c)])))
+    return corpus
+
+
+def action_mutants(p, rng):
+    """Each action entry deleted, and each given another label: one from
+    the table when there is one, else a label from nowhere."""
+    labels = sorted({x for xs in p.table.values() for x in xs},
+                    key=_label_key)
+    for side in ("c_action", "d_action"):
+        actions = getattr(p, side)
+        for key in actions:
+            deleted = dict(actions)
+            del deleted[key]
+            others = [x for x in labels if x != actions[key]]
+            relabelled = dict(actions)
+            relabelled[key] = rng.choice(others) if others else "stranger"
+            for mutant in (deleted, relabelled):
+                yield {"c_action": p.c_action, "d_action": p.d_action,
+                       side: mutant}
+
+
+def first_failure(validate) -> object:
+    try:
+        validate()
+    except StructuralError as exc:
+        return str(exc)
+    return None
+
+
+class TestArrowIndex:
+    @pytest.mark.parametrize("cat", coend_category_pool() + [
+        phi(POINTED_MONAD).truncate(range(3)),
+        p_category(chain_category(2), 2)], ids=lambda cat: cat.name)
+    def test_index_matches_the_category(self, cat):
+        pairs = [(g, f) for g, f in cat.composable_pairs()
+                 if g != cat.identity(g.src) and f != cat.identity(f.src)]
+        for x in cat.objects:
+            at = cat.arrows[x]
+            ident = cat.identity(x).name
+            assert at.identity == ident
+            assert at.out == tuple((m.name, m.tgt) for m in cat.out_of(x))
+            assert at.into == tuple((m.name, m.src) for m in cat.into(x))
+            assert at.out_ni == tuple(a for a in at.out if a[0] != ident)
+            assert at.into_ni == tuple(a for a in at.into if a[0] != ident)
+            triple = lambda g, f: (g.name, f.name, cat.compose(g, f).name)
+            assert at.after_from == tuple(
+                triple(g, f) for g, f in pairs if f.src == x)
+            assert at.after_into == tuple(
+                triple(g, f) for g, f in pairs if g.tgt == x)
+        assert set(cat.arrows) == set(cat.objects)
+        assert cat.arrows is cat.arrows
+
+
 class TestProfunctorValidation:
     def test_mutant_tables_rejected_at_their_check(self):
         bad_identity = z2_module(SWAP, FIX)
@@ -155,6 +281,57 @@ class TestProfunctorValidation:
                                      f"on 'u' over {key[1]}$"):
                 FiniteProfunctor("const", c, c, const.table, actions["C"],
                                  actions["D"])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_first_failure_matches_the_reference(self, seed):
+        rng = random.Random(f"mutants {seed}")
+        seen = set()
+        mutants = 0
+        for p in validation_corpus(seed):
+            assert first_failure(lambda: reference_validate(p)) is None
+            for actions in action_mutants(p, rng):
+                old = object.__new__(FiniteProfunctor)
+                old.__dict__.update(name=p.name, src=p.src, tgt=p.tgt,
+                                    table=p.table, **actions)
+                expected = first_failure(lambda: reference_validate(old))
+                assert first_failure(lambda: FiniteProfunctor(
+                    p.name, p.src, p.tgt, p.table, **actions)) == expected
+                seen.add(expected and expected.split(": ")[1].split(" of ")[0])
+                mutants += 1
+        assert mutants > 5000
+        # every check is the first to fail on some mutant, and some
+        # mutants pass both
+        assert seen == {None, "no C-action", "no D-action",
+                        "C-action leaves the table",
+                        "D-action leaves the table", "C-identity acts",
+                        "D-identity acts", "C-action not functorial",
+                        "D-action not functorial", "actions do not commute"}
+
+    def test_cell_over_an_unknown_object_rejected(self):
+        one = discrete_category(["x"])
+        ident = {("id_x", "x", "e"): "e"}
+        for key in (("ghost", "x"), ("x", "ghost"), ("x",)):
+            for elements in (["g1", "g2"], []):
+                with pytest.raises(StructuralError,
+                                   match=f"^h: cell {re.escape(repr(key))} "
+                                         "is not over an object of "
+                                         "discrete1 and an object of "
+                                         "discrete1$"):
+                    FiniteProfunctor("h", one, one, {("x", "x"): ["e"],
+                                                     key: elements},
+                                     ident, ident)
+
+    def test_cell_listing_an_element_twice_rejected(self):
+        one = discrete_category(["x"])
+        ident = {("id_x", "x", x): x for x in "ef"}
+        for cell in (["e", "e"], ["e", "f", "e"], ["f", "e", "f"]):
+            with pytest.raises(StructuralError,
+                               match=f"^h: cell \\('x', 'x'\\) lists "
+                                     f"'{cell[-1]}' twice$"):
+                FiniteProfunctor("h", one, one, {("x", "x"): cell}, ident,
+                                 ident)
+        assert FiniteProfunctor("h", one, one, {("x", "x"): ["e", "f"]},
+                                ident, ident).total_size() == 2
 
     def test_commuting_involutions_accepted(self):
         for c_one in (SWAP, FIX):
