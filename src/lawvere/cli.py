@@ -212,6 +212,10 @@ def cmd_check_coend(args) -> int:
                     and all(isinstance(n, str) for n in pair)):
                 raise StructuralError(
                     "\"compose\" must be a list of two profunctor names")
+            for pname in pair:
+                if pname not in profs:
+                    raise StructuralError(
+                        f"\"compose\" names no profunctor {pname!r}")
             gname, fname = pair
             composite = compose_prof(profs[gname], profs[fname])
             payload["composite"] = {
@@ -221,7 +225,7 @@ def cmd_check_coend(args) -> int:
                           in sorted(composite.table.items(),
                                     key=lambda kv: str(kv[0]))},
             }
-    except (KeyError, StructuralError) as exc:
+    except StructuralError as exc:
         print(f"invalid tables: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(args, payload, functools.partial(json.dumps, sort_keys=True))
@@ -238,9 +242,16 @@ def _has_names(entry, *keys) -> bool:
         k in entry and isinstance(entry[k], _NAME) for k in keys)
 
 
+def _field(where: str, data: dict, key: str):
+    """``data[key]``, or an error that names ``where`` and the key."""
+    if key not in data:
+        raise StructuralError(f"{where}: no \"{key}\"")
+    return data[key]
+
+
 def _rows(where: str, data: dict, key: str, ok, every: str) -> list:
     """``data[key]``, which must be a JSON list whose rows all pass ``ok``."""
-    rows = data[key]
+    rows = _field(where, data, key)
     if not isinstance(rows, list):
         raise StructuralError(f"{where}: \"{key}\" must be a JSON list")
     if not all(ok(row) for row in rows):
@@ -252,8 +263,9 @@ def _category_from_json(name: str, data) -> FiniteCategory:
     where = f"category {name!r}"
     if not isinstance(data, dict):
         raise StructuralError(f"{where} must be a JSON object")
-    objects = _rows(where, data, "objects", lambda o: isinstance(o, _NAME),
-                    "object must be a string or a number")
+    objects = _rows(where, data, "objects", lambda o: isinstance(o, str),
+                    "object must be a string, since the keys of "
+                    "\"identities\" name objects and JSON keys are strings")
     entries = _rows(where, data, "morphisms",
                     lambda m: _has_names(m, "name", "src", "tgt"),
                     "morphism must be an object with \"name\", \"src\" "
@@ -264,7 +276,7 @@ def _category_from_json(name: str, data) -> FiniteCategory:
                  and all(isinstance(x, _NAME) for x in r),
                  "composition row must be a triple [g, f, g after f]")
     comp = {(g, f): h for g, f, h in rows}
-    identities = data["identities"]
+    identities = _field(where, data, "identities")
     if not (isinstance(identities, dict) and
             all(isinstance(v, _NAME) for v in identities.values())):
         raise StructuralError(f"{where}: \"identities\" must be a JSON "
@@ -277,6 +289,10 @@ def _profunctor_from_json(name: str, data, cats: dict) -> FiniteProfunctor:
     if not _has_names(data, "src", "tgt"):
         raise StructuralError(f"{where} must be a JSON object with category "
                               "names \"src\" and \"tgt\"")
+    for side in ("src", "tgt"):
+        if data[side] not in cats:
+            raise StructuralError(f"{where}: \"{side}\" names no category "
+                                  f"{data[side]!r}")
     src, tgt = cats[data["src"]], cats[data["tgt"]]
     table = {}
     for entry in _rows(where, data, "table",

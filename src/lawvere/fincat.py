@@ -5,24 +5,25 @@ pair (g after f) to the resulting morphism name.  Constructors validate
 the category laws exhaustively, so anything that typechecks here really
 is a category.
 
-A category indexes its morphisms by endpoint once, in declaration order:
-``out_of(x)``, ``into(x)`` and ``hom(x, y)`` read that index, so no other
-module scans ``morphisms`` to find the arrows that leave or enter an
-object.
+The law checks walk the arrows at each object in declaration order, and
+the category keeps what they walked as its one index:
 
-``arrows[x]`` is a second, name-level index, built once per category on
-first use.  For each object x it holds the identity's name, the arrows
-out of x as (name, target) and into x as (name, source), the same two
-lists without the identity, and the composable triples (g, f, g f) of
-non-identity arrows, filed by f's source (``after_from``) and by g's
-target (``after_into``).  The profunctor checks read it instead of
-building ``Morphism`` lists per element.
+* ``arrows[x]`` holds, by name, the identity of x, the arrows out of x
+  as (name, target) and into x as (name, source), the same two lists
+  without the identity, and the composable triples (g, f, g f) of
+  non-identity arrows, filed by f's source (``after_from``) and by g's
+  target (``after_into``);
+* ``hom(x, y)`` is the ``Morphism``s from x to y, in declaration order;
+* ``composition[(g, f)]`` names g after f, for exactly the composable
+  pairs.
+
+No other module scans ``morphisms`` to find the arrows that leave or
+enter an object.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .terms import StructuralError
@@ -36,13 +37,6 @@ class Morphism:
 
     def __repr__(self):
         return f"{self.name}:{self.src}->{self.tgt}"
-
-
-def _index(morphisms, key) -> dict:
-    out: dict = {}
-    for m in morphisms:
-        out.setdefault(key(m), []).append(m)
-    return {k: tuple(ms) for k, ms in out.items()}
 
 
 class Arrows(NamedTuple):
@@ -69,10 +63,9 @@ class FiniteCategory:
         if len(self._by_name) != len(morphisms):
             raise StructuralError("duplicate morphism names")
         self._identities = dict(identities)
-        self._composition = dict(composition)
-        self._out = _index(self.morphisms, attrgetter("src"))
-        self._in = _index(self.morphisms, attrgetter("tgt"))
-        self._hom = _index(self.morphisms, attrgetter("src", "tgt"))
+        # read by ``compose`` while ``_validate`` checks it, which then
+        # keeps only its composable entries
+        self.composition = composition
         self._validate()
 
     def __repr__(self):
@@ -90,84 +83,82 @@ class FiniteCategory:
         if f.tgt != g.src:
             raise StructuralError(f"{g!r} after {f!r} undefined")
         try:
-            return self._by_name[self._composition[(g.name, f.name)]]
+            return self._by_name[self.composition[(g.name, f.name)]]
         except KeyError:
             raise StructuralError(
                 f"{self.name}: the composition table names no morphism "
                 f"for {g!r} after {f!r}") from None
 
-    def out_of(self, x) -> tuple:
-        """The morphisms with source x, in declaration order."""
-        return self._out.get(x, ())
-
-    def into(self, x) -> tuple:
-        """The morphisms with target x, in declaration order."""
-        return self._in.get(x, ())
-
     def hom(self, x, y) -> tuple:
         return self._hom.get((x, y), ())
 
-    @cached_property
-    def arrows(self) -> dict:
-        """Object -> its ``Arrows``, in declaration order."""
-        ids = {self._identities[x] for x in self.objects}
-        after_from: dict = {x: [] for x in self.objects}
-        after_into: dict = {x: [] for x in self.objects}
-        for g, f in self.composable_pairs():
-            if f.name not in ids and g.name not in ids:
-                triple = (g.name, f.name, self._composition[(g.name, f.name)])
-                after_from[f.src].append(triple)
-                after_into[g.tgt].append(triple)
-        out = {}
-        for x in self.objects:
-            outs = [(m.name, m.tgt) for m in self.out_of(x)]
-            ins = [(m.name, m.src) for m in self.into(x)]
-            out[x] = Arrows(self._identities[x], tuple(outs), tuple(ins),
-                            tuple(a for a in outs if a[0] not in ids),
-                            tuple(a for a in ins if a[0] not in ids),
-                            tuple(after_from[x]), tuple(after_into[x]))
-        return out
-
-    def composable_pairs(self):
-        for f in self.morphisms:
-            for g in self.out_of(f.tgt):
-                yield g, f
-
     def _validate(self):
+        ids = self._identities
         for obj in self.objects:
-            if obj not in self._identities:
+            if obj not in ids:
                 raise StructuralError(f"no identity for {obj!r}")
+            if ids[obj] not in self._by_name:
+                raise StructuralError(f"{self.name}: the identity of {obj!r} "
+                                      f"names no morphism: {ids[obj]!r}")
             i = self.identity(obj)
             if (i.src, i.tgt) != (obj, obj):
                 raise StructuralError(f"identity of {obj!r} has wrong ends")
+        out: dict = {x: [] for x in self.objects}
+        into: dict = {x: [] for x in self.objects}
+        hom: dict = {}
         for m in self.morphisms:
-            if m.src not in self.objects or m.tgt not in self.objects:
+            if m.src not in out or m.tgt not in out:
                 raise StructuralError(f"{m!r} has unknown endpoints")
-        for g, f in self.composable_pairs():
-            h = self.compose(g, f)
-            if (h.src, h.tgt) != (f.src, g.tgt):
-                raise StructuralError(f"composite of {g!r} after {f!r} "
-                                      f"has wrong endpoints")
+            out[m.src].append(m)
+            into[m.tgt].append(m)
+            hom.setdefault((m.src, m.tgt), []).append(m)
+        # one walk over the composable pairs, f then each g out of its
+        # target; after[f][g] names g f
+        id_names = {ids[x] for x in self.objects}
+        after_from: dict = {x: [] for x in self.objects}
+        after_into: dict = {x: [] for x in self.objects}
+        composition: dict = {}
+        after: dict = {}
+        for f in self.morphisms:
+            col = after[f.name] = {}
+            for g in out[f.tgt]:
+                h = self.compose(g, f)
+                if (h.src, h.tgt) != (f.src, g.tgt):
+                    raise StructuralError(f"composite of {g!r} after {f!r} "
+                                          f"has wrong endpoints")
+                composition[(g.name, f.name)] = col[g.name] = h.name
+                if f.name not in id_names and g.name not in id_names:
+                    triple = (g.name, f.name, h.name)
+                    after_from[f.src].append(triple)
+                    after_into[g.tgt].append(triple)
         for m in self.morphisms:
-            if self.compose(m, self.identity(m.src)) != m:
+            if after[ids[m.src]][m.name] != m.name:
                 raise StructuralError(f"right identity fails at {m!r}")
-            if self.compose(self.identity(m.tgt), m) != m:
+            if after[m.name][ids[m.tgt]] != m.name:
                 raise StructuralError(f"left identity fails at {m!r}")
         # every composite above has the right endpoints, so the
         # associativity walk reads the table by name, one column per
-        # right factor (after[f][g] names g f): for each g, every h (g f)
-        # against (h g) f, picked in C
-        after: dict = {}
-        for (g, f), gf in self._composition.items():
-            after.setdefault(f, {})[g] = gf
+        # right factor: for each g, every h (g f) against (h g) f, picked
+        # in C
         for g in self.morphisms:
-            hs = [h.name for h in self.out_of(g.tgt)]
+            hs = [h.name for h in out[g.tgt]]
             pick_h = itemgetter(*hs)
             pick_hg = itemgetter(*[after[g.name][h] for h in hs])
-            for f in self.into(g.src):
+            for f in into[g.src]:
                 col = after[f.name]
                 if pick_h(after[col[g.name]]) != pick_hg(col):
                     raise StructuralError("associativity fails")
+        self.composition = composition
+        self._hom = {k: tuple(ms) for k, ms in hom.items()}
+        self.arrows = {}
+        for x in self.objects:
+            outs = tuple((m.name, m.tgt) for m in out[x])
+            ins = tuple((m.name, m.src) for m in into[x])
+            self.arrows[x] = Arrows(
+                ids[x], outs, ins,
+                tuple(a for a in outs if a[0] not in id_names),
+                tuple(a for a in ins if a[0] not in id_names),
+                tuple(after_from[x]), tuple(after_into[x]))
 
 
 def discrete_category(objects: Sequence, name: str = "") -> FiniteCategory:
@@ -233,17 +224,18 @@ class FiniteFunctor:
         return self.tgt.morphism(self.mor_map[f.name])
 
     def _validate(self):
+        mor_map = self.mor_map
         for f in self.src.morphisms:
             ff = self.on_mor(f)
             if (ff.src, ff.tgt) != (self.on_obj(f.src), self.on_obj(f.tgt)):
                 raise StructuralError(f"functor breaks endpoints at {f!r}")
         for x in self.src.objects:
-            if self.on_mor(self.src.identity(x)) != \
-                    self.tgt.identity(self.on_obj(x)):
+            if mor_map[self.src.arrows[x].identity] != \
+                    self.tgt.arrows[self.on_obj(x)].identity:
                 raise StructuralError(f"functor breaks identity at {x!r}")
-        for g, f in self.src.composable_pairs():
-            if self.on_mor(self.src.compose(g, f)) != \
-                    self.tgt.compose(self.on_mor(g), self.on_mor(f)):
+        # the endpoints are kept, so every image pair is composable
+        for (g, f), gf in self.src.composition.items():
+            if mor_map[gf] != self.tgt.composition[(mor_map[g], mor_map[f])]:
                 raise StructuralError("functor breaks composition")
 
 

@@ -106,6 +106,7 @@ def p_on_profunctor(f: FiniteProfunctor, max_len: int,
     PC = p_category(f.src, max_len)
     # an endo-profunctor's extension must be one too
     PD = PC if f.tgt is f.src else p_category(f.tgt, max_len)
+    ft, fc, fd = f.table, f.c_action, f.d_action
     table = {}
     for b in PD.objects:
         n = len(b)
@@ -113,7 +114,7 @@ def p_on_profunctor(f: FiniteProfunctor, max_len: int,
             m = len(a)
             entries = []
             for alpha in itertools.product(range(n), repeat=m):
-                pools = [f.elements(b[alpha[j]], a[j]) for j in range(m)]
+                pools = [ft.get((b[alpha[j]], a[j]), ()) for j in range(m)]
                 for xs in itertools.product(*pools):
                     entries.append((alpha, xs))
             table[(b, a)] = tuple(entries)
@@ -122,28 +123,21 @@ def p_on_profunctor(f: FiniteProfunctor, max_len: int,
     for b in PD.objects:
         for a in PC.objects:
             for (alpha, xs) in table[(b, a)]:
-                for phi in PC.out_of(a):
-                    beta, comps = PC.p_data[phi.name]
-                    a2 = phi.tgt
-                    new_alpha = tuple(alpha[beta[i]]
-                                      for i in range(len(a2)))
-                    new_xs = tuple(
-                        f.act_c(comps[i], b[alpha[beta[i]]], xs[beta[i]])
-                        for i in range(len(a2)))
-                    c_action[(phi.name, b, (alpha, xs))] = \
-                        (new_alpha, new_xs)
-                for psi in PD.into(b):
+                for phi, _ in PC.arrows[a].out:
+                    # phi: a -> a2 with index beta: [len(a2)] -> [len(a)]
+                    beta, comps = PC.p_data[phi]
+                    new_alpha = tuple(alpha[i] for i in beta)
+                    new_xs = tuple(fc[(h.name, b[alpha[i]], xs[i])]
+                                   for i, h in zip(beta, comps))
+                    c_action[(phi, b, (alpha, xs))] = (new_alpha, new_xs)
+                for psi, _ in PD.arrows[b].into:
                     # psi: b2 -> b with index gamma: [len(b)] -> [len(b2)];
                     # each picked position is transported contravariantly
-                    gamma, comps = PD.p_data[psi.name]
-                    new_alpha = []
-                    new_xs = []
-                    for j in range(len(a)):
-                        i = alpha[j]
-                        new_alpha.append(gamma[i])
-                        new_xs.append(f.act_d(comps[i], a[j], xs[j]))
-                    d_action[(psi.name, a, (alpha, xs))] = \
-                        (tuple(new_alpha), tuple(new_xs))
+                    gamma, comps = PD.p_data[psi]
+                    new_alpha = tuple(gamma[i] for i in alpha)
+                    new_xs = tuple(fd[(comps[i].name, c, x)]
+                                   for i, c, x in zip(alpha, a, xs))
+                    d_action[(psi, a, (alpha, xs))] = (new_alpha, new_xs)
     return FiniteProfunctor(name or f"P({f.name})", PC, PD, table,
                             c_action, d_action)
 

@@ -6,14 +6,16 @@ Conventions.  A profunctor F from C to D assigns a finite set F(d, c) to
 each pair of objects, covariant in the C argument and contravariant in
 the D argument:
 
-* ``act_c(f, d, x)``: for f: c -> c' sends x in F(d, c) to F(d, c');
-* ``act_d(g, c, x)``: for g: d' -> d sends x in F(d, c) to F(d', c).
+* ``table[(d, c)]`` lists the elements of F(d, c);
+* ``c_action[(f, d, x)]``: for f: c -> c' sends x in F(d, c) to F(d, c');
+* ``d_action[(g, c, x)]``: for g: d' -> d sends x in F(d, c) to F(d', c).
 
-A monad in Prof is an endo-profunctor read in arrow form: an element of
-F(x, y) is an arrow x -> y, ``act_d`` by f: x' -> x precomposes and
-``act_c`` by g: y -> y' postcomposes.  With a unit and a multiplication
-that composes arrows, that is exactly an identity-on-objects functor out
-of the base (``monad_to_functor`` and ``functor_to_monad``).
+Arrows are keyed by name.  A monad in Prof is an endo-profunctor read in
+arrow form: an element of F(x, y) is an arrow x -> y, the D-action by
+f: x' -> x precomposes and the C-action by g: y -> y' postcomposes.
+With a unit and a multiplication that composes arrows, that is exactly
+an identity-on-objects functor out of the base (``monad_to_functor`` and
+``functor_to_monad``).
 
 Validation.  ``FiniteProfunctor`` checks its tables in this order, and
 raises at the first failure:
@@ -30,8 +32,9 @@ raises at the first failure:
 Step 3 skips identity arrows.  That is exact: step 1 has shown that
 identities fix every element of every cell, so a square with an identity
 side commutes.  Every check reads ``table``, ``c_action``, ``d_action``
-and the categories' ``arrows`` index directly; so do ``compose_prof`` and
-``prof_iso``, which rely on the same facts about their validated inputs.
+and the categories' ``arrows`` index directly, as every reader here does;
+``compose_prof``, ``prof_iso`` and ``BimoduleMonad`` rely on the same
+facts about their validated inputs.
 """
 from __future__ import annotations
 
@@ -91,24 +94,9 @@ class FiniteProfunctor:
         self.d_action = dict(d_action)
         self._validate()
 
-    def elements(self, d, c) -> tuple:
-        return self.table.get((d, c), ())
-
     def _missing(self, side: str, name, over, x) -> StructuralError:
         return StructuralError(f"{self.name}: no {side}-action of {name} "
                                f"on {x!r} over {over!r}")
-
-    def act_c(self, f: Morphism, d, x):
-        try:
-            return self.c_action[(f.name, d, x)]
-        except KeyError:
-            raise self._missing("C", f.name, d, x) from None
-
-    def act_d(self, g: Morphism, c, x):
-        try:
-            return self.d_action[(g.name, c, x)]
-        except KeyError:
-            raise self._missing("D", g.name, c, x) from None
 
     def total_size(self) -> int:
         return sum(len(v) for v in self.table.values())
@@ -201,20 +189,18 @@ def hom_profunctor(cat: FiniteCategory) -> FiniteProfunctor:
 
 def representable(functor: FiniteFunctor, name: str = "") -> FiniteProfunctor:
     """For H: C -> D the table (d, c) -> D(d, Hc)."""
-    C, D = functor.src, functor.tgt
+    C, D, on = functor.src, functor.tgt, functor.mor_map
     table = {(d, c): tuple(m.name for m in D.hom(d, functor.on_obj(c)))
              for d in D.objects for c in C.objects}
+    after = D.composition
     c_action = {}
     d_action = {}
-    for d in D.objects:
-        for c in C.objects:
-            for mname in table[(d, c)]:
-                m = D.morphism(mname)
-                for f in C.out_of(c):
-                    c_action[(f.name, d, mname)] = \
-                        D.compose(functor.on_mor(f), m).name
-                for g in D.into(d):
-                    d_action[(g.name, c, mname)] = D.compose(m, g).name
+    for (d, c), ms in table.items():
+        for m in ms:
+            for f, _ in C.arrows[c].out:
+                c_action[(f, d, m)] = after[(on[f], m)]
+            for g, _ in D.arrows[d].into:
+                d_action[(g, c, m)] = after[(m, g)]
     return FiniteProfunctor(name or f"rep({functor.src.name})",
                             C, D, table, c_action, d_action)
 
@@ -252,7 +238,7 @@ def compose_prof(g: FiniteProfunctor, f: FiniteProfunctor,
     f(d, c)) under the relation identifying the two ways a middle
     morphism can act; classes are labelled by their least member.
     """
-    if f.tgt is not g.src and f.tgt != g.src:
+    if f.tgt is not g.src:
         raise StructuralError("middle categories differ")
     C, D, E = f.src, f.tgt, g.tgt
     # both factors were validated to let identities act trivially, so an
@@ -379,8 +365,8 @@ class BimoduleMonad:
 
     def __init__(self, name: str, base: FiniteCategory,
                  module: FiniteProfunctor, unit: dict, mult: Callable):
-        """``module.table[(x, y)]`` are the arrows x -> y; ``act_d`` by
-        f: x' -> x precomposes and ``act_c`` by g: y -> y' postcomposes.
+        """``module.table[(x, y)]`` are the arrows x -> y; its D-action by
+        f: x' -> x precomposes and its C-action by g: y -> y' postcomposes.
         ``unit[f.name]`` embeds a base arrow; ``mult(e1, e2)`` composes
         arrows e1: x -> y then e2: y -> z of the module."""
         self.name = name
@@ -394,7 +380,7 @@ class BimoduleMonad:
         for (x, y), es in self.module.table.items():
             for z in self.base.objects:
                 for e1 in es:
-                    for e2 in self.module.elements(y, z):
+                    for e2 in self.module.table.get((y, z), ()):
                         yield x, y, z, e1, e2
 
     def _validate(self):
@@ -403,29 +389,31 @@ class BimoduleMonad:
         validates the category and the functor from the base, which checks
         the unit laws, associativity and a unit that preserves composition.
 
-        These are the monad laws.  Balance over the middle action follows
-        from associativity once the actions are composition:
-        mult(act_c(f, e1), e2) = mult(mult(e1, unit f), e2)
-        = mult(e1, mult(unit f, e2)) = mult(e1, act_d(f, e2)).  Conversely
-        the monad laws force the actions to be composition: balance with
-        e1 = unit(id) and a unit compatible with the actions gives
-        mult(unit f, e) = mult(unit id, act_d(f, e)) = act_d(f, e).
+        These are the monad laws.  Writing f e for the C-action of f on e
+        and e f for the D-action, balance over the middle action follows
+        from associativity once the actions are composition: mult(f e1, e2)
+        = mult(mult(e1, unit f), e2) = mult(e1, mult(unit f, e2))
+        = mult(e1, e2 f).  Conversely the monad laws force the actions to be
+        composition: balance with e1 = unit(id) and a unit compatible with
+        the actions gives mult(unit f, e) = mult(unit id, e f) = e f.
         """
-        mod = self.module
+        table, at = self.module.table, self.base.arrows
+        pre, post = self.module.d_action, self.module.c_action
         for f in self.base.morphisms:
-            if self.unit[f.name] not in mod.elements(f.src, f.tgt):
+            if self.unit[f.name] not in table.get((f.src, f.tgt), ()):
                 raise StructuralError(f"{self.name}: unit escapes the module")
         for x, y, z, e1, e2 in self._composable():
-            if self.mult(e1, e2) not in mod.elements(x, z):
+            if self.mult(e1, e2) not in table.get((x, z), ()):
                 raise StructuralError(f"{self.name}: mult escapes the module")
-        for (x, y), es in mod.table.items():
+        # the module is validated, so every action below is in its dicts
+        for (x, y), es in table.items():
             for e in es:
-                for f in self.base.into(x):
-                    if mod.act_d(f, y, e) != self.mult(self.unit[f.name], e):
+                for f, _ in at[x].into:
+                    if pre[(f, y, e)] != self.mult(self.unit[f], e):
                         raise StructuralError(
                             f"{self.name}: pre-action is not composition")
-                for g in self.base.out_of(y):
-                    if mod.act_c(g, x, e) != self.mult(e, self.unit[g.name]):
+                for g, _ in at[y].out:
+                    if post[(g, x, e)] != self.mult(e, self.unit[g]):
                         raise StructuralError(
                             f"{self.name}: post-action is not composition")
         try:
@@ -474,16 +462,15 @@ def functor_to_monad(functor: FiniteFunctor, name: str = "") -> BimoduleMonad:
         raise StructuralError("functor must be the identity on objects")
     table = {(x, y): tuple(m.name for m in cat.hom(x, y))
              for x in base.objects for y in base.objects}
+    on, after = functor.mor_map, cat.composition
     c_action = {}
     d_action = {}
     for (x, y), es in table.items():
         for e in es:
-            for f in base.into(x):
-                d_action[(f.name, y, e)] = cat.compose(
-                    cat.morphism(e), functor.on_mor(f)).name
-            for f in base.out_of(y):
-                c_action[(f.name, x, e)] = cat.compose(
-                    functor.on_mor(f), cat.morphism(e)).name
+            for f, _ in base.arrows[x].into:
+                d_action[(f, y, e)] = after[(e, on[f])]
+            for f, _ in base.arrows[y].out:
+                c_action[(f, x, e)] = after[(on[f], e)]
     module = FiniteProfunctor(f"homs({cat.name})", base, base, table,
                               c_action, d_action)
     unit = {f.name: functor.on_mor(f).name for f in base.morphisms}

@@ -350,6 +350,10 @@ TABLES = {
 }
 
 
+def without(entry: dict, key: str) -> dict:
+    return {k: v for k, v in entry.items() if k != key}
+
+
 def coend_file(tmp_path):
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(TABLES))
@@ -472,11 +476,27 @@ def test_check_coend_bad_file(tmp_path, capsys):
     ({"categories": {"C": CHAIN2},
       "profunctors": {"H": dict(HOM, dAction=HOM["dAction"][:-1])}},
      "H: no D-action of f on 'id_y' over 'y'"),
+    ({"categories": {"C": without(CHAIN2, "objects")}},
+     "invalid tables: category 'C': no \"objects\"\n"),
+    ({"categories": {"C": without(CHAIN2, "identities")}},
+     "invalid tables: category 'C': no \"identities\"\n"),
+    ({"categories": {"C": CHAIN2},
+      "profunctors": {"H": without(HOM, "table")}},
+     "invalid tables: profunctor 'H': no \"table\"\n"),
+    ({"profunctors": {"H": HOM}},
+     "invalid tables: profunctor 'H': \"src\" names no category 'C'\n"),
+    (dict(TABLES, compose=["H", "K"]),
+     "invalid tables: \"compose\" names no profunctor 'K'\n"),
+    ({"categories": {"C": dict(CHAIN2, identities={"x": "nope",
+                                                    "y": "id_y"})}},
+     "invalid tables: C: the identity of 'x' names no morphism: 'nope'\n"),
 ], ids=["top-level-list", "categories-list", "two-entry-row",
         "string-morphism", "three-name-compose", "int-morphisms",
         "int-objects", "int-table-row", "string-elements", "version-2",
         "version-string", "version-float", "version-true", "version-null",
-        "missing-composite", "missing-action"])
+        "missing-composite", "missing-action", "missing-objects",
+        "missing-identities", "missing-table", "unknown-category",
+        "unknown-profunctor", "unknown-identity"])
 def test_check_coend_malformed_tables(tmp_path, capsys, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -484,6 +504,35 @@ def test_check_coend_malformed_tables(tmp_path, capsys, data, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("objects, identities", [
+    ([0], {"0": "id0"}), ([1.5], {"1.5": "id0"}), ([True], {"true": "id0"}),
+    ([None], {"null": "id0"})], ids=["int", "float", "bool", "null"])
+def test_check_coend_rejects_objects_that_are_not_strings(
+        tmp_path, capsys, objects, identities):
+    # JSON keys are strings, so "identities" could never name the
+    # identity of such an object; before, this read "no identity for 0"
+    category = {"objects": objects,
+                "morphisms": [{"name": "id0", "src": objects[0],
+                               "tgt": objects[0]}],
+                "identities": identities,
+                "composition": [["id0", "id0", "id0"]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"categories": {"C": category}}))
+    code, out, err = run(capsys, "check-coend", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("invalid tables: category 'C': every object must be a "
+                   "string, since the keys of \"identities\" name objects "
+                   "and JSON keys are strings\n")
+    # the same category with its object named by a string loads
+    name = next(iter(identities))
+    category.update(objects=[name], morphisms=[
+        {"name": "id0", "src": name, "tgt": name}])
+    path.write_text(json.dumps({"categories": {"C": category}}))
+    code, out, _ = run(capsys, "check-coend", "--file", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["categories"] == {"C": 1}
 
 
 POINT = {"objects": ["x"],

@@ -1,8 +1,9 @@
 """Only ``fincat`` decides which arrows leave or enter an object.
 
-Every other module reads ``out_of``, ``into`` or ``hom``; a loop over a
+``FiniteCategory`` keeps one index, built while it checks its laws:
+every other module reads ``arrows`` or ``hom``.  A loop over a
 ``morphisms`` attribute that begins by filtering its variable's ``src``
-or ``tgt`` re-derives the index ``FiniteCategory`` already keeps.
+or ``tgt`` re-derives that index.
 """
 import ast
 from pathlib import Path

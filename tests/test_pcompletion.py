@@ -48,14 +48,14 @@ class TestPOnProfunctor:
         F = constant_profunctor(C, D, ["x", "y"])
         PF = p_on_profunctor(F, 2)
         for b in (("b",), ("b", "b"), ()):
-            assert len(PF.elements(b, ())) == 1
+            assert len(PF.table[(b, ())]) == 1
 
     def test_singleton_strings_restrict_to_f(self):
         C = discrete_category(["a"])
         D = discrete_category(["b"])
         F = constant_profunctor(C, D, ["x", "y"])
         PF = p_on_profunctor(F, 2)
-        assert len(PF.elements(("b",), ("a",))) == 2
+        assert len(PF.table[(("b",), ("a",))]) == 2
 
     def test_counting_formula(self):
         # |PF| over a two-position target and one-position source is the
@@ -64,7 +64,7 @@ class TestPOnProfunctor:
         D = discrete_category(["b"])
         F = constant_profunctor(C, D, ["x", "y"])
         PF = p_on_profunctor(F, 2)
-        assert len(PF.elements(("b", "b"), ("a",))) == 2 * 2
+        assert len(PF.table[(("b", "b"), ("a",))]) == 2 * 2
 
     def test_actions_functorial_on_chain(self):
         c = chain_category(2)

@@ -36,6 +36,37 @@ def category_pool():
             chain_category(2), chain_category(3), z2_category()]
 
 
+def out_of(cat, x) -> list:
+    """The morphisms with source x, in declaration order, by a scan."""
+    return [m for m in cat.morphisms if m.src == x]
+
+
+def into(cat, x) -> list:
+    """The morphisms with target x, in declaration order, by a scan."""
+    return [m for m in cat.morphisms if m.tgt == x]
+
+
+def composable_pairs(cat) -> list:
+    """Every (g, f) with g after f defined: f in declaration order, then
+    each g out of f's target."""
+    return [(g, f) for f in cat.morphisms for g in out_of(cat, f.tgt)]
+
+
+def elements(p, d, c) -> tuple:
+    return p.table.get((d, c), ())
+
+
+def act(p, side: str, m, over, x):
+    """The C- or D-action of the morphism m, raising the validator's
+    message when the dict has no entry."""
+    actions = p.c_action if side == "C" else p.d_action
+    try:
+        return actions[(m.name, over, x)]
+    except KeyError:
+        raise StructuralError(f"{p.name}: no {side}-action of {m.name} "
+                              f"on {x!r} over {over!r}") from None
+
+
 SWAP = {"a": "b", "b": "a"}
 FIX = {"a": "a", "b": "b"}
 
@@ -112,12 +143,12 @@ class TestCategories:
 
     def test_endpoint_index_in_declaration_order(self):
         cat = chain_category(3)
-        assert [m.name for m in cat.out_of(1)] == ["1->1", "1->2"]
-        assert [m.name for m in cat.into(2)] == ["0->2", "1->2", "2->2"]
+        assert [m for m, _ in cat.arrows[1].out] == ["1->1", "1->2"]
+        assert [m for m, _ in cat.arrows[2].into] == ["0->2", "1->2", "2->2"]
         assert [m.name for m in cat.hom(0, 2)] == ["0->2"]
-        assert cat.hom(2, 0) == () and cat.out_of("nowhere") == ()
-        assert list(cat.composable_pairs()) == [
-            (g, f) for f in cat.morphisms for g in cat.morphisms
+        assert cat.hom(2, 0) == () and cat.hom("nowhere", 0) == ()
+        assert list(cat.composition) == [
+            (g.name, f.name) for f in cat.morphisms for g in cat.morphisms
             if f.tgt == g.src]
 
     def test_fop_truncation_matches_basic_morphisms(self):
@@ -127,6 +158,39 @@ class TestCategories:
         assert len(cat.hom(2, 0)) == 1
         assert len(cat.hom(0, 1)) == 0
 
+    def test_identity_that_names_no_morphism_rejected(self):
+        with pytest.raises(StructuralError,
+                           match="^c: the identity of 'x' names no "
+                                 "morphism: 'nope'$"):
+            FiniteCategory("c", ["x"], [Morphism("id", "x", "x")],
+                           {"x": "nope"}, {("id", "id"): "id"})
+
+
+class TestFunctors:
+    def test_broken_endpoints_rejected(self):
+        c = chain_category(2)
+        with pytest.raises(StructuralError,
+                           match="^functor breaks endpoints at 0->1:0->1$"):
+            FiniteFunctor(c, c, {0: 0, 1: 1},
+                          {"0->0": "0->0", "0->1": "0->0", "1->1": "1->1"})
+
+    def test_broken_identity_rejected(self):
+        z2 = z2_category()
+        with pytest.raises(StructuralError,
+                           match=r"^functor breaks identity at '\*'$"):
+            FiniteFunctor(z2, z2, {"*": "*"}, {"0": "1", "1": "1"})
+
+    def test_broken_composition_rejected(self):
+        z3 = monoid_category(range(3), {(a, b): (a + b) % 3
+                                        for a in range(3) for b in range(3)},
+                             0, name="z3")
+        z2 = z2_category()
+        # 1 + 1 = 2 goes to 1, but 1 + 1 = 0 in Z/2
+        with pytest.raises(StructuralError,
+                           match="^functor breaks composition$"):
+            FiniteFunctor(z3, z2, {"*": "*"}, {"0": "0", "1": "1", "2": "1"})
+        FiniteFunctor(z3, z2, {"*": "*"}, {"0": "0", "1": "0", "2": "0"})
+
 
 def coend_category_pool():
     """The categories the coend-quotient benchmark composes over."""
@@ -135,47 +199,50 @@ def coend_category_pool():
 
 def reference_validate(p):
     """The reference for ``FiniteProfunctor._validate``'s first failure:
-    the same checks read through ``elements``/``act_c``/``act_d`` one
+    the same checks read from ``table`` and the two action dicts one
     lookup at a time, over every (morphism, morphism) pair, identities
-    included."""
+    included, with the arrows at each object found by scanning
+    ``morphisms``."""
     for d in p.tgt.objects:
         for c in p.src.objects:
-            for x in p.elements(d, c):
-                for f in p.src.out_of(c):
-                    y = p.act_c(f, d, x)
-                    if y not in p.elements(d, f.tgt):
+            for x in elements(p, d, c):
+                for f in out_of(p.src, c):
+                    y = act(p, "C", f, d, x)
+                    if y not in elements(p, d, f.tgt):
                         raise StructuralError(
                             f"{p.name}: C-action leaves the table")
-                for g in p.tgt.into(d):
-                    y = p.act_d(g, c, x)
-                    if y not in p.elements(g.src, c):
+                for g in into(p.tgt, d):
+                    y = act(p, "D", g, c, x)
+                    if y not in elements(p, g.src, c):
                         raise StructuralError(
                             f"{p.name}: D-action leaves the table")
                 idc = p.src.identity(c)
-                if p.act_c(idc, d, x) != x:
+                if act(p, "C", idc, d, x) != x:
                     raise StructuralError(f"{p.name}: C-identity acts")
                 idd = p.tgt.identity(d)
-                if p.act_d(idd, c, x) != x:
+                if act(p, "D", idd, c, x) != x:
                     raise StructuralError(f"{p.name}: D-identity acts")
-    for g2, g1 in p.src.composable_pairs():
+    for g2, g1 in composable_pairs(p.src):
         gf = p.src.compose(g2, g1)
         for d in p.tgt.objects:
-            for x in p.elements(d, g1.src):
-                if p.act_c(g2, d, p.act_c(g1, d, x)) != p.act_c(gf, d, x):
+            for x in elements(p, d, g1.src):
+                if act(p, "C", g2, d, act(p, "C", g1, d, x)) != \
+                        act(p, "C", gf, d, x):
                     raise StructuralError(
                         f"{p.name}: C-action not functorial")
-    for g2, g1 in p.tgt.composable_pairs():
+    for g2, g1 in composable_pairs(p.tgt):
         gf = p.tgt.compose(g2, g1)
         for c in p.src.objects:
-            for x in p.elements(gf.tgt, c):
-                if p.act_d(g1, c, p.act_d(g2, c, x)) != p.act_d(gf, c, x):
+            for x in elements(p, gf.tgt, c):
+                if act(p, "D", g1, c, act(p, "D", g2, c, x)) != \
+                        act(p, "D", gf, c, x):
                     raise StructuralError(
                         f"{p.name}: D-action not functorial")
     for f in p.src.morphisms:
         for g in p.tgt.morphisms:
-            for x in p.elements(g.tgt, f.src):
-                a = p.act_d(g, f.tgt, p.act_c(f, g.tgt, x))
-                b = p.act_c(f, g.src, p.act_d(g, f.src, x))
+            for x in elements(p, g.tgt, f.src):
+                a = act(p, "D", g, f.tgt, act(p, "C", f, g.tgt, x))
+                b = act(p, "C", f, g.src, act(p, "D", g, f.src, x))
                 if a != b:
                     raise StructuralError(
                         f"{p.name}: actions do not commute")
@@ -227,21 +294,29 @@ class TestArrowIndex:
         phi(POINTED_MONAD).truncate(range(3)),
         p_category(chain_category(2), 2)], ids=lambda cat: cat.name)
     def test_index_matches_the_category(self, cat):
-        pairs = [(g, f) for g, f in cat.composable_pairs()
+        # the composition table holds exactly the composable pairs, in
+        # the order of a scan of ``morphisms``
+        assert list(cat.composition) == [(g.name, f.name) for g, f
+                                         in composable_pairs(cat)]
+        pairs = [(g, f) for g, f in composable_pairs(cat)
                  if g != cat.identity(g.src) and f != cat.identity(f.src)]
         for x in cat.objects:
             at = cat.arrows[x]
             ident = cat.identity(x).name
             assert at.identity == ident
-            assert at.out == tuple((m.name, m.tgt) for m in cat.out_of(x))
-            assert at.into == tuple((m.name, m.src) for m in cat.into(x))
+            assert at.out == tuple((m.name, m.tgt) for m in out_of(cat, x))
+            assert at.into == tuple((m.name, m.src) for m in into(cat, x))
             assert at.out_ni == tuple(a for a in at.out if a[0] != ident)
             assert at.into_ni == tuple(a for a in at.into if a[0] != ident)
-            triple = lambda g, f: (g.name, f.name, cat.compose(g, f).name)
+            triple = lambda g, f: (g.name, f.name,
+                                   cat.composition[(g.name, f.name)])
             assert at.after_from == tuple(
                 triple(g, f) for g, f in pairs if f.src == x)
             assert at.after_into == tuple(
                 triple(g, f) for g, f in pairs if g.tgt == x)
+            for y in cat.objects:
+                assert cat.hom(x, y) == tuple(m for m in out_of(cat, x)
+                                              if m.tgt == y)
         assert set(cat.arrows) == set(cat.objects)
         assert cat.arrows is cat.arrows
 
@@ -446,7 +521,7 @@ class TestProfIso:
                     assert got == four_loop_prof_iso(a, b)
                     found += got is not None
                     same_sizes_no_iso += got is None and a.tgt is b.tgt and all(
-                        len(a.elements(*k)) == len(b.elements(*k))
+                        len(elements(a, *k)) == len(elements(b, *k))
                         for k in set(a.table) | set(b.table))
         assert found > 500 and same_sizes_no_iso > 100
 
@@ -477,7 +552,7 @@ def four_loop_prof_iso(p, q):
         return None
     cells = sorted(set(p.table) | set(q.table), key=_label_key)
     for cell in cells:
-        if len(p.elements(*cell)) != len(q.elements(*cell)):
+        if len(elements(p, *cell)) != len(elements(q, *cell)):
             return None
     assign: dict = {}
 
@@ -491,7 +566,8 @@ def four_loop_prof_iso(p, q):
             if other not in assign:
                 continue
             for x, qx in beta.items():
-                if assign[other][p.act_c(f, d, x)] != q.act_c(f, d, qx):
+                if assign[other][act(p, "C", f, d, x)] != \
+                        act(q, "C", f, d, qx):
                     return False
         for f in p.src.morphisms:
             if f.tgt != c:
@@ -499,7 +575,7 @@ def four_loop_prof_iso(p, q):
             other = (d, f.src)
             if other in assign:
                 for x, qx in assign[other].items():
-                    if beta.get(p.act_c(f, d, x)) != q.act_c(f, d, qx):
+                    if beta.get(act(p, "C", f, d, x)) != act(q, "C", f, d, qx):
                         return False
         for g in p.tgt.morphisms:
             if g.tgt != d:
@@ -508,7 +584,8 @@ def four_loop_prof_iso(p, q):
             if other not in assign:
                 continue
             for x, qx in beta.items():
-                if assign[other][p.act_d(g, c, x)] != q.act_d(g, c, qx):
+                if assign[other][act(p, "D", g, c, x)] != \
+                        act(q, "D", g, c, qx):
                     return False
         for g in p.tgt.morphisms:
             if g.src != d:
@@ -516,7 +593,7 @@ def four_loop_prof_iso(p, q):
             other = (g.tgt, c)
             if other in assign:
                 for x, qx in assign[other].items():
-                    if beta.get(p.act_d(g, c, x)) != q.act_d(g, c, qx):
+                    if beta.get(act(p, "D", g, c, x)) != act(q, "D", g, c, qx):
                         return False
         return True
 
@@ -528,8 +605,8 @@ def four_loop_prof_iso(p, q):
     while 0 <= i < len(cells):
         if len(tries) == i:
             cell = cells[i]
-            tries.append((cell, p.elements(*cell),
-                          itertools.permutations(q.elements(*cell))))
+            tries.append((cell, elements(p, *cell),
+                          itertools.permutations(elements(q, *cell))))
         cell, pe, perms = tries[i]
         for perm in perms:
             assign[cell] = dict(zip(pe, perm))
@@ -549,7 +626,7 @@ def reference_prof_iso(p, q):
         return None
     cells = sorted(set(p.table) | set(q.table), key=_label_key)
     for cell in cells:
-        if len(p.elements(*cell)) != len(q.elements(*cell)):
+        if len(elements(p, *cell)) != len(elements(q, *cell)):
             return None
     assign = {}
 
@@ -560,22 +637,22 @@ def reference_prof_iso(p, q):
         for f in p.src.morphisms:
             if f.src == c and (d, f.tgt) in assign:
                 for x, qx in beta.items():
-                    if assign[(d, f.tgt)][p.act_c(f, d, x)] != \
-                            q.act_c(f, d, qx):
+                    if assign[(d, f.tgt)][act(p, "C", f, d, x)] != \
+                            act(q, "C", f, d, qx):
                         return False
             if f.tgt == c and (d, f.src) in assign:
                 for x, qx in assign[(d, f.src)].items():
-                    if beta.get(p.act_c(f, d, x)) != q.act_c(f, d, qx):
+                    if beta.get(act(p, "C", f, d, x)) != act(q, "C", f, d, qx):
                         return False
         for g in p.tgt.morphisms:
             if g.tgt == d and (g.src, c) in assign:
                 for x, qx in beta.items():
-                    if assign[(g.src, c)][p.act_d(g, c, x)] != \
-                            q.act_d(g, c, qx):
+                    if assign[(g.src, c)][act(p, "D", g, c, x)] != \
+                            act(q, "D", g, c, qx):
                         return False
             if g.src == d and (g.tgt, c) in assign:
                 for x, qx in assign[(g.tgt, c)].items():
-                    if beta.get(p.act_d(g, c, x)) != q.act_d(g, c, qx):
+                    if beta.get(act(p, "D", g, c, x)) != act(q, "D", g, c, qx):
                         return False
         return True
 
@@ -583,8 +660,8 @@ def reference_prof_iso(p, q):
         if i == len(cells):
             return True
         cell = cells[i]
-        for perm in itertools.permutations(q.elements(*cell)):
-            assign[cell] = dict(zip(p.elements(*cell), perm))
+        for perm in itertools.permutations(elements(q, *cell)):
+            assign[cell] = dict(zip(elements(p, *cell), perm))
             if natural(cell) and solve(i + 1):
                 return True
         del assign[cell]

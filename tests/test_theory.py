@@ -357,8 +357,7 @@ def reference_fop_truncation(sizes, name=""):
 def category_tables(cat):
     return ([(f.name, f.src, f.tgt) for f in cat.morphisms],
             {o: cat.identity(o).name for o in cat.objects},
-            {(g.name, f.name): cat.compose(g, f).name
-             for g, f in cat.composable_pairs()})
+            cat.composition)
 
 
 class TestTruncate:
