@@ -116,10 +116,18 @@ def _layered_nf(t: Term, order: Sequence[TheorySpec]) -> Term:
     rest = order[1:]
     leaf = (rest[0].normalizer if len(rest) == 1
             else lambda a: _layered_nf(a, rest))
-    read = LAYER_READERS.get(id(head))
+    return _layer_reader(head)(t, leaf)
+
+
+def _layer_reader(spec: TheorySpec) -> Callable[[Term, Callable], Term]:
+    """``read(t, leaf)``: the normal form of the layer of ``spec``'s
+    operations at the top of t, with each atom replaced by ``leaf(atom)``.
+    A built-in spec reads it in one loop (``LAYER_READERS``); any other
+    splits it with ``whisker`` and normalizes the rebuilt term."""
+    read = LAYER_READERS.get(id(spec))
     if read is not None:
-        return read(t, leaf)
-    return head.normalizer(whisker(head.op_set, leaf)(t))
+        return read
+    return lambda t, leaf: spec.normalizer(whisker(spec.op_set, leaf)(t))
 
 
 @dataclass(frozen=True)
@@ -129,7 +137,10 @@ class DistributiveLawSpec:
     ``rewrite`` must accept any term whose inner-theory operations sit
     above its outer-theory operations (anything else opaque below), and
     must return the same element with the outer layer on top and both
-    layers normalized.
+    layers normalized.  A composite theory's normalizer calls it once
+    per maximal inner layer, on that whole layer in the inner theory's
+    normal form over atoms that are composite normal forms: outer
+    layers over inner ones, which it must read through as well.
     """
     name: str
     inner: TheorySpec
@@ -261,6 +272,15 @@ def composite_theory(law: DistributiveLawSpec, *, name: str = "",
                      check: bool = True) -> TheorySpec:
     """The theory whose normal forms are outer-layer forms over inner atoms.
 
+    The normalizer reads each maximal layer once, at its topmost node,
+    with every atom of the layer (every maximal subterm headed by
+    anything else) replaced by its own normal form, as ``_layered_nf``
+    does: an outer layer is read into the outer theory's normal form,
+    and an inner layer into the inner theory's, which ``law.rewrite``
+    then turns outer side up, one call per inner layer (``_layer_reader``
+    reads a layer).  A node of neither theory is rebuilt over its
+    arguments' normal forms.
+
     By default the law's compatibility diagrams are checked first, on 120
     samples, and a failing law is rejected with its counterexample.
     """
@@ -274,16 +294,19 @@ def composite_theory(law: DistributiveLawSpec, *, name: str = "",
     outer_ops = outer.op_set
     inner_ops = inner.op_set
 
+    read_outer = _layer_reader(outer)
+    read_inner = _layer_reader(inner)
+
     def normalize_fn(t: Term) -> Term:
         if isinstance(t, Var):
             return t
-        args = tuple(normalize_fn(a) for a in t.args)
-        v = App(t.op, args)
-        if t.op in outer_ops:
-            return outer.normalizer(v)
-        if t.op in inner_ops:
-            return law.rewrite(v)
-        return v
+        op = t[0]
+        if op in outer_ops:
+            return read_outer(t, normalize_fn)
+        if op in inner_ops:
+            return law.rewrite(read_inner(t, normalize_fn))
+        return tuple.__new__(App, (op, tuple([normalize_fn(a)
+                                              for a in t[1]])))
 
     def enum_fn(atoms, bound):
         inner_nfs = inner.atom_enumerator(atoms, bound)

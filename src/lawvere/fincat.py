@@ -224,6 +224,32 @@ class FiniteFunctor:
         return self.tgt.morphism(self.mor_map[f.name])
 
     def _validate(self):
+        # the checks read the maps unguarded; only a map that misses a
+        # name raises KeyError, and only then are the names looked up
+        try:
+            self._check_laws()
+        except KeyError as exc:
+            raise StructuralError(self._missing(exc)) from None
+
+    def _missing(self, exc: KeyError) -> str:
+        """What the maps lack, as a message: the first object of the
+        source with no image, else the first morphism with no image or
+        with one the target does not have.  (An object sent outside the
+        target breaks the endpoints of its identity first.)"""
+        where = f"functor {self.src.name} -> {self.tgt.name}"
+        for x in self.src.objects:
+            if x not in self.obj_map:
+                return f"{where}: obj_map has no image for object {x!r}"
+        for f in self.src.morphisms:
+            if f.name not in self.mor_map:
+                return f"{where}: mor_map has no image for {f.name!r}"
+            if self.mor_map[f.name] not in self.tgt._by_name:
+                return (f"{where}: mor_map sends {f.name!r} to "
+                        f"{self.mor_map[f.name]!r}, not a morphism of "
+                        f"{self.tgt.name}")
+        return f"{where}: no image for {exc.args[0]!r}"
+
+    def _check_laws(self):
         mor_map = self.mor_map
         for f in self.src.morphisms:
             ff = self.on_mor(f)

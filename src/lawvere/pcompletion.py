@@ -74,13 +74,15 @@ def p_category(cat: FiniteCategory, max_len: int,
                                     tuple(c.name for c in comps))
                     morphisms.append(Morphism(nm, src, tgt))
                     data[nm] = (alpha, comps)
+    # the morphisms out of each object, in list order, so the loop below
+    # visits only the composable pairs, in the order of a full scan
+    out: dict = {o: [] for o in objects}
+    for g in morphisms:
+        out[g.src].append((g, *data[g.name]))
     comp = {}
     for f in morphisms:
         fa, fc = data[f.name]
-        for g in morphisms:
-            if f.tgt != g.src:
-                continue
-            ga, gc = data[g.name]
+        for g, ga, gc in out[f.tgt]:
             alpha = tuple(fa[ga[i]] for i in range(len(ga)))
             comps = tuple(cat.compose(gc[i], fc[ga[i]])
                           for i in range(len(ga)))

@@ -30,16 +30,20 @@ Conventions used throughout the package:
   input through them alone and no longer call ``split_layer``.  So do
   the built-in normalizers, and ``distlaw._layered_nf`` reads a built-in
   head's layer through them without ``split_layer`` or ``substitute``:
-  its calls nest a few frames per layer, not per level.  Every other
-  traversal still recurses: ``substitute`` and ``sort_key`` one frame
-  per level, and ``term_size``, ``distlaw.split_layer`` (called only by
-  ``distlaw.whisker``, which serves ``_layered_nf`` at a composite head,
-  the series composites' rewrites, the hexagon paths and the outer
-  multiplication square), ``distlaw.check_layer_order`` (so
-  ``layered_normalize``), ``distlaw.expansion_estimate``, the composite
-  normalizers, ``parser.format_term``, the parser, and hashing and
-  comparing (in C, with ``App.__hash__`` adding a Python frame per
-  level) one to two frames per level.  So term depth is bounded by the
+  its calls nest a few frames per layer, not per level.  The composite
+  normalizers (``distlaw.composite_theory``) read a layer the same way
+  at a built-in head, so they too recurse once per layer there; at a
+  composite head they go through ``whisker``, and at a head of neither
+  theory they recurse per level.  Every other traversal still recurses:
+  ``substitute`` and ``sort_key`` one frame per level, and
+  ``term_size``, ``distlaw.split_layer`` (called only by
+  ``distlaw.whisker``, which serves ``_layered_nf`` and the composite
+  normalizers at a composite head, the series composites' rewrites, the
+  hexagon paths and the outer multiplication square),
+  ``distlaw.check_layer_order`` (so ``layered_normalize``),
+  ``distlaw.expansion_estimate``, ``parser.format_term``, the parser,
+  and hashing and comparing (in C, with ``App.__hash__`` adding a
+  Python frame per level) one to two frames per level.  So term depth is bounded by the
   recursion limit set below.  The README's ``check-yb --series ring3
   --samples 300 --seed 7`` still ends in RecursionError in
   ``split_layer``, reached through ``whisker``, and the benchmark pins

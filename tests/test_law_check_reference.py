@@ -399,7 +399,7 @@ def yang_baxter_cases():
         lambda: _ring3_with((1, 0), _negated(laws[(1, 0)])),
         0, {("pairwise-law", "law witness"): 1,
             ("hexagon", "left right"): 2,
-            ("bracketing-agreement", "left right"): 3}, id="negated-1-0")
+            ("bracketing-agreement", "left right"): 1}, id="negated-1-0")
 
 
 def _failure_kinds(rep: Report) -> dict:
@@ -420,6 +420,19 @@ def test_yang_baxter_report_matches_the_reference(make_series, seed,
                                        Sampler(samples=15, seed=seed))
     assert got.to_json_dict() == want.to_json_dict()
     assert _failure_kinds(got) == failures
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_negated_pointed_sum_law_fails_its_own_check(seed):
+    # the composites apply a law once per layer, so a broken law's error
+    # no longer compounds node by node and the bracketings may agree;
+    # the law's own axiom check still catches it at every seed
+    series = _ring3_with((1, 0), _negated(ring3_series().laws[(1, 0)]))
+    rep = check_yang_baxter(series, Sampler(samples=15, seed=seed))
+    assert not rep.passed
+    pairwise = [f for f in rep.failures if f["stage"] == "pairwise-law"]
+    assert [f["law"] for f in pairwise] == ["negated"]
+    assert pairwise[0]["witness"]
 
 
 # one normal form per distinct leg --------------------------------------

@@ -9,6 +9,12 @@ is the function as it was before: split, normalize every positional
 atom, substitute, then the head's plain normalizer, at every layer.
 The two must agree on every term, layered or not, and the composite
 theories built on ``_layered_nf`` must agree with ``layered_normalize``.
+
+A composite theory's normalizer reads each layer the same way and calls
+its law once per inner layer; ``reference_composite_theory`` is the
+normalizer as it was before, which called the law (or the outer
+normalizer) at every node.  The two must agree on raw terms over the
+union signature, for every composite.
 """
 import itertools
 import random
@@ -19,15 +25,19 @@ from lawvere import distlaw
 from lawvere.builtin import (ABELIAN_GROUP, ADD, BASE_THEORIES,
                              COMMUTATIVE_MONOID, IDENTITY_THEORY, MONOID, MUL,
                              NEG, POINTED, SEMIGROUP, ZERO, build_combo)
-from lawvere.distlaw import (BUILTIN_LAWS, DistributiveSeries,
+from lawvere.distlaw import (BUILTIN_LAWS, PS_LAW, RING_LAW,
+                             DistributiveLawSpec, DistributiveSeries,
                              composite_theory, layered_normalize,
                              multiplicative_over_additive_law,
                              multiplicative_over_pointed_law,
-                             pointed_over_additive_law, ring3_series,
+                             pointed_over_additive_law, ps_monoid_theory,
+                             ring3_series, ring_theory,
                              series_composite_left, series_composite_right,
                              split_layer, trivial_law, whisker)
+from lawvere.parser import parse_term
 from lawvere.sampling import random_term
-from lawvere.terms import App, StructuralError, TheorySpec, Var, substitute
+from lawvere.terms import (App, OperationSymbol, StructuralError, TheorySpec,
+                           Var, substitute)
 
 
 def reference_layered_nf(t, order):
@@ -212,6 +222,94 @@ def test_ring3_composites_agree_with_the_three_layer_form():
         t = stack(order, rng.randint(1, 3), rng)
         want = layered_normalize(t, order)
         assert left.normalize(t) == want == right.normalize(t)
+
+
+# the composite normalizer -------------------------------------------
+
+
+def reference_composite_theory(law, *, name="", check=True):
+    """``composite_theory`` with its normalizer as it was: at every node
+    the arguments first, then the outer normalizer at an outer head and
+    the law at an inner head, each on the whole subterm below."""
+    outer, inner = law.outer, law.inner
+
+    def nf(t):
+        if isinstance(t, Var):
+            return t
+        v = App(t.op, tuple(nf(a) for a in t.args))
+        if t.op in outer.op_set:
+            return outer.normalizer(v)
+        if t.op in inner.op_set:
+            return law.rewrite(v)
+        return v
+
+    return TheorySpec(name=name or f"{outer.name}*{inner.name}",
+                      signature=outer.signature + inner.signature,
+                      normalizer=nf, atom_enumerator=lambda a, b: [])
+
+
+# a binary operation of no theory, which every composite rebuilds
+FOREIGN = TheorySpec(name="foreign",
+                     signature=(OperationSymbol("f", 2, "foreign"),),
+                     normalizer=lambda t: t, atom_enumerator=lambda a, b: [])
+
+
+def composite_cases():
+    """(name, the composite, its reference) for every composite: the
+    cached ring and ps-monoid, one per law in ``LAWS``, and both ring3
+    bracketings, whose nested composites are all references too."""
+    yield "ring_theory", ring_theory(), reference_composite_theory(RING_LAW)
+    yield ("ps_monoid_theory", ps_monoid_theory(),
+           reference_composite_theory(PS_LAW))
+    for name in sorted(LAWS):
+        yield (name, composite_theory(LAWS[name], check=False),
+               reference_composite_theory(LAWS[name]))
+    for side, build in (("left", series_composite_left),
+                        ("right", series_composite_right)):
+        got = build(ring3_series())
+        orig = distlaw.composite_theory
+        distlaw.composite_theory = reference_composite_theory
+        try:
+            want = build(ring3_series())
+        finally:
+            distlaw.composite_theory = orig
+        yield f"ring3-{side}", got, want
+
+
+@pytest.mark.parametrize("name,composite,reference", [
+    pytest.param(*case, id=case[0]) for case in composite_cases()])
+def test_composite_normalizer_matches_the_per_node_reference(
+        name, composite, reference):
+    # the normalizers themselves, not ``normalize``: no memo, no checks;
+    # 300 raw terms over the composite's signature, then 100 with the
+    # foreign operation too
+    raw, with_foreign = union([composite]), union([composite, FOREIGN])
+    rng = random.Random(name)
+    for n in range(400):
+        k = rng.randint(1, 3)
+        t = random_term(raw if n < 300 else with_foreign, k, rng, 3)
+        assert composite.normalizer(t) == reference.normalizer(t), t
+
+
+def test_a_long_word_is_rewritten_once():
+    calls = []
+    counted = DistributiveLawSpec(
+        "counted", RING_LAW.inner, RING_LAW.outer,
+        lambda t: calls.append(t) or RING_LAW.rewrite(t))
+    word = App(MUL, (Var(0), Var(0)))
+    for _ in range(999):
+        word = App(MUL, (Var(0), word))
+    # a^1001 parses to this chain of 1,000 products
+    assert parse_term("a^1001", ring_theory(), 1) == word
+    got = composite_theory(counted, check=False).normalizer(word)
+    assert got == word and len(calls) == 1
+    # the per-node reference rewrites at each product; a rewrite that
+    # returns its input keeps that count without its quadratic cost
+    calls.clear()
+    passing = DistributiveLawSpec("passing", RING_LAW.inner, RING_LAW.outer,
+                                  lambda t: calls.append(t) or t)
+    assert reference_composite_theory(passing).normalizer(word) == word
+    assert len(calls) == 1000
 
 
 def test_whisker_rewrites_each_atom_object_once():

@@ -5,7 +5,7 @@ import pytest
 
 from lawvere import pcompletion
 from lawvere.correspondence import monad_from_theory, phi
-from lawvere.fincat import chain_category, discrete_category
+from lawvere.fincat import Morphism, chain_category, discrete_category
 from lawvere.fragments import (FRAGMENTS, FREE_MONOID_MONAD,
                                IDENTITY_MONAD, POINTED_MONAD,
                                FinitaryMonadFragment, PointedMonad)
@@ -39,6 +39,61 @@ class TestPCategory:
         assert len(pc.hom((1,), (0,))) == 0
         # either position of (0, 1) maps into 1, each in one way
         assert len(pc.hom((0, 1), (1,))) == 2
+
+
+def reference_p_tables(cat, max_len):
+    """``p_category``'s morphism list and composition table as the
+    all-pairs scan built them: every morphism against every other, the
+    pairs that do not compose skipped."""
+    objects = list(pcompletion.all_strings(cat.objects, max_len))
+    morphisms, data = [], {}
+    for src in objects:
+        for tgt in objects:
+            for alpha in itertools.product(range(len(src)), repeat=len(tgt)):
+                pools = [cat.hom(src[alpha[i]], tgt[i])
+                         for i in range(len(tgt))]
+                for comps in itertools.product(*pools):
+                    nm = pcompletion._pmor_name(
+                        src, tgt, alpha, tuple(c.name for c in comps))
+                    morphisms.append(Morphism(nm, src, tgt))
+                    data[nm] = (alpha, comps)
+    comp = {}
+    for f in morphisms:
+        fa, fc = data[f.name]
+        for g in morphisms:
+            if f.tgt != g.src:
+                continue
+            ga, gc = data[g.name]
+            alpha = tuple(fa[ga[i]] for i in range(len(ga)))
+            comps = tuple(cat.compose(gc[i], fc[ga[i]])
+                          for i in range(len(ga)))
+            comp[(g.name, f.name)] = pcompletion._pmor_name(
+                f.src, g.tgt, alpha, tuple(c.name for c in comps))
+    return morphisms, comp
+
+
+class TestPCategoryTables:
+    @pytest.mark.parametrize("make,max_len", [
+        (lambda: chain_category(2), 3),
+        (lambda: discrete_category(["x", "y"]), 2),
+    ], ids=["chain2-3", "discrete2-2"])
+    def test_same_tables_as_the_all_pairs_scan(self, make, max_len,
+                                               monkeypatch):
+        cat = make()
+        built = []
+        real = pcompletion.FiniteCategory
+
+        def recording(name, objects, morphisms, idents, comp):
+            built.append((list(morphisms), comp))
+            return real(name, objects, morphisms, idents, comp)
+
+        monkeypatch.setattr(pcompletion, "FiniteCategory", recording)
+        pcompletion.p_category(cat, max_len)
+        morphisms, comp = built[0]
+        want_morphisms, want_comp = reference_p_tables(cat, max_len)
+        assert morphisms == want_morphisms
+        # the same entries, inserted in the same order
+        assert list(comp.items()) == list(want_comp.items())
 
 
 class TestPOnProfunctor:

@@ -191,6 +191,23 @@ class TestFunctors:
             FiniteFunctor(z3, z2, {"*": "*"}, {"0": "0", "1": "1", "2": "1"})
         FiniteFunctor(z3, z2, {"*": "*"}, {"0": "0", "1": "0", "2": "0"})
 
+    @pytest.mark.parametrize("obj_map,mor_map,message", [
+        ({0: 0, 1: 1}, {"0->0": "0->0", "1->1": "1->1"},
+         "mor_map has no image for '0->1'"),
+        ({0: 0, 1: 1}, {"0->0": "0->0", "0->1": "zz", "1->1": "1->1"},
+         "mor_map sends '0->1' to 'zz', not a morphism of chain2"),
+        ({0: 0}, {"0->0": "0->0", "0->1": "0->1", "1->1": "1->1"},
+         "obj_map has no image for object 1"),
+    ], ids=["missing-morphism", "unknown-morphism", "missing-object"])
+    def test_incomplete_maps_rejected(self, obj_map, mor_map, message):
+        c = chain_category(2)
+        with pytest.raises(StructuralError) as info:
+            FiniteFunctor(c, c, obj_map, mor_map)
+        assert str(info.value) == f"functor chain2 -> chain2: {message}"
+        # the KeyError the checks met is not chained onto the message
+        assert info.value.__cause__ is None
+        assert info.value.__suppress_context__
+
 
 def coend_category_pool():
     """The categories the coend-quotient benchmark composes over."""
