@@ -352,7 +352,8 @@ class _SamplesDefault(str):
 
 
 def non_negative_int(text: str) -> int:
-    """Arities, sizes, bounds and sample counts are integers >= 0."""
+    """Arities, sizes, bounds, seeds and sample counts are integers >= 0
+    (``random.Random`` seeds -n as it seeds n)."""
     if isinstance(text, _SamplesDefault):
         env = os.environ.get("LAWVERE_SAMPLES")
         if env is None:
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "instead of stdout")
         if samples is None:
             return
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=non_negative_int, default=0)
         sp.add_argument("--samples", type=non_negative_int,
                         default=_SamplesDefault(samples),
                         help=f"sample count (default {samples}, or "

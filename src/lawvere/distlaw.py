@@ -44,7 +44,10 @@ def split_layer(t: Term, ops: frozenset) -> tuple:
         atoms.append(u)
         return tuple.__new__(Var, (len(atoms) - 1,))
 
-    return go(t), atoms
+    try:
+        return go(t), atoms
+    finally:
+        del go  # go's cell holds go: free the cycle without the collector
 
 
 def whisker(ops: frozenset, rw: Callable[[Term], Term]):
@@ -80,7 +83,10 @@ def check_layer_order(t: Term, layer_ops: Sequence[frozenset]) -> bool:
             return False
         return all(go(a, lv) for a in u.args)
 
-    return go(t, 0)
+    try:
+        return go(t, 0)
+    finally:
+        del go  # as in split_layer
 
 
 def layered_normalize(t: Term, order: Sequence[TheorySpec]) -> Term:
@@ -88,7 +94,7 @@ def layered_normalize(t: Term, order: Sequence[TheorySpec]) -> Term:
 
     Unlike a composite theory's normalizer this never invokes the law, so
     it can serve as the neutral comparison form in axiom checks.  The
-    layer-order check recurses, one frame per level; the normal form is
+    layer-order check recurses, two frames per level; the normal form is
     ``_layered_nf``'s.
     """
     if not check_layer_order(t, [s.op_set for s in order]):

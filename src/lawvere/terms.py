@@ -34,21 +34,25 @@ Conventions used throughout the package:
   normalizers (``distlaw.composite_theory``) read a layer the same way
   at a built-in head, so they too recurse once per layer there; at a
   composite head they go through ``whisker``, and at a head of neither
-  theory they recurse per level.  Every other traversal still recurses:
-  ``substitute`` and ``sort_key`` one frame per level, and
-  ``term_size``, ``distlaw.split_layer`` (called only by
-  ``distlaw.whisker``, which serves ``_layered_nf`` and the composite
-  normalizers at a composite head, the series composites' rewrites, the
-  hexagon paths and the outer multiplication square),
-  ``distlaw.check_layer_order`` (so ``layered_normalize``),
-  ``distlaw.expansion_estimate``, ``parser.format_term``, the parser,
-  and hashing and comparing (in C, with ``App.__hash__`` adding a
-  Python frame per level) one to two frames per level.  So term depth is bounded by the
-  recursion limit set below.  The README's ``check-yb --series ring3
-  --samples 300 --seed 7`` still ends in RecursionError in
-  ``split_layer``, reached through ``whisker``, and the benchmark pins
-  that answer (``perfbench/expected.json``) until the traversals are
-  made iterative (ROADMAP item 1).
+  theory they recurse per level.  ``sampling.random_term`` draws a
+  term in one loop over an explicit stack.  Every other traversal still
+  recurses: ``substitute`` and ``sort_key`` one frame per level, and
+  ``term_size``, ``distlaw.expansion_estimate``, ``parser.format_term``,
+  the parser, and hashing and comparing (in C, with ``App.__hash__``
+  adding a Python frame per level) one to two frames per level.
+  ``distlaw.split_layer`` (called only by ``distlaw.whisker``, which
+  serves ``_layered_nf`` and the composite normalizers at a composite
+  head, the series composites' rewrites, the hexagon paths and the outer
+  multiplication square) and ``distlaw.check_layer_order`` (so
+  ``layered_normalize``) take two frames per level, an inner ``go`` and
+  the generator over its arguments, and delete ``go`` when they return,
+  so the closure that refers to itself leaves no cycle for the
+  collector.  So term depth is bounded by the recursion limit set
+  below.  The README's ``check-yb --series ring3 --samples 300 --seed
+  7`` still ends in RecursionError in ``split_layer``, reached through
+  ``whisker``, and the benchmark pins that answer
+  (``perfbench/expected.json``) until the traversals are made iterative
+  (ROADMAP item 1).
 
 All values are immutable after construction and safe to share; the one
 exception is the normal-form memo inside each ``TheorySpec``, which only

@@ -152,6 +152,11 @@ def test_ps_monoid_composite(capsys):
     ("enumerate", "--theory", "monoid", "--arity", "-1", "--size", "3"),
     ("check-law", "--law", "ring", "--samples", "-3"),
     ("roundtrip", "--monad", "free-monoid", "--size", "-1"),
+    # random.Random(-4) seeds as Random(4) does: a negative seed would
+    # replay the positive seed's report under another name
+    ("check-law", "--law", "ring", "--samples", "5", "--seed", "-4"),
+    ("check-yb", "--series", "ring3", "--samples", "5", "--seed", "-4"),
+    ("correspond", "--law", "ring", "--samples", "5", "--seed", "-4"),
 ])
 def test_negative_bounds_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -2,14 +2,16 @@
 
 ``word_atoms`` and ``combo_of`` walk with an explicit stack, ``sort_key``
 makes one walk for both its parts, ``substitute`` and ``sort_key`` build
-no generator or list at a binary node, ``random_term`` recurses through
-an inner function, and the multiplicative laws read a product layer in one
+no generator or list at a binary node, ``random_term`` draws its tree in
+one loop that consumes the stream as ``choice`` and ``randrange`` would,
+and the multiplicative laws read a product layer in one
 ``word_atoms`` walk, the additive one flattening each summand once,
 ordering monomials by keys put together from one ``sort_key`` per atom
 and building each monomial once.  The ``reference_*`` functions below are
 the straightforward versions; every rewrite must give the same values,
 the same dict order and consume the random stream the same way.
 """
+import gc
 import itertools
 import random
 import sys
@@ -21,10 +23,12 @@ from hypothesis import assume, given, settings, strategies as st
 from lawvere.builtin import (ADD, BASE_THEORIES, CM_ADD, CM_ZERO, MUL, NEG,
                              ONE, POINT, SG_MUL, ZERO, build_combo,
                              build_word, combo_of, word_atoms)
-from lawvere.distlaw import (PS_LAW, RING_LAW, SEMIGROUP_SUM_LAW,
-                             _EXPANSION_LIMIT, expansion_estimate,
-                             ps_monoid_theory, ring_theory, split_layer)
-from lawvere.sampling import random_term
+from lawvere.distlaw import (BUILTIN_LAWS, PS_LAW, RING_LAW,
+                             SEMIGROUP_SUM_LAW, _EXPANSION_LIMIT,
+                             check_law_axioms, expansion_estimate,
+                             ps_monoid_theory, ring3_series, ring_theory,
+                             series_composite_left, split_layer)
+from lawvere.sampling import Sampler, random_term
 from lawvere.terms import (App, OperationSymbol, StructuralError, TheorySpec,
                            Var, sort_key, substitute, term_size)
 from .test_terms import raw_terms
@@ -286,7 +290,15 @@ def test_substitute_and_sort_key_match_the_reference(data):
     assert substitute(t, sigma) == want
 
 
-@pytest.mark.parametrize("spec", builtin_theories() + [ARITIES],
+# the raw terms check_yang_baxter's bracketing agreement draws, over every
+# operation of the ring3 series, at depth up to max_depth + 1
+RING3_UNION = TheorySpec(
+    name="ring3-union",
+    signature=series_composite_left(ring3_series()).signature,
+    normalizer=lambda t: t, atom_enumerator=lambda atoms, bound: [])
+
+
+@pytest.mark.parametrize("spec", builtin_theories() + [ARITIES, RING3_UNION],
                          ids=lambda s: s.name)
 def test_random_term_consumes_the_stream_as_the_reference(spec):
     params = random.Random(spec.name)
@@ -294,11 +306,28 @@ def test_random_term_consumes_the_stream_as_the_reference(spec):
     closed = any(op.arity == 0 for op in spec.signature)
     for _ in range(2000):
         k = params.randint(0 if closed else 1, 4)
-        depth = params.randint(-1, 4)
+        depth = params.randint(-1, Sampler().max_depth + 1)
         got = random_term(spec, k, rng, depth)
         want = reference_random_term(spec, k, ref, depth)
         assert got == want
         assert rng.getstate() == ref.getstate()
+
+
+def test_law_checks_leave_no_cyclic_garbage():
+    # every object the law checks and the term draws make is freed by
+    # reference counting alone: the collector finds nothing left over
+    gc.collect()
+    gc.disable()
+    try:
+        for law in BUILTIN_LAWS.values():
+            check_law_axioms(law, Sampler(samples=20, seed=3))
+        assert gc.collect() == 0
+        rng = random.Random(3)
+        for n in range(50):
+            random_term(RING3_UNION, n % 5, rng, n % 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("law", [RING_LAW, SEMIGROUP_SUM_LAW, PS_LAW],
